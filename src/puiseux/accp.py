@@ -13,13 +13,12 @@ first-class verdict for anything the exact rules cannot settle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ChainError, DomainError
 from .factorization import Factorization, evaluate
 from .membership import is_member, default_support_bound
-from .monoid import (AtomicityVerdict, Constant, DeltaSpec, ExpMonoid,
-                     Geometric, Periodic, Polynomial, Recurrence,
+from .monoid import (AtomicityVerdict, DeltaSpec, ExpMonoid, Recurrence,
                      classify_atomicity, s_index)
 from .ratio import Ratio, ZERO
 
@@ -36,21 +35,6 @@ class WitnessChain:
     start: int
     elements: Tuple[Ratio, ...]          # x_start > x_start+1 > ...
     diffs: Tuple[Factorization, ...]     # x_m = x_{m+1} + value(diffs[m])
-
-
-def _gap_shortfall_instance(M: ExpMonoid, m: int) -> str:
-    n, d = M.r.num, M.r.den
-    dm, dm1 = M.delta.delta(m), M.delta.delta(m + 1)
-    return f"d^delta_{m}={d ** dm} > n^delta_{m + 1}={n ** dm1}"
-
-
-def _first_shortfall(M: ExpMonoid, scan: int = 10_000) -> Optional[int]:
-    """Least global index m with d^{delta_m} > n^{delta_{m+1}}."""
-    n, d = M.r.num, M.r.den
-    for m in range(scan):
-        if d ** M.delta.delta(m) > n ** M.delta.delta(m + 1):
-            return m
-    return None
 
 
 def classify(M: ExpMonoid) -> Classification:
@@ -71,46 +55,8 @@ def classify(M: ExpMonoid) -> Classification:
                               {"rule": "r-above-one", "instance": f"r={M.r}>1"})
 
     # r < 1: the finite prefix never matters (truncation invariance)
-    tail = M.delta.tail
-    if isinstance(tail, Constant):
-        return Classification(atom_verdict, "no",
-                              {"rule": "bounded-delta",
-                               "instance": f"delta_n={tail.value} eventually"})
-    if isinstance(tail, Periodic):
-        return Classification(atom_verdict, "no",
-                              {"rule": "bounded-delta",
-                               "instance": f"delta_n <= {max(tail.pattern)} eventually"})
-    if isinstance(tail, Polynomial):
-        if tail.degree == 0:
-            return Classification(atom_verdict, "no",
-                                  {"rule": "bounded-delta",
-                                   "instance": f"delta_n={tail.coeffs[0]} eventually"})
-        m = _first_shortfall(M)
-        if m is None:  # unreachable for a genuine non-constant polynomial
-            return Classification(atom_verdict, "unknown",
-                                  {"rule": "no-closed-form", "instance": ""})
-        return Classification(atom_verdict, "no",
-                              {"rule": "polynomial-gaps",
-                               "instance": _gap_shortfall_instance(M, m)})
-    if isinstance(tail, Geometric):
-        c = tail.ratio
-        # coprimality of n and d makes d = n^c impossible: always decisive
-        if d < n ** c:
-            m = len(M.delta.prefix)
-            return Classification(atom_verdict, "yes",
-                                  {"rule": "gap-growth",
-                                   "instance": f"d={d} < n^{c}={n ** c}, so "
-                                               f"d^delta_n < n^delta_n+1 for n >= {m}"})
-        return Classification(atom_verdict, "no",
-                              {"rule": "gap-shortfall",
-                               "instance": f"d={d} > n^{c}={n ** c}"})
-    if isinstance(tail, Recurrence):
-        m = len(M.delta.prefix)
-        return Classification(atom_verdict, "no",
-                              {"rule": "gap-shortfall",
-                               "instance": _gap_shortfall_instance(M, m)})
-    return Classification(atom_verdict, "unknown",
-                          {"rule": "no-closed-form", "instance": ""})
+    accp, rule, instance = M.delta.tail.accp_rule(M)
+    return Classification(atom_verdict, accp, {"rule": rule, "instance": instance})
 
 
 def check_necessary(M: ExpMonoid) -> Dict[str, object]:
@@ -124,25 +70,12 @@ def check_necessary(M: ExpMonoid) -> Dict[str, object]:
     n, d = M.r.num, M.r.den
     if n == 1 or d == 1 or n > d:
         raise DomainError("not applicable: needs an atomic monoid with r < 1")
-    tail = M.delta.tail
     lhs = f"d(r)={d}"
-    if tail is None:
+    if M.delta.tail is None:
         return {"bound_holds": "unknown", "lhs": lhs,
                 "rhs": "finite exponent set: bound not applicable"}
-    if isinstance(tail, (Constant, Periodic, Polynomial)):
-        # delta_n/s_n -> 0, limsup factor is 1
-        return {"bound_holds": d <= n, "lhs": lhs,
-                "rhs": f"n(r)*1={n} (delta_n/s_n -> 0)"}
-    if isinstance(tail, Geometric):
-        c = tail.ratio
-        return {"bound_holds": d <= n ** c, "lhs": lhs,
-                "rhs": f"n(r)^{c}={n ** c} (delta_n/s_n -> {c - 1})"}
-    if isinstance(tail, Recurrence) and tail.a == n and tail.b == d:
-        # gap ratios approach log_n(d) from below, so the limsup factor is
-        # n^{log_n(d) - 1} and the bound holds with equality: n * n^{R-1} = d
-        return {"bound_holds": True, "lhs": lhs,
-                "rhs": f"n(r)^log_n(d)={d} (equality: ratio limit attains the bound)"}
-    return {"bound_holds": "unknown", "lhs": lhs, "rhs": "no closed form for this rule"}
+    holds, rhs = M.delta.tail.necessary_bound(n, d)
+    return {"bound_holds": holds, "lhs": lhs, "rhs": rhs}
 
 
 def series_partial_sums(M: ExpMonoid, terms: int) -> List[Ratio]:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import accp, factorization as fz, membership, oracle, semiring
 from .errors import DomainError, ParseError, PuiseuxError
-from .monoid import ExpMonoid, format_monoid, monoid_from_json, parse_monoid
+from .monoid import ExpMonoid, monoid_from_json, parse_monoid
 from .ratio import Ratio
 
 
@@ -58,16 +58,6 @@ def _cmd_classify(args) -> dict:
     return {"atomicity": c.atomicity.kind, "atoms": c.atomicity.atoms,
             "accp": c.accp, "bfp": c.accp, "ffp": c.accp,
             "evidence": c.evidence}
-
-
-def _cmd_factorize(args) -> dict:
-    M = _load_monoid(args)
-    x = Ratio.parse(args.x)
-    res = membership.is_member(x, M, args.bound)
-    out = _membership_json(res)
-    if res.witness is not None:
-        out["length"] = res.witness.length
-    return out
 
 
 def _cmd_normal_form(args) -> dict:
@@ -169,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify"); _add_monoid_args(p); p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("factorize"); _add_monoid_args(p)
-    p.add_argument("--x", required=True); p.add_argument("--bound", type=int)
-    p.set_defaults(fn=_cmd_factorize)
 
     p = sub.add_parser("normal-form"); _add_monoid_args(p)
     p.add_argument("--z", required=True, help="JSON [[index,coeff],...]")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import DomainError, StepError
-from .monoid import ExpMonoid, Geometric, s_index
+from .monoid import ExpMonoid, s_index
 from .ratio import Ratio, ZERO
 
 
@@ -132,10 +132,9 @@ def min_normal_form(z: Factorization) -> Factorization:
 
 
 def _sweep_guaranteed(M: ExpMonoid) -> bool:
-    # carries strictly shrink when d^{delta_i} < n^{delta_{i+1}} holds on the
-    # tail; for geometric tails that is the single comparison d < n^ratio
+    # carries strictly shrink when d^{delta_i} < n^{delta_{i+1}} holds on the tail
     t = M.delta.tail
-    return isinstance(t, Geometric) and M.r.den < M.r.num ** t.ratio
+    return t is not None and t.gap_growth(M.r.num, M.r.den)
 
 
 def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcome:

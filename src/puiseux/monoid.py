@@ -10,8 +10,8 @@ materialized list.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import astuple, dataclass
+from typing import Optional, Tuple
 
 from .errors import DomainError, IndexRangeError, ParseError
 from .ratio import Ratio
@@ -21,8 +21,56 @@ from .ratio import Ratio
 # Tail rules
 # ---------------------------------------------------------------------------
 
+def _power(base: int, e: int) -> str:
+    """base**e in decimal, or "base^e" when it is too long for int -> str."""
+    try:
+        return str(base ** e)
+    except ValueError:
+        return f"{base}^{e}"
+
+
+def _first_shortfall(M: "ExpMonoid", scan: int = 10_000) -> Optional[int]:
+    """Least global index m with d^{delta_m} > n^{delta_{m+1}}."""
+    n, d = M.r.num, M.r.den
+    for m in range(scan):
+        if d ** M.delta.delta(m) > n ** M.delta.delta(m + 1):
+            return m
+    return None
+
+
+def _shortfall_instance(M: "ExpMonoid", m: int) -> str:
+    dm, dm1 = M.delta.delta(m), M.delta.delta(m + 1)
+    return f"d^delta_{m}={_power(M.r.den, dm)} > n^delta_{m + 1}={_power(M.r.num, dm1)}"
+
+
+class Tail:
+    """A gap-rule family: the gaps past the explicit prefix.
+
+    Each family sets its grammar ``name`` and its ``arity`` (None for one or
+    more integers) and supplies ``accp_rule(M)``, which returns the
+    (verdict, rule, instance) of the chain-condition classifier for an
+    atomic M with r < 1 and this tail.
+    """
+
+    @property
+    def args(self) -> tuple:
+        """The integers of the grammar form name(args)."""
+        values = astuple(self)
+        return values if self.arity else values[0]
+
+    def gap_growth(self, n: int, d: int) -> bool:
+        """True when d^{delta_k} < n^{delta_{k+1}} is certain at every tail position."""
+        return False
+
+    def necessary_bound(self, n: int, d: int) -> Tuple[object, str]:
+        """(holds, rhs) of d <= n * limsup n^{delta_k/s_k} for this family."""
+        # delta_n/s_n -> 0, limsup factor is 1
+        return d <= n, f"n(r)*1={n} (delta_n/s_n -> 0)"
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(Tail):
+    name, arity = "const", 1
     value: int
 
     def __post_init__(self):
@@ -35,9 +83,12 @@ class Constant:
     def shifted(self, j: int) -> "Constant":
         return self
 
+    def accp_rule(self, M):
+        return "no", "bounded-delta", f"delta_n={self.value} eventually"
+
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Tail):
     """delta at tail position k is p(k) with integer coefficients.
 
     p must take values >= 1 at every k >= 0: we require a positive leading
@@ -46,6 +97,7 @@ class Polynomial:
     term keeps it increasing.
     """
 
+    name, arity = "poly", None
     coeffs: tuple  # low-order first
 
     def __post_init__(self):
@@ -85,11 +137,20 @@ class Polynomial:
                     coeffs[k] += coeffs[k + 1]
         return Polynomial(tuple(coeffs))
 
+    def accp_rule(self, M):
+        if self.degree == 0:
+            return "no", "bounded-delta", f"delta_n={self.coeffs[0]} eventually"
+        m = _first_shortfall(M)
+        if m is None:  # the gap ratio tends to 1, but slowly when d is close to n
+            return "unknown", "no-closed-form", ""
+        return "no", "polynomial-gaps", _shortfall_instance(M, m)
+
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(Tail):
     """delta at tail position k is scale * ratio**k."""
 
+    name, arity = "geom", 2
     scale: int
     ratio: int
 
@@ -105,9 +166,26 @@ class Geometric:
     def shifted(self, j: int) -> "Geometric":
         return Geometric(self.scale * self.ratio ** j, self.ratio)
 
+    def gap_growth(self, n: int, d: int) -> bool:
+        # delta_{k+1} = ratio * delta_k: the single comparison d < n^ratio
+        return d < n ** self.ratio
+
+    def accp_rule(self, M):
+        n, d, c = M.r.num, M.r.den, self.ratio
+        # coprimality of n and d makes d = n^c impossible: always decisive
+        if self.gap_growth(n, d):
+            return "yes", "gap-growth", (f"d={d} < n^{c}={_power(n, c)}, so d^delta_n < "
+                                         f"n^delta_n+1 for n >= {len(M.delta.prefix)}")
+        return "no", "gap-shortfall", f"d={d} > n^{c}={_power(n, c)}"
+
+    def necessary_bound(self, n: int, d: int) -> Tuple[object, str]:
+        c = self.ratio
+        return d <= n ** c, f"n(r)^{c}={_power(n, c)} (delta_n/s_n -> {c - 1})"
+
 
 @dataclass(frozen=True)
-class Periodic:
+class Periodic(Tail):
+    name, arity = "periodic", None
     pattern: tuple
 
     def __post_init__(self):
@@ -123,9 +201,12 @@ class Periodic:
         j %= len(self.pattern)
         return Periodic(self.pattern[j:] + self.pattern[:j])
 
+    def accp_rule(self, M):
+        return "no", "bounded-delta", f"delta_n <= {max(self.pattern)} eventually"
+
 
 @dataclass(frozen=True)
-class Recurrence:
+class Recurrence(Tail):
     """Gap rule delta_{k+1} = max{m : a^m < b^{delta_k}} seeded at `seed`.
 
     This is the integer form of the slowly-growing gap construction whose
@@ -133,6 +214,7 @@ class Recurrence:
     a**delta_{k+1} at every step.
     """
 
+    name, arity = "recurrence", 3
     a: int
     b: int
     seed: int
@@ -159,8 +241,23 @@ class Recurrence:
     def shifted(self, j: int) -> "Recurrence":
         return Recurrence(self.a, self.b, self.delta(j))
 
+    def accp_rule(self, M):
+        # b^delta_k > a^delta_{k+1} holds at every step. When a/b = r, that is
+        # a = g*n and b = g*d, then log_a b <= log_n d, so d^delta_k >
+        # n^delta_{k+1} holds too; for any other (a, b) no rule is known
+        if self.a * M.r.den != self.b * M.r.num:
+            return "unknown", "no-closed-form", ""
+        return "no", "gap-shortfall", _shortfall_instance(M, len(M.delta.prefix))
 
-Tail = Union[Constant, Polynomial, Geometric, Periodic, Recurrence]
+    def necessary_bound(self, n: int, d: int) -> Tuple[object, str]:
+        if (self.a, self.b) != (n, d):
+            return "unknown", "no closed form for this rule"
+        # gap ratios approach log_n(d) from below, so the limsup factor is
+        # n^{log_n(d) - 1} and the bound holds with equality: n * n^{R-1} = d
+        return True, f"n(r)^log_n(d)={d} (equality: ratio limit attains the bound)"
+
+
+TAILS = {cls.name: cls for cls in (Constant, Polynomial, Geometric, Periodic, Recurrence)}
 
 
 @dataclass(frozen=True)
@@ -264,7 +361,7 @@ def truncate(M: ExpMonoid, i: int) -> ExpMonoid:
 # Spec grammar:  r=<p>/<q>; delta=[prefix(...);] <tail>
 # ---------------------------------------------------------------------------
 
-_CALL = re.compile(r"^([a-z]+)\((.*)\)$")
+_DELTA = re.compile(r"(?:prefix\(([^()]*)\);)?(?:finite|([a-z]+)\(([^()]*)\))")
 
 
 def _parse_int_args(name: str, body: str) -> list:
@@ -274,39 +371,33 @@ def _parse_int_args(name: str, body: str) -> list:
         raise ParseError(f"non-integer argument in {name}(...)") from exc
 
 
-def parse_delta(text: str) -> DeltaSpec:
-    s = re.sub(r"\s+", "", text)
-    prefix: tuple = ()
-    if s.startswith("prefix("):
-        close = s.index(")")
-        prefix = tuple(_parse_int_args("prefix", s[7:close]))
-        rest = s[close + 1:]
-        if not rest.startswith(";"):
-            raise ParseError("expected ';' after prefix(...)")
-        s = rest[1:]
-    if s == "finite":
-        return _spec(prefix, None)
-    m = _CALL.match(s)
-    if not m:
-        raise ParseError(f"unrecognized gap rule {text!r}")
-    name, body = m.group(1), m.group(2)
-    args = _parse_int_args(name, body)
+def _int_tuple(what: str, values) -> tuple:
+    if not isinstance(values, (list, tuple)) or any(type(v) is not int for v in values):
+        raise ParseError(f"{what} needs a list of integers")
+    return tuple(values)
+
+
+def _make_tail(name: str, args: list) -> Tail:
+    """The tail rule name(args), with its arity, integer and domain checks."""
+    cls = TAILS.get(name)
+    if cls is None:
+        raise ParseError(f"unknown gap rule {name!r}")
+    args = _int_tuple(name, args)
+    if len(args) != cls.arity if cls.arity else not args:
+        raise ParseError(f"{name} takes {cls.arity or 'one or more'} argument(s)")
     try:
-        if name == "const":
-            if len(args) != 1:
-                raise ParseError("const takes one argument")
-            return _spec(prefix, Constant(args[0]))
-        if name == "poly":
-            return _spec(prefix, Polynomial(tuple(args)))
-        if name == "geom":
-            if len(args) != 2:
-                raise ParseError("geom takes two arguments")
-            return _spec(prefix, Geometric(args[0], args[1]))
-        if name == "periodic":
-            return _spec(prefix, Periodic(tuple(args)))
+        return cls(*args) if cls.arity else cls(args)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown gap rule {name!r}")
+
+
+def parse_delta(text: str) -> DeltaSpec:
+    m = _DELTA.fullmatch(re.sub(r"\s+", "", text))
+    if not m:
+        raise ParseError(f"unrecognized gap rule {text!r}")
+    prefix, name, body = m.groups()
+    tail = None if name is None else _make_tail(name, _parse_int_args(name, body))
+    return _spec(_parse_int_args("prefix", prefix or ""), tail)
 
 
 def _spec(prefix, tail):
@@ -340,26 +431,23 @@ def parse_monoid(text: str) -> ExpMonoid:
 
 
 def monoid_from_json(doc: dict) -> ExpMonoid:
-    """Spec-file form: {"r": "2/3", "delta": {"prefix": [...], "tail": {...}}}."""
+    """Spec-file form: {"r": "2/3", "delta": {"prefix": [...], "tail": {...}}}.
+
+    The tail is null, "finite" or {name: [args]}; a one-argument rule may
+    give its argument bare, as in {"const": 2}.
+    """
     try:
         r = Ratio.parse(str(doc["r"]))
         dd = doc["delta"]
-        prefix = tuple(dd.get("prefix", ()))
-        tail_doc = dd.get("tail")
-        if tail_doc in (None, "finite"):
-            tail = None
-        else:
+        if not isinstance(dd, dict):
+            raise ParseError("'delta' must be an object")
+        prefix = _int_tuple("prefix", dd.get("prefix", []))
+        tail_doc, tail = dd.get("tail"), None
+        if tail_doc not in (None, "finite"):
+            if not isinstance(tail_doc, dict) or len(tail_doc) != 1:
+                raise ParseError("'tail' must be an object holding one rule")
             (name, args), = tail_doc.items()
-            if name == "const":
-                tail = Constant(args if isinstance(args, int) else args[0])
-            elif name == "poly":
-                tail = Polynomial(tuple(args))
-            elif name == "geom":
-                tail = Geometric(args[0], args[1])
-            elif name == "periodic":
-                tail = Periodic(tuple(args))
-            else:
-                raise ParseError(f"unknown tail rule {name!r}")
+            tail = _make_tail(name, [args] if type(args) is int else args)
         return ExpMonoid(r, DeltaSpec(prefix, tail))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed monoid document: {exc}") from exc
@@ -367,24 +455,13 @@ def monoid_from_json(doc: dict) -> ExpMonoid:
         raise ParseError(str(exc)) from exc
 
 
+def _call(name: str, args) -> str:
+    return f"{name}({','.join(map(str, args))})"
+
+
 def format_delta(spec: DeltaSpec) -> str:
-    parts = []
-    if spec.prefix:
-        parts.append("prefix(" + ",".join(map(str, spec.prefix)) + ")")
-    t = spec.tail
-    if t is None:
-        parts.append("finite")
-    elif isinstance(t, Constant):
-        parts.append(f"const({t.value})")
-    elif isinstance(t, Polynomial):
-        parts.append("poly(" + ",".join(map(str, t.coeffs)) + ")")
-    elif isinstance(t, Geometric):
-        parts.append(f"geom({t.scale},{t.ratio})")
-    elif isinstance(t, Periodic):
-        parts.append("periodic(" + ",".join(map(str, t.pattern)) + ")")
-    elif isinstance(t, Recurrence):
-        parts.append(f"recurrence(a={t.a},b={t.b},seed={t.seed})")
-    return ";".join(parts)
+    tail = "finite" if spec.tail is None else _call(spec.tail.name, spec.tail.args)
+    return f"{_call('prefix', spec.prefix)};{tail}" if spec.prefix else tail
 
 
 def format_monoid(M: ExpMonoid) -> str:

@@ -9,6 +9,7 @@ never depend on N.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -41,15 +42,20 @@ class NumericalMonoidSpec:
         return reduce(gcd, self.generators)
 
 
+def _reachable(gens, up_to: int) -> List[bool]:
+    """reach[v] for 0 <= v <= up_to: is v a nonnegative combination of gens."""
+    reach = [False] * (up_to + 1)
+    reach[0] = True
+    for g in gens:
+        for v in range(g, up_to + 1):
+            if reach[v - g]:
+                reach[v] = True
+    return reach
+
+
 def nm_membership(N: NumericalMonoidSpec, x: int) -> bool:
     """Exact reachability: is x a nonnegative combination of the generators."""
-    if x < 0:
-        return False
-    reachable = [False] * (x + 1)
-    reachable[0] = True
-    for v in range(1, x + 1):
-        reachable[v] = any(v >= g and reachable[v - g] for g in N.generators)
-    return reachable[x]
+    return x >= 0 and _reachable(N.generators, x)[x]
 
 
 def apery_set(N: NumericalMonoidSpec, m: Optional[int] = None) -> List[int]:
@@ -58,23 +64,18 @@ def apery_set(N: NumericalMonoidSpec, m: Optional[int] = None) -> List[int]:
         raise DomainError("not a numerical monoid (infinite complement)")
     if m is None:
         m = min(N.generators)
+    # Dijkstra over the residues mod m: an edge of weight g joins w to w + g
     smallest: Dict[int, int] = {0: 0}
-    frontier = [0]
-    # grow the reachable set breadth-first until every residue class is hit
-    seen = {0}
-    while len(smallest) < m:
-        nxt = []
-        for v in frontier:
-            for g in N.generators:
-                w = v + g
-                if w in seen:
-                    continue
-                seen.add(w)
-                cls = w % m
-                if cls not in smallest:
-                    smallest[cls] = w
-                nxt.append(w)
-        frontier = nxt
+    heap = [0]
+    while heap:
+        w = heapq.heappop(heap)
+        if w > smallest[w % m]:
+            continue
+        for g in N.generators:
+            v = w + g
+            if v < smallest.get(v % m, v + 1):
+                smallest[v % m] = v
+                heapq.heappush(heap, v)
     return [smallest[i] for i in range(m)]
 
 
@@ -93,8 +94,8 @@ def frobenius_bruteforce(N: NumericalMonoidSpec) -> int:
     """Independent gap scan used to cross-check the Apery route."""
     if N.gcd != 1:
         raise DomainError("not a numerical monoid (infinite complement)")
-    bound = max(N.generators) ** 2 + 1
-    gaps = [x for x in range(1, bound) if not nm_membership(N, x)]
+    reach = _reachable(N.generators, max(N.generators) ** 2)
+    gaps = [x for x in range(1, len(reach)) if not reach[x]]
     if not gaps:
         raise DomainError("no Frobenius number: the monoid is all of N_0")
     return max(gaps)
@@ -165,11 +166,7 @@ def format_exponent_set(N: ExponentSetSpec) -> str:
 def _exponent_members(N: ExponentSetSpec, up_to: int) -> List[int]:
     if isinstance(N, PrefixCofinite):
         return [x for x in range(up_to + 1) if N.contains(x)]
-    reachable = [False] * (up_to + 1)
-    reachable[0] = True
-    for v in range(1, up_to + 1):
-        reachable[v] = any(v >= g and reachable[v - g] for g in N.monoid.generators)
-    return [x for x, ok in enumerate(reachable) if ok]
+    return [x for x, ok in enumerate(_reachable(N.monoid.generators, up_to)) if ok]
 
 
 def exponent_monoid(r: Ratio, N: ExponentSetSpec) -> Tuple[ExpMonoid, int]:

@@ -24,6 +24,10 @@ class TestClassify:
         ("r=2/3; delta=poly(1,1)", "no", "polynomial-gaps"),
         ("r=2/3; delta=geom(1,2)", "yes", "gap-growth"),
         ("r=2/9; delta=geom(1,2)", "no", "gap-shortfall"),
+        ("r=2/3; delta=recurrence(2,3,2)", "no", "gap-shortfall"),
+        ("r=2/3; delta=recurrence(4,6,2)", "no", "gap-shortfall"),
+        # 2^delta_1 = 2^4 exceeds 3^delta_0 = 3^2: no shortfall to certify
+        ("r=2/3; delta=recurrence(2,5,2)", "unknown", "no-closed-form"),
     ])
     def test_decision_tree(self, text, accp, rule):
         c = classify(M(text))

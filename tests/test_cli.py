@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from puiseux.accp import classify, construct_counterexample
 from puiseux.cli import main
 from puiseux.factorization import Factorization, evaluate
-from puiseux.monoid import parse_monoid
+from puiseux.monoid import ExpMonoid, format_monoid, parse_monoid
 from puiseux.ratio import Ratio
 
 
@@ -35,6 +36,22 @@ def test_counterexample(capsys):
     assert doc["result"]["delta"] == [2, 3, 4, 6, 9, 14]
     assert doc["result"]["verified"] is True
     assert doc["result"]["classification"]["accp"] == "no"
+
+
+def test_counterexample_with_huge_gap_powers(capsys):
+    # 5^delta_10 has more decimal digits than int -> str allows
+    code, doc = run(capsys, "counterexample", "--a", "2", "--b", "5", "--k", "10")
+    assert code == 0
+    assert doc["result"]["classification"]["accp"] == "no"
+
+
+def test_counterexample_monoid_survives_the_grammar(capsys):
+    spec, _ = construct_counterexample(2, 3, 6)
+    monoid = ExpMonoid(Ratio(2, 3), spec)
+    code, doc = run(capsys, "classify", "--monoid", format_monoid(monoid))
+    assert code == 0
+    c = classify(monoid)
+    assert (doc["result"]["accp"], doc["result"]["evidence"]) == (c.accp, c.evidence)
 
 
 def test_member_denominator_obstruction(capsys):
@@ -129,6 +146,18 @@ def test_parse_error_exit_2(capsys):
     assert doc["status"] == "error"
     code, doc = run(capsys, "classify", "--monoid", "r=2/3; delta=warp(3)")
     assert code == 2
+    code, doc = run(capsys, "classify", "--monoid", "r=2/3; delta=prefix(1,2")
+    assert code == 2
+
+
+def test_malformed_spec_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "monoid.json"
+    for doc in ({"r": "2/3", "delta": [1]},
+                {"r": "2/3", "delta": {"tail": {"geom": [1]}}}):
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "classify", "--spec-file", str(path))
+        assert code == 2
+        assert out["status"] == "error"
 
 
 def test_precondition_error_exit_3(capsys):

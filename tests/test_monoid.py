@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from puiseux.errors import DomainError, IndexRangeError, ParseError
 from puiseux.monoid import (Constant, DeltaSpec, ExpMonoid, Geometric,
@@ -169,10 +170,25 @@ class TestGrammar:
         "r=2/3; delta=wave(1)",
         "r=2/3; delta=geom(1)",
         "r=2/3; delta=prefix(1) const(2)",
+        "r=2/3; delta=prefix(1,2",
+        "r=2/3; delta=const(1,2)",
+        "r=2/3; delta=recurrence(2,3)",
+        {"r": "2/3", "delta": [1]},
+        {"r": "2/3", "delta": {"tail": {"geom": [1]}}},
+        {"r": "2/3", "delta": {"tail": {"const": []}}},
+        {"r": "2/3", "delta": {"tail": {"const": [1, 2]}}},
+        {"r": "2/3", "delta": {"tail": {"geom": [1, 2, 3]}}},
+        {"r": "2/3", "delta": {"tail": {"poly": "12"}}},
+        {"r": "2/3", "delta": {"tail": {"const": True}}},
+        {"r": "2/3", "delta": {"prefix": "12", "tail": {"const": 1}}},
+        {"r": "2/3", "delta": {"tail": [1]}},
     ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
-            parse_monoid(bad)
+            if isinstance(bad, str):
+                parse_monoid(bad)
+            else:
+                monoid_from_json(bad)
 
     def test_json_form_matches_inline(self):
         doc = {"r": "2/3", "delta": {"prefix": [1, 3], "tail": {"const": 2}}}
@@ -187,3 +203,75 @@ class TestGrammar:
     def test_zero_base_rejected(self):
         with pytest.raises(DomainError):
             ExpMonoid(Ratio(0, 1), DeltaSpec((), Constant(1)))
+
+
+def _positive_polynomial(coeffs):
+    try:
+        return Polynomial(tuple(coeffs))
+    except DomainError:
+        return None
+
+
+TAIL_RULES = st.one_of(
+    st.builds(Constant, st.integers(1, 50)),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4)
+    .map(_positive_polynomial).filter(lambda p: p is not None),
+    st.builds(Geometric, st.integers(1, 50), st.integers(2, 9)),
+    st.lists(st.integers(1, 9), min_size=1, max_size=5).map(lambda p: Periodic(tuple(p))),
+    st.tuples(st.integers(2, 9), st.integers(1, 9), st.integers(1, 50))
+    .map(lambda t: Recurrence(t[0], t[0] + t[1], t[2])),
+)
+
+MONOIDS = st.builds(
+    lambda n, d, prefix, tail: ExpMonoid(Ratio(n, d), DeltaSpec(tuple(prefix), tail)),
+    st.integers(1, 30), st.integers(1, 30),
+    st.lists(st.integers(1, 9), max_size=4), st.none() | TAIL_RULES)
+
+
+def json_document(m):
+    tail = m.delta.tail
+    return {"r": str(m.r),
+            "delta": {"prefix": list(m.delta.prefix),
+                      "tail": None if tail is None else {tail.name: list(tail.args)}}}
+
+
+@settings(max_examples=200)
+@given(MONOIDS)
+def test_round_trip_every_family(m):
+    assert parse_monoid(format_monoid(m)) == m
+    assert monoid_from_json(json_document(m)) == m
+
+
+SPEC_PIECES = ["r=", "2/3", "3", "1/0", ";", "delta=", "prefix(", "const(", "poly(",
+               "geom(", "periodic(", "recurrence(", "finite", "wave(", "(", ")",
+               ",", "1", "0", "-2", "7", "x", " "]
+SPEC_TEXT = st.text(max_size=40) | st.lists(st.sampled_from(SPEC_PIECES), max_size=14).map("".join)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=10)
+TAIL_NAMES = st.sampled_from(["const", "poly", "geom", "periodic", "recurrence", "finite", "wave"])
+JSON_DOCS = JSON_VALUES | st.fixed_dictionaries({
+    "r": st.sampled_from(["2/3", "3", "0", "1/0", "x"]) | JSON_VALUES,
+    "delta": JSON_VALUES | st.fixed_dictionaries({
+        "prefix": JSON_VALUES,
+        "tail": JSON_VALUES | TAIL_NAMES | st.dictionaries(TAIL_NAMES, JSON_VALUES, max_size=2)})})
+
+
+@settings(max_examples=300)
+@given(SPEC_TEXT)
+def test_inline_grammar_parses_or_raises_parse_error(text):
+    try:
+        parse_monoid(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300)
+@given(JSON_DOCS)
+def test_json_form_parses_or_raises_parse_error(doc):
+    try:
+        monoid_from_json(doc)
+    except ParseError:
+        pass

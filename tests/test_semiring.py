@@ -1,4 +1,7 @@
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from puiseux.errors import DomainError, ParseError
 from puiseux.factorization import Factorization, evaluate
@@ -33,6 +36,9 @@ class TestNumericalMonoids:
         assert frobenius(NM(2, 3)) == 1
         assert frobenius(NM(3, 5)) == 7
         assert frobenius(NM(6, 9, 20)) == 43
+        # the least element of a residue class need not have the fewest
+        # summands: 44 is one generator, but 7 + 7 = 14 is the least 2 mod 6
+        assert frobenius(NM(6, 7, 44)) == 29
 
     def test_frobenius_errors(self):
         with pytest.raises(DomainError):
@@ -42,9 +48,15 @@ class TestNumericalMonoids:
 
     def test_agrees_with_bruteforce(self):
         sets = [(2, 3), (3, 5), (2, 7), (5, 7, 9), (4, 7, 10), (6, 9, 20),
-                (11, 13), (3, 7, 8)]
+                (11, 13), (3, 7, 8), (6, 7, 44)]
         for gens in sets:
             assert frobenius(NM(*gens)) == frobenius_bruteforce(NM(*gens))
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(2, 30), min_size=3, max_size=4, unique=True))
+    def test_agrees_with_bruteforce_on_random_sets(self, gens):
+        assume(gcd(*gens) == 1)
+        assert frobenius(NM(*gens)) == frobenius_bruteforce(NM(*gens))
 
 
 class TestExponentSets:
