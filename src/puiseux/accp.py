@@ -148,9 +148,7 @@ def construct_counterexample(a: int, b: int, k: int,
     if not (1 < a < b):
         raise DomainError("need 1 < a < b")
     rec = Recurrence(a, b, seed)
-    delta = [seed]
-    for _ in range(k - 1):
-        delta.append(rec.step(delta[-1]))
+    delta = [rec.delta(j) for j in range(k)]
     checks = []
     for j in range(k - 1):
         lower = b ** delta[j] > a ** delta[j + 1]
@@ -171,7 +169,7 @@ def construct_counterexample(a: int, b: int, k: int,
                             "antimatter, gaps emitted anyway")
     elif (r.num, r.den) != (a, b):
         report["warning"] = f"r={a}/{b} reduces to {r}"
-    spec = DeltaSpec(tuple(delta), Recurrence(a, b, rec.step(delta[-1])))
+    spec = DeltaSpec(tuple(delta), rec.shifted(k))
     return spec, report
 
 

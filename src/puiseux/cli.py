@@ -21,7 +21,11 @@ from .ratio import Ratio
 def _load_monoid(args) -> ExpMonoid:
     if getattr(args, "spec_file", None):
         with open(args.spec_file) as fh:
-            return monoid_from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # not JSON, or not even text
+                raise ParseError(f"spec file is not JSON: {exc}") from exc
+        return monoid_from_json(doc)
     if getattr(args, "monoid", None):
         return parse_monoid(args.monoid)
     raise ParseError("a monoid is required: pass --monoid or --spec-file")
@@ -229,7 +233,7 @@ def main(argv=None) -> int:
         doc["status"] = "error"
         doc["message"] = str(exc)
         code = 2
-    except (PuiseuxError, OSError, json.JSONDecodeError) as exc:
+    except (PuiseuxError, OSError) as exc:
         doc["status"] = "error"
         doc["message"] = str(exc)
         code = 3

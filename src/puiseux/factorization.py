@@ -145,7 +145,8 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     yields the unique maximum-length factorization; otherwise the bound is
     reported honestly. When the tail satisfies the eventual growth condition
     d^{delta_i} < n^{delta_{i+1}} the carry strictly decreases, so the sweep
-    runs to its guaranteed end and the bound is ignored.
+    runs to its guaranteed end and the bound is ignored. On a finite window
+    the top level keeps all it receives, so the sweep always terminates.
     """
     M = z.monoid
     _require_contracting(M, "the max-length sweep")
@@ -154,7 +155,8 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     value = evaluate(z)
     coeffs = z.as_dict()
     n, d = M.r.num, M.r.den
-    unbounded = _sweep_guaranteed(M)
+    window = M.delta.max_exponent_index
+    unbounded = window is not None or _sweep_guaranteed(M)
     out: Dict[int, int] = {}
     carry = 0
     i = 0
@@ -162,14 +164,15 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     while carry or i <= top:
         if not unbounded and i > level_bound:
             return MaxLengthOutcome(None, level_bound)
-        delta_i = M.delta.delta(i)
         total = coeffs.get(i, 0) + carry
-        q, rem = divmod(total, n ** delta_i)
+        if i == window:  # the top level of a finite window has none above it
+            q, rem = 0, total
+        else:
+            delta_i = M.delta.delta(i)
+            q, rem = divmod(total, n ** delta_i)
         if rem:
             out[i] = rem
-        carry = q * (d ** delta_i)
-        if q == 0:
-            carry = 0
+        carry = q * d ** delta_i if q else 0
         i += 1
     w = Factorization.make(M, out)
     assert evaluate(w) == value
@@ -256,15 +259,26 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
                level_bound: int = 64) -> LengthSet:
     """Lengths of the bounded enumeration plus exactness flags.
 
-    min is globally exact whenever a witness exists; max is exact iff the
-    carry sweep terminates (r < 1) or the enumeration is complete (r >= 1).
+    A flag is set only when the global extreme is in the reported set. For
+    r < 1 the least length is that of the unique minimum normal form, which
+    lies in the window with any factorization it comes from, because
+    down-steps only lower indices; the greatest is that of the carry
+    sweep's result, when the sweep terminates inside the window. For r >= 1
+    both flags hold once the enumeration is complete: max_index reaches the
+    end of a finite window, or the next atom r^{s_{max_index+1}} already
+    exceeds x.
     """
     zs = enumerate_all(x, M, max_index)
     if not zs and witness is None:
         raise DomainError("membership unresolved: no factorization within bound")
     lengths = tuple(sorted({z.length for z in zs}))
+    if not lengths:
+        return LengthSet(lengths, False, False)
     if M.r >= Ratio(1):
-        return LengthSet(lengths, True, True)
+        window = M.delta.max_exponent_index
+        complete = (M.r == Ratio(1) or (window is not None and max_index >= window)
+                    or M.r ** s_index(M, max_index + 1) > x)
+        return LengthSet(lengths, complete, complete)
     w = witness if witness is not None else zs[0]
-    outcome = max_length_sweep(w, level_bound)
-    return LengthSet(lengths, True, outcome.terminated)
+    sweep = max_length_sweep(w, level_bound)
+    return LengthSet(lengths, True, sweep.terminated and sweep.found.length == lengths[-1])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import astuple, dataclass
+from math import comb
 from typing import Optional, Tuple
 
 from .errors import DomainError, IndexRangeError, ParseError
@@ -47,9 +48,10 @@ class Tail:
     """A gap-rule family: the gaps past the explicit prefix.
 
     Each family sets its grammar ``name`` and its ``arity`` (None for one or
-    more integers) and supplies ``accp_rule(M)``, which returns the
-    (verdict, rule, instance) of the chain-condition classifier for an
-    atomic M with r < 1 and this tail.
+    more integers) and supplies ``total(k)``, the sum of its first k gaps in
+    closed form, and ``accp_rule(M)``, which returns the (verdict, rule,
+    instance) of the chain-condition classifier for an atomic M with r < 1
+    and this tail.
     """
 
     @property
@@ -80,11 +82,59 @@ class Constant(Tail):
     def delta(self, k: int) -> int:
         return self.value
 
+    def total(self, k: int) -> int:
+        return self.value * k
+
     def shifted(self, j: int) -> "Constant":
         return self
 
     def accp_rule(self, M):
         return "no", "bounded-delta", f"delta_n={self.value} eventually"
+
+
+def _horner(coeffs: tuple, k: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * k + c
+    return acc
+
+
+def _shift(coeffs: tuple, j: int) -> tuple:
+    """Coefficients of p(k + j), low-order first."""
+    return tuple(sum(c * comb(i, m) * j ** (i - m) for i, c in enumerate(coeffs) if i >= m)
+                 for m in range(len(coeffs)))
+
+
+def _difference(coeffs: tuple) -> tuple:
+    """Coefficients of p(k + 1) - p(k); the leading terms cancel."""
+    return tuple(a - b for a, b in zip(_shift(coeffs, 1), coeffs))[:-1]
+
+
+def _monotone_breaks(coeffs: tuple, lo: int, hi: int) -> list:
+    """Integers lo = k_0 < ... < k_m = hi with p monotone between neighbours.
+
+    p is monotone wherever its forward difference keeps one sign. That
+    difference is monotone between the points of its own list, so it
+    changes sign at most once between two of them, and a binary search
+    finds where.
+    """
+    if len(coeffs) <= 2 or hi - lo <= 1:
+        return [lo, hi]
+    diff = _difference(coeffs)
+    points = [lo]
+    inner = _monotone_breaks(diff, lo, hi - 1)
+    for a, b in zip(inner, inner[1:]):
+        negative = _horner(diff, a) < 0
+        if (_horner(diff, b) < 0) != negative:
+            while b - a > 1:
+                mid = (a + b) // 2
+                if (_horner(diff, mid) < 0) == negative:
+                    a = mid
+                else:
+                    b = mid
+            points.append(b)
+    points.append(hi)
+    return points
 
 
 @dataclass(frozen=True)
@@ -94,7 +144,9 @@ class Polynomial(Tail):
     p must take values >= 1 at every k >= 0: we require a positive leading
     coefficient (or a constant >= 1) and verify the polynomial on the
     window [0, W] where W bounds its real roots, beyond which the dominant
-    term keeps it increasing.
+    term keeps it increasing. On the window p is monotone between a few
+    break points (``_monotone_breaks``), so its least value is at one of
+    them.
     """
 
     name, arity = "poly", None
@@ -111,31 +163,29 @@ class Polynomial(Tail):
             raise DomainError("leading coefficient must be positive")
         lead = coeffs[-1]
         window = 1 + max(abs(c) for c in coeffs) // lead + 1
-        for k in range(window + 1):
-            if self.delta(k) < 1:
-                raise DomainError(f"polynomial gap p({k}) < 1")
+        low = min(_monotone_breaks(coeffs, 0, window), key=self.delta)
+        if self.delta(low) < 1:
+            raise DomainError(f"polynomial gap p({low}) < 1")
+        # Newton form p(k) = sum_j D^j p(0) * C(k, j), D the forward difference
+        newton, diff = [coeffs[0]], coeffs
+        while len(diff) > 1:
+            diff = _difference(diff)
+            newton.append(diff[0])
+        object.__setattr__(self, "_newton", tuple(newton))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def delta(self, k: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * k + c
-        return acc
+        return _horner(self.coeffs, k)
+
+    def total(self, k: int) -> int:
+        # sum_{i<k} C(i, j) = C(k, j + 1)
+        return sum(c * comb(k, j + 1) for j, c in enumerate(self._newton))
 
     def shifted(self, j: int) -> "Polynomial":
-        if j == 0:
-            return self
-        # expand p(x + j) exactly via repeated Taylor shift by one
-        coeffs = list(self.coeffs)
-        n = len(coeffs)
-        for _ in range(j):
-            for i in range(n - 1):
-                for k in range(n - 2, i - 1, -1):
-                    coeffs[k] += coeffs[k + 1]
-        return Polynomial(tuple(coeffs))
+        return Polynomial(_shift(self.coeffs, j)) if j else self
 
     def accp_rule(self, M):
         if self.degree == 0:
@@ -162,6 +212,9 @@ class Geometric(Tail):
 
     def delta(self, k: int) -> int:
         return self.scale * self.ratio ** k
+
+    def total(self, k: int) -> int:
+        return self.scale * (self.ratio ** k - 1) // (self.ratio - 1)
 
     def shifted(self, j: int) -> "Geometric":
         return Geometric(self.scale * self.ratio ** j, self.ratio)
@@ -197,6 +250,10 @@ class Periodic(Tail):
     def delta(self, k: int) -> int:
         return self.pattern[k % len(self.pattern)]
 
+    def total(self, k: int) -> int:
+        whole, rest = divmod(k, len(self.pattern))
+        return whole * sum(self.pattern) + sum(self.pattern[:rest])
+
     def shifted(self, j: int) -> "Periodic":
         j %= len(self.pattern)
         return Periodic(self.pattern[j:] + self.pattern[:j])
@@ -224,19 +281,41 @@ class Recurrence(Tail):
             raise DomainError("recurrence needs 1 < a < b")
         if self.seed < 1:
             raise DomainError("recurrence seed must be >= 1")
+        # gaps computed so far and their prefix sums; not a field, so
+        # equality, hashing and args see only (a, b, seed)
+        object.__setattr__(self, "_memo", ([self.seed], [0, self.seed]))
 
     def step(self, d: int) -> int:
         target = self.b ** d
-        m = 1
-        while self.a ** (m + 1) < target:
-            m += 1
-        return m
+        bits = target.bit_length()
+        # a^lo < 2^(bits-1) <= target < 2^bits <= a^hi, then bisect exactly
+        lo = max(1, (bits - 1) // self.a.bit_length())
+        hi = -(-bits // (self.a.bit_length() - 1))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.a ** mid < target:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def _known(self, k: int) -> tuple:
+        """(gaps, sums) holding at least delta_0..delta_k."""
+        gaps, sums = self._memo
+        if k >= len(gaps):
+            gaps, sums = gaps[:], sums[:]
+            while len(gaps) <= k:
+                gaps.append(self.step(gaps[-1]))
+                sums.append(sums[-1] + gaps[-1])
+            # one store of fresh lists: a reader never sees a half-built memo
+            object.__setattr__(self, "_memo", (gaps, sums))
+        return gaps, sums
 
     def delta(self, k: int) -> int:
-        d = self.seed
-        for _ in range(k):
-            d = self.step(d)
-        return d
+        return self._known(k)[0][k]
+
+    def total(self, k: int) -> int:
+        return self._known(k - 1)[1][k]
 
     def shifted(self, j: int) -> "Recurrence":
         return Recurrence(self.a, self.b, self.delta(j))
@@ -329,13 +408,15 @@ class AtomicityVerdict:
 
 
 def s_index(M: ExpMonoid, n: int) -> int:
-    """The n-th exponent s_n = sum of the first n gaps (s_0 = 0)."""
+    """The n-th exponent s_n = sum of the first n gaps (s_0 = 0), in closed form."""
     if n < 0:
         raise IndexRangeError("negative exponent index")
     limit = M.delta.max_exponent_index
     if limit is not None and n > limit:
         raise IndexRangeError(f"exponent index {n} beyond finite window {limit}")
-    return sum(M.delta.delta(i) for i in range(n))
+    prefix = M.delta.prefix
+    head = sum(prefix[:n])
+    return head if n <= len(prefix) else head + M.delta.tail.total(n - len(prefix))
 
 
 def atom(M: ExpMonoid, n: int) -> Ratio:

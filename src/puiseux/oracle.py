@@ -9,10 +9,11 @@ never the other way around.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Tuple
 
 from .errors import DomainError
-from .monoid import ExpMonoid, s_index
+from .monoid import ExpMonoid
 from .ratio import Ratio
 
 
@@ -27,7 +28,7 @@ def oracle_enumerate(x: Ratio, M: ExpMonoid, max_index: int) -> List[Tuple[int, 
     limit = M.delta.max_exponent_index
     B = max_index if limit is None else min(max_index, limit)
     n, d = M.r.num, M.r.den
-    s = [s_index(M, i) for i in range(B + 1)]
+    s = list(accumulate((M.delta.delta(i) for i in range(B)), initial=0))
     common = d ** s[B]
     if common % x.den != 0:
         return []

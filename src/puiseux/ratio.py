@@ -28,6 +28,14 @@ class Ratio:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @staticmethod
+    def _reduced(num: int, den: int) -> "Ratio":
+        """num/den for coprime num >= 0 and den >= 1, without a gcd."""
+        out = object.__new__(Ratio)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("Ratio is immutable")
 
@@ -91,10 +99,19 @@ class Ratio:
 
     # -- arithmetic ----------------------------------------------------
 
+    # Sums and products of reduced operands take gcds of factors, not of the
+    # full result (Knuth, TAOCP vol. 2, 4.5.1): far cheaper on long integers.
+
     def __add__(self, other) -> "Ratio":
         other = self._coerce(other)
-        return Ratio(self.num * other.den + other.num * self.den,
-                     self.den * other.den)
+        g = gcd(self.den, other.den)
+        if g == 1:
+            return Ratio._reduced(self.num * other.den + other.num * self.den,
+                                  self.den * other.den)
+        s = self.den // g
+        t = self.num * (other.den // g) + other.num * s
+        g2 = gcd(t, g)
+        return Ratio._reduced(t // g2, s * (other.den // g2))
 
     __radd__ = __add__
 
@@ -107,7 +124,10 @@ class Ratio:
 
     def __mul__(self, other) -> "Ratio":
         other = self._coerce(other)
-        return Ratio(self.num * other.num, self.den * other.den)
+        g1 = gcd(self.num, other.den)
+        g2 = gcd(other.num, self.den)
+        return Ratio._reduced((self.num // g1) * (other.num // g2),
+                              (self.den // g2) * (other.den // g1))
 
     __rmul__ = __mul__
 
@@ -120,7 +140,8 @@ class Ratio:
     def __pow__(self, e: int) -> "Ratio":
         if e < 0:
             raise DomainError("negative exponent")
-        return Ratio(self.num ** e, self.den ** e)
+        # a power of a reduced fraction is reduced: no gcd needed
+        return Ratio._reduced(self.num ** e, self.den ** e)
 
     # -- helpers -------------------------------------------------------
 

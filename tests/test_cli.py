@@ -152,9 +152,10 @@ def test_parse_error_exit_2(capsys):
 
 def test_malformed_spec_file_exit_2(tmp_path, capsys):
     path = tmp_path / "monoid.json"
-    for doc in ({"r": "2/3", "delta": [1]},
-                {"r": "2/3", "delta": {"tail": {"geom": [1]}}}):
-        path.write_text(json.dumps(doc))
+    for content in (json.dumps({"r": "2/3", "delta": [1]}).encode(),
+                    json.dumps({"r": "2/3", "delta": {"tail": {"geom": [1]}}}).encode(),
+                    b"{", b"", b"\xff\xfe"):  # the last three are not JSON
+        path.write_bytes(content)
         code, out = run(capsys, "classify", "--spec-file", str(path))
         assert code == 2
         assert out["status"] == "error"

@@ -1,10 +1,11 @@
 import pytest
 
 from puiseux.errors import DomainError, StepError
-from puiseux.factorization import (Factorization, enumerate_all, evaluate,
+from puiseux.factorization import (Factorization, LengthSet, enumerate_all, evaluate,
                                    length_set, max_length_sweep,
                                    min_normal_form, rewrite_down_step,
                                    unique_factorization_check)
+from puiseux.membership import is_member
 from puiseux.monoid import parse_monoid
 from puiseux.oracle import oracle_enumerate, oracle_lengths
 from puiseux.ratio import Ratio
@@ -192,3 +193,42 @@ class TestLengthSet:
     def test_unresolved(self):
         with pytest.raises(DomainError):
             length_set(Ratio(1, 5), CONST, 3)
+
+    def test_finite_window_sweep_stays_inside(self):
+        fin = parse_monoid("r=2/3; delta=prefix(1,1,2); finite")
+        out = max_length_sweep(F(fin, {0: 2}), 1)
+        assert out.terminated
+        assert out.found.top_index <= 3
+        assert out.found.length == max(oracle_lengths(Ratio(2), fin, 3))
+
+    @pytest.mark.parametrize("spec, x, max_index, flags", [
+        # the window misses 9/2 = 2 * (9/4), of length 2
+        ("r=3/2; delta=const(1)", Ratio(9, 2), 1, (False, False)),
+        ("r=3/2; delta=const(1)", Ratio(9, 2), 2, (False, False)),
+        # the next atom 81/16 exceeds 9/2: the enumeration is complete
+        ("r=3/2; delta=const(1)", Ratio(9, 2), 3, (True, True)),
+        # the sweep's length-3 factorization sits at index 1
+        ("r=2/3; delta=geom(1,2)", Ratio(2), 0, (True, False)),
+        ("r=2/3; delta=geom(1,2)", Ratio(2), 2, (True, True)),
+        ("r=2/3; delta=const(1)", Ratio(2), 3, (True, False)),
+        ("r=2/3; delta=prefix(1,1,2); finite", Ratio(2), 3, (True, True)),
+        ("r=2/3; delta=prefix(1,1,2); finite", Ratio(2), 1, (True, False)),
+        ("r=5/2; delta=prefix(1); finite", Ratio(7), 1, (True, True)),
+        ("r=5/2; delta=prefix(1); finite", Ratio(7), 0, (False, False)),
+        ("r=1; delta=const(1)", Ratio(3), 0, (True, True)),
+    ])
+    def test_flags_against_a_wider_oracle(self, spec, x, max_index, flags):
+        M = parse_monoid(spec)
+        ls = length_set(x, M, max_index, witness=is_member(x, M).witness)
+        assert list(ls.lengths) == oracle_lengths(x, M, max_index)
+        assert (ls.min_exact, ls.max_exact) == flags
+        truth = oracle_lengths(x, M, max_index + 2)
+        if ls.min_exact:
+            assert ls.lengths[0] == truth[0]
+        if ls.max_exact:
+            assert ls.lengths[-1] == truth[-1]
+
+    def test_no_flag_without_lengths(self):
+        # the witness lies outside the window, which holds no factorization
+        ls = length_set(Ratio(4, 9), CONST, 1, witness=F(CONST, {2: 1}))
+        assert ls == LengthSet((), False, False)

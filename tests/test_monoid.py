@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from puiseux.errors import DomainError, IndexRangeError, ParseError
 from puiseux.monoid import (Constant, DeltaSpec, ExpMonoid, Geometric,
                             Periodic, Polynomial, Recurrence, atom,
-                            classify_atomicity, format_monoid,
-                            monoid_from_json, parse_monoid, s_index, truncate)
+                            classify_atomicity, format_delta, format_monoid,
+                            monoid_from_json, parse_delta, parse_monoid,
+                            s_index, truncate)
 from puiseux.ratio import Ratio
 
 
@@ -275,3 +276,115 @@ def test_json_form_parses_or_raises_parse_error(doc):
         monoid_from_json(doc)
     except ParseError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Closed-form exponents, the bit-length recurrence step and its memo
+# ---------------------------------------------------------------------------
+
+def _finite_safe(m, i, n):
+    """Clamp i and n so that i + n stays inside a finite window."""
+    window = m.delta.max_exponent_index
+    if window is None:
+        return i, n
+    i = min(i, window)
+    return i, min(n, window - i)
+
+
+@settings(max_examples=150)
+@given(MONOIDS, st.integers(0, 8))
+def test_s_index_is_the_gap_sum(m, n):
+    _, n = _finite_safe(m, 0, n)
+    assert s_index(m, n) == sum(m.delta.delta(i) for i in range(n))
+
+
+@settings(max_examples=150)
+@given(MONOIDS, st.integers(0, 6), st.integers(0, 6))
+def test_s_index_of_a_truncation(m, i, n):
+    i, n = _finite_safe(m, i, n)
+    assert s_index(truncate(m, i), n) == s_index(m, i + n) - s_index(m, i)
+
+
+def _linear_step(a, b, d):
+    target = b ** d
+    m = 1
+    while a ** (m + 1) < target:
+        m += 1
+    return m
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 39).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 40))),
+       st.integers(1, 300))
+def test_recurrence_step_matches_linear_search(ab, d):
+    a, b = ab
+    assert Recurrence(a, b, 1).step(d) == _linear_step(a, b, d)
+
+
+@pytest.mark.parametrize("text", [
+    "r=2/3; delta=prefix(4,1,7); const(3)",
+    "r=2/3; delta=prefix(2); poly(5,-4,1)",
+    "r=2/3; delta=prefix(1,1); poly(1,0,0,2)",
+    "r=2/3; delta=prefix(9); geom(3,2)",
+    "r=2/3; delta=prefix(3,3); periodic(1,5,2)",
+])
+def test_s_index_evaluates_few_gaps(monkeypatch, text):
+    m = M(text)
+    calls = []
+    for owner in (DeltaSpec, type(m.delta.tail)):
+        original = owner.delta
+        monkeypatch.setattr(owner, "delta",
+                            lambda self, k, original=original: calls.append(k) or original(self, k))
+    s_index(m, 10 ** 4)
+    degree = getattr(m.delta.tail, "degree", 0)
+    assert len(calls) <= len(m.delta.prefix) + degree + 1
+
+
+def test_recurrence_gaps_are_memoised(monkeypatch):
+    calls = []
+    original = Recurrence.step
+    monkeypatch.setattr(Recurrence, "step", lambda self, d: calls.append(d) or original(self, d))
+    rec = Recurrence(2, 3, 2)
+    assert rec.delta(20) == rec.delta(20)
+    assert len(calls) == 20
+    assert rec.total(21) == sum(rec.delta(k) for k in range(21))
+    assert len(calls) == 20
+
+
+def test_recurrence_memo_is_invisible():
+    used, fresh = Recurrence(2, 3, 2), Recurrence(2, 3, 2)
+    used.delta(12)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert used.args == fresh.args == (2, 3, 2)
+    assert repr(used) == repr(fresh)
+    spec = DeltaSpec((5,), used)
+    assert parse_delta(format_delta(spec)) == spec
+    assert monoid_from_json(json_document(ExpMonoid(Ratio(2, 3), spec))).delta == spec
+
+
+def _window_scan(coeffs):
+    """The positivity check that evaluates p at every integer of its window."""
+    window = 1 + max(abs(c) for c in coeffs) // coeffs[-1] + 1
+    return all(sum(c * k ** i for i, c in enumerate(coeffs)) >= 1 for k in range(window + 1))
+
+
+@settings(max_examples=400)
+@given(st.lists(st.integers(-60, 60), max_size=5), st.integers(1, 60))
+def test_positivity_check_matches_window_scan(low, lead):
+    coeffs = (*low, lead)
+    try:
+        Polynomial(coeffs)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted == _window_scan(coeffs)
+
+
+def test_positivity_check_on_huge_coefficients():
+    Polynomial((10 ** 12, 1))
+    Polynomial((10 ** 12 + 1, -2 * 10 ** 6, 1))         # least value 1 at k = 10^6
+    with pytest.raises(DomainError, match=r"p\(1000000\)"):
+        Polynomial((10 ** 12, -2 * 10 ** 6, 1))         # (k - 10^6)^2
+    with pytest.raises(DomainError):
+        Polynomial((2, 1, -26, 13, 3))                  # 3k^4 + 13k^3 - 26k^2 + k + 2

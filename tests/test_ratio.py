@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from puiseux.errors import DomainError, ParseError
-from puiseux.ratio import Ratio, make_ratio, max_power_dividing, pow_ratio
+from puiseux.ratio import ONE, ZERO, Ratio, make_ratio, max_power_dividing, pow_ratio
 
 
 def test_reduction():
@@ -30,6 +30,8 @@ def test_pow_examples():
     assert pow_ratio(r, 0) == Ratio(1, 1)
     assert pow_ratio(r, 2) == Ratio(4, 9)
     assert pow_ratio(r, 5) == Ratio(32, 243)
+    assert ZERO ** 0 == ONE
+    assert ((ZERO ** 3).num, (ZERO ** 3).den) == (0, 1)
 
 
 def test_max_power_dividing():
@@ -59,6 +61,25 @@ def test_always_reduced(p, q):
     r = Ratio(p, q)
     assert gcd(r.num, r.den) == 1
     assert r.den >= 1
+
+
+@given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(0, 60))
+def test_pow_is_reduced(p, q, e):
+    from math import gcd
+    r = Ratio(p, q)
+    out = r ** e
+    assert out == Ratio(r.num ** e, r.den ** e)
+    assert gcd(out.num, out.den) == 1
+    assert out.den >= 1
+
+
+@given(st.integers(0, 10**4), st.integers(1, 36), st.integers(0, 10**4), st.integers(1, 36))
+def test_sum_and_product_match_fraction(p, q, u, v):
+    from fractions import Fraction
+    x, y = Ratio(p, q), Ratio(u, v)
+    for got, want in ((x + y, Fraction(p, q) + Fraction(u, v)),
+                      (x * y, Fraction(p, q) * Fraction(u, v))):
+        assert (got.num, got.den) == (want.numerator, want.denominator)
 
 
 @given(st.integers(0, 50), st.integers(1, 50), st.integers(0, 30), st.integers(0, 30))
