@@ -2,7 +2,7 @@
 
 from .errors import (ChainError, DomainError, IndexRangeError, ParseError,
                      PuiseuxError, StepError)
-from .ratio import Ratio, make_ratio, max_power_dividing, pow_ratio
+from .ratio import Ratio, max_power_dividing
 from .monoid import (AtomicityVerdict, Constant, DeltaSpec, ExpMonoid,
                      Geometric, Periodic, Polynomial, Recurrence, atom,
                      classify_atomicity, format_monoid, parse_monoid, s_index,

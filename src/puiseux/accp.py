@@ -19,7 +19,7 @@ from .errors import ChainError, DomainError
 from .factorization import Factorization, evaluate
 from .membership import is_member, default_support_bound
 from .monoid import (AtomicityVerdict, DeltaSpec, ExpMonoid, Recurrence,
-                     classify_atomicity, s_index)
+                     classify_atomicity, descending_run, s_index)
 from .ratio import Ratio, ZERO
 
 
@@ -98,7 +98,8 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
         n^{delta_m} r^{s_m} = (d^{delta_m} - n^{delta_{m+1}}) r^{s_{m+1}}
                               + n^{delta_{m+1}} r^{s_{m+1}},
     which needs d^{delta_m} > n^{delta_{m+1}} at every link; the chain is
-    anchored at the first index from which that holds k times in a row.
+    anchored at the first index from which that holds k times in a row
+    (``descending_run``).
     """
     if k < 1:
         raise DomainError("chain length must be >= 1")
@@ -106,27 +107,16 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
     if verdict.accp != "no":
         raise ChainError("no constructive witness available: monoid is not "
                          "certified non-ACCP")
-    n, d = M.r.num, M.r.den
-    start = None
-    scan = len(M.delta.prefix) + 4 * k + 64
-    run = 0
-    for m in range(scan):
-        if d ** M.delta.delta(m) > n ** M.delta.delta(m + 1):
-            run += 1
-            if run == k:
-                start = m - k + 1
-                break
-        else:
-            run = 0
-    if start is None:
+    found = descending_run(M, k, len(M.delta.prefix) + 4 * k + 64)
+    if found is None:
         raise ChainError("no constructive witness available: the descending "
                          "identity never holds on a long enough run")
-    elements = tuple(Ratio(n ** M.delta.delta(m)) * (M.r ** s_index(M, m))
+    start, coeffs = found
+    elements = tuple(Ratio(M.r.num ** M.delta.delta(m)) * (M.r ** s_index(M, m))
                      for m in range(start, start + k + 1))
     diffs = []
-    for offset, m in enumerate(range(start, start + k)):
-        coeff = d ** M.delta.delta(m) - n ** M.delta.delta(m + 1)
-        y = Factorization.make(M, {m + 1: coeff})
+    for offset, coeff in enumerate(coeffs):
+        y = Factorization.make(M, {start + offset + 1: coeff})
         value = evaluate(y)
         assert value != ZERO
         assert elements[offset] == elements[offset + 1] + value

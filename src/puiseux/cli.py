@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import accp, factorization as fz, membership, oracle, semiring
 from .errors import DomainError, ParseError, PuiseuxError
@@ -19,34 +18,33 @@ from .ratio import Ratio
 
 
 def _load_monoid(args) -> ExpMonoid:
-    if getattr(args, "spec_file", None):
+    if args.spec_file:
         with open(args.spec_file) as fh:
             try:
                 doc = json.load(fh)
             except ValueError as exc:  # not JSON, or not even text
                 raise ParseError(f"spec file is not JSON: {exc}") from exc
         return monoid_from_json(doc)
-    if getattr(args, "monoid", None):
+    if args.monoid:
         return parse_monoid(args.monoid)
     raise ParseError("a monoid is required: pass --monoid or --spec-file")
 
 
 def _parse_factorization(M: ExpMonoid, text: str) -> fz.Factorization:
     try:
-        pairs = json.loads(text)
-        return fz.Factorization.make(M, [(int(i), int(c)) for i, c in pairs])
+        pairs = [(i, c) for i, c in json.loads(text)]
+        # JSON integers only: no float to truncate, no boolean or string
+        if any(type(v) is not int for pair in pairs for v in pair):
+            raise TypeError("entries must be integers")
     except (ValueError, TypeError) as exc:
         raise ParseError(f"malformed factorization {text!r}: {exc}") from exc
-
-
-def _fact_json(z: Optional[fz.Factorization]):
-    return None if z is None else z.as_pairs()
+    return fz.Factorization.make(M, pairs)
 
 
 def _membership_json(res: membership.MembershipResult) -> dict:
     out = {"status": res.status}
     if res.witness is not None:
-        out["witness"] = _fact_json(res.witness)
+        out["witness"] = res.witness.as_pairs()
     if res.reason:
         out["reason"] = res.reason
     if res.bound is not None:
@@ -55,52 +53,45 @@ def _membership_json(res: membership.MembershipResult) -> dict:
 
 
 # -- subcommand handlers -----------------------------------------------------
+# Each takes (args, M, x): the monoid of --monoid/--spec-file and the rational
+# --x, both loaded by main, or None where the subcommand has no such option.
 
-def _cmd_classify(args) -> dict:
-    M = _load_monoid(args)
+def _cmd_classify(args, M, x) -> dict:
     c = accp.classify(M)
     return {"atomicity": c.atomicity.kind, "atoms": c.atomicity.atoms,
             "accp": c.accp, "bfp": c.accp, "ffp": c.accp,
             "evidence": c.evidence}
 
 
-def _cmd_normal_form(args) -> dict:
-    M = _load_monoid(args)
+def _cmd_normal_form(args, M, x) -> dict:
     z = _parse_factorization(M, args.z)
     nf = fz.min_normal_form(z)
-    return {"normal_form": _fact_json(nf), "length": nf.length,
+    return {"normal_form": nf.as_pairs(), "length": nf.length,
             "value": str(fz.evaluate(nf))}
 
 
-def _cmd_max_length(args) -> dict:
-    M = _load_monoid(args)
+def _cmd_max_length(args, M, x) -> dict:
     z = _parse_factorization(M, args.z)
     outcome = fz.max_length_sweep(z, args.bound)
     if outcome.terminated:
-        return {"status": "found", "factorization": _fact_json(outcome.found),
+        return {"status": "found", "factorization": outcome.found.as_pairs(),
                 "length": outcome.found.length}
     return {"status": "no-termination-within-bound",
             "levels_explored": outcome.levels_explored}
 
 
-def _cmd_enumerate(args) -> dict:
-    M = _load_monoid(args)
-    x = Ratio.parse(args.x)
+def _cmd_enumerate(args, M, x) -> dict:
     zs = fz.enumerate_all(x, M, args.max_index)
     return {"count": len(zs),
-            "factorizations": [_fact_json(z) for z in zs],
+            "factorizations": [z.as_pairs() for z in zs],
             "lengths": sorted({z.length for z in zs})}
 
 
-def _cmd_member(args) -> dict:
-    M = _load_monoid(args)
-    x = Ratio.parse(args.x)
+def _cmd_member(args, M, x) -> dict:
     return {"membership": _membership_json(membership.is_member(x, M, args.bound))}
 
 
-def _cmd_lengths(args) -> dict:
-    M = _load_monoid(args)
-    x = Ratio.parse(args.x)
+def _cmd_lengths(args, M, x) -> dict:
     res = membership.is_member(x, M, args.bound)
     if not res.is_member:
         raise DomainError("membership unresolved: no witness for the query")
@@ -109,15 +100,14 @@ def _cmd_lengths(args) -> dict:
             "max_exact": ls.max_exact}
 
 
-def _cmd_chain(args) -> dict:
-    M = _load_monoid(args)
+def _cmd_chain(args, M, x) -> dict:
     chain = accp.witness_chain(M, args.k)
     return {"start": chain.start,
-            "elements": [str(x) for x in chain.elements],
-            "differences": [_fact_json(y) for y in chain.diffs]}
+            "elements": [str(e) for e in chain.elements],
+            "differences": [y.as_pairs() for y in chain.diffs]}
 
 
-def _cmd_counterexample(args) -> dict:
+def _cmd_counterexample(args, M, x) -> dict:
     spec, report = accp.construct_counterexample(args.a, args.b, args.k)
     M = ExpMonoid(Ratio(args.a, args.b), spec)
     out = dict(report)
@@ -127,24 +117,20 @@ def _cmd_counterexample(args) -> dict:
     return out
 
 
-def _cmd_semiring(args) -> dict:
+def _cmd_semiring(args, M, x) -> dict:
     r = Ratio.parse(args.r)
     N = semiring.parse_exponent_set(args.N)
     return semiring.is_semiring(r, N)
 
 
-def _cmd_mult_classify(args) -> dict:
+def _cmd_mult_classify(args, M, x) -> dict:
     r = Ratio.parse(args.r)
     N = semiring.parse_exponent_set(args.N) if args.N else None
     v = semiring.classify_mult(r, N)
     return {"accp": v.accp, "bfp": v.bfp, "ffp": v.ffp, "evidence": v.evidence}
 
 
-def _cmd_oracle(args) -> dict:
-    if args.action != "enumerate":
-        raise ParseError(f"unknown oracle action {args.action!r}")
-    M = _load_monoid(args)
-    x = Ratio.parse(args.x)
+def _cmd_oracle(args, M, x) -> dict:
     vectors = oracle.oracle_enumerate(x, M, args.max_index)
     return {"count": len(vectors),
             "vectors": [list(v) for v in vectors],
@@ -153,62 +139,39 @@ def _cmd_oracle(args) -> dict:
 
 # -- wiring ------------------------------------------------------------------
 
-def _add_monoid_args(p):
-    p.add_argument("--monoid", help='inline spec, e.g. "r=2/3; delta=geom(1,2)"')
-    p.add_argument("--spec-file", help="path to a JSON monoid document")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="puiseux")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify"); _add_monoid_args(p); p.set_defaults(fn=_cmd_classify)
+    def command(name, fn, *options, monoid=True):
+        """Subcommand name, run by fn, with (flag, add_argument keywords) options."""
+        p = sub.add_parser(name)
+        if monoid:
+            p.add_argument("--monoid", help='inline spec, e.g. "r=2/3; delta=geom(1,2)"')
+            p.add_argument("--spec-file", help="path to a JSON monoid document")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("normal-form"); _add_monoid_args(p)
-    p.add_argument("--z", required=True, help="JSON [[index,coeff],...]")
-    p.set_defaults(fn=_cmd_normal_form)
-
-    p = sub.add_parser("max-length"); _add_monoid_args(p)
-    p.add_argument("--z", required=True); p.add_argument("--bound", type=int, default=64)
-    p.set_defaults(fn=_cmd_max_length)
-
-    p = sub.add_parser("enumerate"); _add_monoid_args(p)
-    p.add_argument("--x", required=True); p.add_argument("--max-index", type=int, required=True)
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("member"); _add_monoid_args(p)
-    p.add_argument("--x", required=True); p.add_argument("--bound", type=int)
-    p.set_defaults(fn=_cmd_member)
-
-    p = sub.add_parser("lengths"); _add_monoid_args(p)
-    p.add_argument("--x", required=True); p.add_argument("--max-index", type=int, required=True)
-    p.add_argument("--bound", type=int)
-    p.set_defaults(fn=_cmd_lengths)
-
-    p = sub.add_parser("chain"); _add_monoid_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_chain)
-
-    p = sub.add_parser("counterexample")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_counterexample)
-
-    p = sub.add_parser("semiring")
-    p.add_argument("--r", required=True)
-    p.add_argument("--N", required=True, help='e.g. "gens(2,3)" or "prefix(0,1);tail>=5"')
-    p.set_defaults(fn=_cmd_semiring)
-
-    p = sub.add_parser("mult-classify")
-    p.add_argument("--r", required=True); p.add_argument("--N")
-    p.set_defaults(fn=_cmd_mult_classify)
-
-    p = sub.add_parser("oracle"); _add_monoid_args(p)
-    p.add_argument("action", choices=["enumerate"])
-    p.add_argument("--x", required=True); p.add_argument("--max-index", type=int, required=True)
-    p.set_defaults(fn=_cmd_oracle)
-
+    required = {"required": True}
+    required_int = {"type": int, "required": True}
+    x = ("--x", required)
+    max_index = ("--max-index", required_int)
+    bound = ("--bound", {"type": int})
+    z = ("--z", dict(required, help="JSON [[index,coeff],...]"))
+    command("classify", _cmd_classify)
+    command("normal-form", _cmd_normal_form, z)
+    command("max-length", _cmd_max_length, z, ("--bound", {"type": int, "default": 64}))
+    command("enumerate", _cmd_enumerate, x, max_index)
+    command("member", _cmd_member, x, bound)
+    command("lengths", _cmd_lengths, x, max_index, bound)
+    command("chain", _cmd_chain, ("--k", required_int))
+    command("counterexample", _cmd_counterexample, ("--a", required_int), ("--b", required_int),
+            ("--k", required_int), monoid=False)
+    command("semiring", _cmd_semiring, ("--r", required),
+            ("--N", dict(required, help='e.g. "gens(2,3)" or "prefix(0,1);tail>=5"')), monoid=False)
+    command("mult-classify", _cmd_mult_classify, ("--r", required), ("--N", {}), monoid=False)
+    command("oracle", _cmd_oracle, ("action", {"choices": ["enumerate"]}), x, max_index)
     return parser
 
 
@@ -226,17 +189,15 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     doc = {"command": args.command, "input": _input_echo(args)}
     try:
-        doc["result"] = args.fn(args)
+        M = _load_monoid(args) if "monoid" in vars(args) else None
+        x = Ratio.parse(args.x) if "x" in vars(args) else None
+        doc["result"] = args.fn(args, M, x)
         doc["status"] = "ok"
         code = 0
-    except ParseError as exc:
-        doc["status"] = "error"
-        doc["message"] = str(exc)
-        code = 2
     except (PuiseuxError, OSError) as exc:
         doc["status"] = "error"
         doc["message"] = str(exc)
-        code = 3
+        code = 2 if isinstance(exc, ParseError) else 3
     print(json.dumps(doc, sort_keys=True))
     return code
 

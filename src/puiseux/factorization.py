@@ -36,9 +36,6 @@ class Factorization:
     def as_dict(self) -> Dict[int, int]:
         return dict(self.coeffs)
 
-    def coeff(self, i: int) -> int:
-        return dict(self.coeffs).get(i, 0)
-
     @property
     def support(self) -> Tuple[int, ...]:
         return tuple(i for i, _ in self.coeffs)
@@ -102,30 +99,25 @@ def rewrite_down_step(z: Factorization, i: int) -> Factorization:
 def min_normal_form(z: Factorization) -> Factorization:
     """The unique minimum-length factorization of evaluate(z).
 
-    Applies bulk down-steps at the largest applicable index first until
-    c_i < d^{delta_{i-1}} holds at every supported i >= 1.
+    One downward pass over the levels that hold a coefficient, from the top
+    index to 1: level i keeps c_i mod d^{delta_{i-1}} and moves the quotient
+    q down as q * n^{delta_{i-1}} atoms at level i-1. A step at i changes
+    only levels i and i-1, so every level above i stays normal, and the
+    pass leaves c_i < d^{delta_{i-1}} at every i >= 1.
     """
     M = z.monoid
     _require_contracting(M, "the minimum normal form")
     value = evaluate(z)
     coeffs = z.as_dict()
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(coeffs, reverse=True):
-            if i == 0:
-                continue
-            d_pow = M.r.den ** M.delta.delta(i - 1)
-            q, rem = divmod(coeffs[i], d_pow)
-            if q:
-                n_pow = M.r.num ** M.delta.delta(i - 1)
-                if rem:
-                    coeffs[i] = rem
-                else:
-                    del coeffs[i]
-                coeffs[i - 1] = coeffs.get(i - 1, 0) + q * n_pow
-                changed = True
-                break
+    levels = sorted(coeffs)
+    while levels and levels[-1] >= 1:
+        i = levels.pop()
+        delta = M.delta.delta(i - 1)
+        q, coeffs[i] = divmod(coeffs[i], M.r.den ** delta)
+        if q:
+            if i - 1 not in coeffs:  # every remaining level is below i
+                levels.append(i - 1)
+            coeffs[i - 1] = coeffs.get(i - 1, 0) + q * M.r.num ** delta
     out = Factorization.make(M, coeffs)
     assert evaluate(out) == value
     return out
@@ -255,8 +247,7 @@ class LengthSet:
 
 
 def length_set(x: Ratio, M: ExpMonoid, max_index: int,
-               witness: Optional[Factorization] = None,
-               level_bound: int = 64) -> LengthSet:
+               witness: Optional[Factorization] = None) -> LengthSet:
     """Lengths of the bounded enumeration plus exactness flags.
 
     A flag is set only when the global extreme is in the reported set. For
@@ -280,5 +271,5 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
                     or M.r ** s_index(M, max_index + 1) > x)
         return LengthSet(lengths, complete, complete)
     w = witness if witness is not None else zs[0]
-    sweep = max_length_sweep(w, level_bound)
+    sweep = max_length_sweep(w)
     return LengthSet(lengths, True, sweep.terminated and sweep.found.length == lengths[-1])

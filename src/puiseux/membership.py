@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import DomainError
 from .factorization import Factorization, enumerate_all, min_normal_form
 from .monoid import ExpMonoid, s_index
 from .ratio import Ratio, ZERO
@@ -42,16 +41,15 @@ def _foreign_prime(q_den: int, r_den: int) -> bool:
     return False
 
 
-def default_support_bound(q: Ratio, M: ExpMonoid, slack: int = 3,
-                          scan_limit: int = 512) -> int:
-    """m + slack for the least m with d(q) | d(r)^{s_m}; slack covers the
-    witness sitting a few levels above the denominator-forced one."""
+def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
+    """m + 3 for the least m with d(q) | d(r)^{s_m}, capped at index 512 or
+    the window's end; the 3 covers a witness a few levels above that m."""
     d = M.r.den
     limit = M.delta.max_exponent_index
-    top = scan_limit if limit is None else limit
+    top = 512 if limit is None else limit
     for m in range(top + 1):
         if (d ** s_index(M, m)) % q.den == 0:
-            return min(m + slack, top)
+            return min(m + 3, top)
     return top
 
 

@@ -30,12 +30,23 @@ def _power(base: int, e: int) -> str:
         return f"{base}^{e}"
 
 
-def _first_shortfall(M: "ExpMonoid", scan: int = 10_000) -> Optional[int]:
-    """Least global index m with d^{delta_m} > n^{delta_{m+1}}."""
+def descending_run(M: "ExpMonoid", k: int, scan: int) -> Optional[Tuple[int, list]]:
+    """(m, [c_m, ..., c_{m+k-1}]) for the least m that starts k indices in a
+    row, all below scan, with c_j = d^{delta_j} - n^{delta_{j+1}} > 0; or None.
+
+    Each such j is a link n^{delta_j} r^{s_j} = c_j r^{s_{j+1}} +
+    n^{delta_{j+1}} r^{s_{j+1}} of a strictly descending divisibility chain.
+    """
     n, d = M.r.num, M.r.den
-    for m in range(scan):
-        if d ** M.delta.delta(m) > n ** M.delta.delta(m + 1):
-            return m
+    run: list = []
+    for j in range(scan):
+        c = d ** M.delta.delta(j) - n ** M.delta.delta(j + 1)
+        if c > 0:
+            run.append(c)
+            if len(run) == k:
+                return j - k + 1, run
+        else:
+            run = []
     return None
 
 
@@ -190,10 +201,10 @@ class Polynomial(Tail):
     def accp_rule(self, M):
         if self.degree == 0:
             return "no", "bounded-delta", f"delta_n={self.coeffs[0]} eventually"
-        m = _first_shortfall(M)
-        if m is None:  # the gap ratio tends to 1, but slowly when d is close to n
+        found = descending_run(M, 1, 10_000)
+        if found is None:  # the gap ratio tends to 1, but slowly when d is close to n
             return "unknown", "no-closed-form", ""
-        return "no", "polynomial-gaps", _shortfall_instance(M, m)
+        return "no", "polynomial-gaps", _shortfall_instance(M, found[0])
 
 
 @dataclass(frozen=True)

@@ -148,23 +148,9 @@ class Ratio:
     def floor(self) -> int:
         return self.num // self.den
 
-    @property
-    def is_integer(self) -> bool:
-        return self.den == 1
-
 
 ZERO = Ratio(0)
 ONE = Ratio(1)
-
-
-def make_ratio(p: int, q: int = 1) -> Ratio:
-    """Reduced nonnegative rational p/q; q must be >= 1."""
-    return Ratio(p, q)
-
-
-def pow_ratio(r: Ratio, e: int) -> Ratio:
-    """Exact r**e for e >= 0."""
-    return r ** e
 
 
 def max_power_dividing(b: int, m: int) -> int:

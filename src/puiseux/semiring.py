@@ -81,8 +81,6 @@ def apery_set(N: NumericalMonoidSpec, m: Optional[int] = None) -> List[int]:
 
 def frobenius(N: NumericalMonoidSpec) -> int:
     """Largest integer outside N, via the Apery set of the least generator."""
-    if N.gcd != 1:
-        raise DomainError("not a numerical monoid (infinite complement)")
     m = min(N.generators)
     f = max(apery_set(N, m)) - m
     if f < 0:
@@ -207,6 +205,8 @@ def exponent_monoid(r: Ratio, N: ExponentSetSpec) -> Tuple[ExpMonoid, int]:
 # ---------------------------------------------------------------------------
 
 def is_semiring(r: Ratio, N: ExponentSetSpec) -> Dict[str, object]:
+    if r.num == 0:
+        raise DomainError("base r must be positive")
     out: Dict[str, object] = {}
     if r.num == 1 or r.den == 1:
         out["degenerate"] = (f"r={r} falls outside the characterization "
@@ -277,6 +277,8 @@ def classify_mult(r: Ratio, N: Optional[ExponentSetSpec] = None) -> MultVerdict:
     certifies the ACCP alone; BFP/FFP stay unknown there.
     """
     n, d = r.num, r.den
+    if n == 0:
+        raise DomainError("base r must be positive")
     if d == 1:
         return MultVerdict("yes", "yes", "yes",
                            {"rule": "integer-base",

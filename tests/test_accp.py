@@ -4,7 +4,7 @@ from puiseux.accp import (check_necessary, classify, construct_counterexample,
                           empirical_probe, series_partial_sums, witness_chain)
 from puiseux.errors import ChainError, DomainError
 from puiseux.factorization import Factorization, evaluate
-from puiseux.monoid import ExpMonoid, Recurrence, parse_monoid, truncate
+from puiseux.monoid import DeltaSpec, ExpMonoid, Recurrence, parse_monoid, truncate
 from puiseux.ratio import Ratio
 
 
@@ -115,6 +115,16 @@ class TestWitnessChain:
     def test_accp_monoid_has_no_chain(self):
         with pytest.raises(ChainError):
             witness_chain(M("r=2/3; delta=geom(1,2)"), 2)
+
+    def test_each_gap_is_read_a_bounded_number_of_times(self, monkeypatch):
+        calls = []
+        original = DeltaSpec.delta
+        monkeypatch.setattr(DeltaSpec, "delta",
+                            lambda self, j: calls.append(j) or original(self, j))
+        k = 50
+        chain = witness_chain(M("r=2/3; delta=const(1)"), k)
+        assert len(chain.diffs) == k
+        assert len(calls) <= 3 * k + 3
 
     def test_consistency_with_classifier(self):
         for text in ("r=2/3; delta=const(1)", "r=2/3; delta=poly(1,1)",

@@ -140,6 +140,22 @@ def test_spec_file_equivalent_to_inline(tmp_path, capsys):
     assert doc_file["result"] == doc_inline["result"]
 
 
+@pytest.mark.parametrize("z", ["[[1,2.9]]", "[[0.99,3]]", "[[1,true]]", '[["1",2]]'])
+def test_factorization_needs_integer_pairs(capsys, z):
+    # JSON floats, booleans and strings are not truncated or coerced
+    code, doc = run(capsys, "normal-form", "--monoid", "r=2/3; delta=const(1)", "--z", z)
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "malformed factorization" in doc["message"]
+
+
+def test_zero_base_in_the_semiring_layer_exit_3(capsys):
+    for argv in (["semiring", "--r", "0", "--N", "gens(2,3)"], ["mult-classify", "--r", "0"]):
+        code, doc = run(capsys, *argv)
+        assert code == 3
+        assert doc["message"] == "base r must be positive"
+
+
 def test_parse_error_exit_2(capsys):
     code, doc = run(capsys, "classify", "--monoid", "r=2/x; delta=const(1)")
     assert code == 2

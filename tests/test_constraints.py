@@ -1,0 +1,42 @@
+"""The library's standing constraints: exact arithmetic only, stdlib only.
+
+Every module under ``src/puiseux`` is parsed, not imported, and its syntax
+tree is searched for a float literal, the name ``float``, and any import of
+a module that is neither in the standard library nor the package itself.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "puiseux"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def test_the_package_is_found():
+    assert "monoid.py" in {path.name for path in MODULES}
+
+
+def _imported_roots(node):
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []  # relative imports stay inside the package
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_floating_point_and_no_third_party_import(path):
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        line = getattr(node, "lineno", "?")
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            problems.append(f"line {line}: float literal {node.value!r}")
+        if isinstance(node, ast.Name) and node.id == "float":
+            problems.append(f"line {line}: the name float")
+        for root in _imported_roots(node):
+            if root not in sys.stdlib_module_names and root != "puiseux":
+                problems.append(f"line {line}: import of {root}")
+    assert not problems, f"{path.name}: " + "; ".join(problems)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from puiseux.errors import DomainError, StepError
 from puiseux.factorization import (Factorization, LengthSet, enumerate_all, evaluate,
@@ -6,7 +7,7 @@ from puiseux.factorization import (Factorization, LengthSet, enumerate_all, eval
                                    min_normal_form, rewrite_down_step,
                                    unique_factorization_check)
 from puiseux.membership import is_member
-from puiseux.monoid import parse_monoid
+from puiseux.monoid import DeltaSpec, parse_monoid
 from puiseux.oracle import oracle_enumerate, oracle_lengths
 from puiseux.ratio import Ratio
 
@@ -232,3 +233,58 @@ class TestLengthSet:
         # the witness lies outside the window, which holds no factorization
         ls = length_set(Ratio(4, 9), CONST, 1, witness=F(CONST, {2: 1}))
         assert ls == LengthSet((), False, False)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass normal form against the restart loop it replaced
+# ---------------------------------------------------------------------------
+
+def _restart_normal_form(z):
+    """Reference: a bulk down-step at the largest applicable index, then restart."""
+    M = z.monoid
+    coeffs = z.as_dict()
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(coeffs, reverse=True):
+            if i == 0:
+                continue
+            q, rem = divmod(coeffs[i], M.r.den ** M.delta.delta(i - 1))
+            if q:
+                coeffs[i] = rem
+                coeffs[i - 1] = coeffs.get(i - 1, 0) + q * M.r.num ** M.delta.delta(i - 1)
+                changed = True
+                break
+    return F(M, coeffs)
+
+
+# (tail, highest index): geometric gaps keep d^{delta_i} small only at low indices
+NORMAL_FORM_TAILS = [("const(1)", 40), ("const(2)", 40), ("poly(1,1)", 40),
+                     ("poly(3,-2,1)", 30), ("geom(1,2)", 10), ("geom(2,3)", 6),
+                     ("periodic(1,3,2)", 40), ("prefix(2,1,3); const(1)", 40),
+                     ("prefix(1,4); geom(1,2)", 10), ("prefix(1,1,2); finite", 3)]
+
+
+@st.composite
+def contracting_factorizations(draw):
+    d = draw(st.integers(2, 9))
+    n = draw(st.integers(1, d - 1))
+    tail, top = draw(st.sampled_from(NORMAL_FORM_TAILS))
+    monoid = parse_monoid(f"r={n}/{d}; delta={tail}")
+    support = draw(st.dictionaries(st.integers(0, top), st.integers(1, 10 ** 4), max_size=5))
+    return F(monoid, support)
+
+
+@settings(max_examples=200, deadline=None)
+@given(contracting_factorizations())
+def test_one_pass_matches_the_restart_loop(z):
+    assert min_normal_form(z) == _restart_normal_form(z)
+
+
+def test_normal_form_skips_empty_levels(monkeypatch):
+    calls = []
+    original = DeltaSpec.delta
+    monkeypatch.setattr(DeltaSpec, "delta",
+                        lambda self, k: calls.append(k) or original(self, k))
+    assert min_normal_form(F(CONST, {5000: 1})) == F(CONST, {5000: 1})
+    assert len(calls) <= 2

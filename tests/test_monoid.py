@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from puiseux.errors import DomainError, IndexRangeError, ParseError
 from puiseux.monoid import (Constant, DeltaSpec, ExpMonoid, Geometric,
                             Periodic, Polynomial, Recurrence, atom,
-                            classify_atomicity, format_delta, format_monoid,
+                            classify_atomicity, descending_run, format_delta, format_monoid,
                             monoid_from_json, parse_delta, parse_monoid,
                             s_index, truncate)
 from puiseux.ratio import Ratio
@@ -388,3 +388,48 @@ def test_positivity_check_on_huge_coefficients():
         Polynomial((10 ** 12, -2 * 10 ** 6, 1))         # (k - 10^6)^2
     with pytest.raises(DomainError):
         Polynomial((2, 1, -26, 13, 3))                  # 3k^4 + 13k^3 - 26k^2 + k + 2
+
+
+# ---------------------------------------------------------------------------
+# The shared descending scan
+# ---------------------------------------------------------------------------
+
+def _linear_run(m, k, scan):
+    """Reference: test d^{delta_j} > n^{delta_{j+1}} at every j < scan, then look for k in a row."""
+    n, d = m.r.num, m.r.den
+    holds = [d ** m.delta.delta(j) > n ** m.delta.delta(j + 1) for j in range(scan)]
+    for start in range(scan - k + 1):
+        if all(holds[start:start + k]):
+            return start, [d ** m.delta.delta(j) - n ** m.delta.delta(j + 1)
+                           for j in range(start, start + k)]
+    return None
+
+
+# (tail rule, longest scan): fast-growing gaps keep the powers small only at low indices
+RUN_TAILS = st.one_of(
+    st.tuples(st.builds(Constant, st.integers(1, 6)), st.just(30)),
+    st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+              .map(_positive_polynomial).filter(lambda p: p is not None), st.just(30)),
+    st.tuples(st.lists(st.integers(1, 6), min_size=1, max_size=5)
+              .map(lambda p: Periodic(tuple(p))), st.just(30)),
+    st.tuples(st.builds(Geometric, st.integers(1, 3), st.integers(2, 3)), st.just(7)),
+    st.tuples(st.tuples(st.integers(2, 5), st.integers(1, 3), st.integers(1, 4))
+              .map(lambda t: Recurrence(t[0], t[0] + t[1], t[2])), st.just(7)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.lists(st.integers(1, 6), max_size=6),
+       RUN_TAILS, st.integers(1, 5), st.data())
+def test_descending_run_matches_a_linear_scan(n, d, prefix, tail_scan, k, data):
+    tail, longest = tail_scan
+    m = ExpMonoid(Ratio(n, d), DeltaSpec(tuple(prefix), tail))
+    scan = data.draw(st.integers(0, longest + len(prefix)))
+    assert descending_run(m, k, scan) == _linear_run(m, k, scan)
+
+
+def test_descending_run_restarts_after_a_miss():
+    # gaps 2, 1, 2, 1, 1, ...: c_0 = 3^2 - 2^1 = 7, c_1 = 3^1 - 2^2 < 0, c_2 = 7, c_3 = 1
+    m = M("r=2/3; delta=prefix(2,1,2); const(1)")
+    assert descending_run(m, 1, 10) == (0, [7])
+    assert descending_run(m, 2, 10) == (2, [7, 1])
+    assert descending_run(m, 2, 3) is None  # the run must end below scan

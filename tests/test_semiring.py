@@ -104,6 +104,11 @@ class TestIsSemiring:
     def test_generator_form(self):
         assert is_semiring(Ratio(2, 3), Generators(NM(2, 3)))["semiring"] is True
 
+    def test_zero_base_rejected(self):
+        for N in (Generators(NM(2, 3)), PrefixCofinite((0,), 3)):
+            with pytest.raises(DomainError, match="base r must be positive"):
+                is_semiring(Ratio(0), N)
+
     def test_closure_violation(self):
         out = is_semiring(Ratio(2, 3), PrefixCofinite((0, 1), 5))
         assert out["semiring"] is False
@@ -171,6 +176,11 @@ class TestMultiplicativeDivisibility:
 
 
 class TestClassifyMult:
+    def test_zero_base_rejected(self):
+        for N in (None, Generators(NM(2, 3))):
+            with pytest.raises(DomainError, match="base r must be positive"):
+                classify_mult(Ratio(0), N)
+
     def test_expanding_base_is_ffm(self):
         v = classify_mult(Ratio(5, 2))
         assert (v.accp, v.bfp, v.ffp) == ("yes", "yes", "yes")
