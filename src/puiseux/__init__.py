@@ -15,7 +15,7 @@ from .membership import MembershipResult, divides, is_member
 from .accp import (Classification, WitnessChain, check_necessary, classify,
                    construct_counterexample, empirical_probe,
                    series_partial_sums, witness_chain)
-from .semiring import (Generators, MultVerdict, NumericalMonoidSpec,
+from .semiring import (MultVerdict, NumericalMonoidSpec,
                        PrefixCofinite, apery_set, classify_mult, frobenius,
                        frobenius_bruteforce, is_semiring, mult_divides,
                        mult_divisor_bound, nm_membership, parse_exponent_set)

@@ -22,7 +22,7 @@ def _load_monoid(args) -> ExpMonoid:
         with open(args.spec_file) as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as exc:  # not JSON, or not even text
+            except (ValueError, RecursionError) as exc:  # not JSON, not text, too deep
                 raise ParseError(f"spec file is not JSON: {exc}") from exc
         return monoid_from_json(doc)
     if args.monoid:
@@ -36,7 +36,7 @@ def _parse_factorization(M: ExpMonoid, text: str) -> fz.Factorization:
         # JSON integers only: no float to truncate, no boolean or string
         if any(type(v) is not int for pair in pairs for v in pair):
             raise TypeError("entries must be integers")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed factorization {text!r}: {exc}") from exc
     return fz.Factorization.make(M, pairs)
 

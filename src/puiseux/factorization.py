@@ -195,39 +195,44 @@ def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int,
     if D % x.den != 0:
         return []
     target = x.num * (D // x.den)
-    # weight of one atom at level i, in units of 1/D
-    w = [n ** s[i] * d ** (s[B] - s[i]) for i in range(B + 1)]
+    # per level i: n^{s_i}, the weight of one atom in units of 1/D, the step
+    # n^{delta_i} between coefficients that can complete, 1/d^{s_B-s_i} mod it
+    n_pow = [n ** e for e in s]
+    w = [n_pow[i] * d ** (s[B] - s[i]) for i in range(B + 1)]
+    mod = [n_pow[i + 1] // n_pow[i] for i in range(B)]
+    inv = [pow(pow(d, s[B] - s[i], mod[i]), -1, mod[i]) for i in range(B)]
+
+    def choices(i: int, rem: int) -> range:
+        # completion needs n^{s_{i+1}} | rem - c*w[i]; solve for c mod n^{delta_i}
+        start = rem // n_pow[i] * inv[i] % mod[i]
+        return range(start, rem // w[i] + 1, mod[i])
+
     results: List[Dict[int, int]] = []
     coeffs: Dict[int, int] = {}
-
-    def descend(i: int, rem: int) -> bool:
-        # returns True once the result limit is reached
-        if i == B:
-            q, leftover = divmod(rem, w[B])
-            if leftover == 0:
-                if q:
-                    coeffs[B] = q
-                results.append(dict(coeffs))
-                coeffs.pop(B, None)
-                return limit is not None and len(results) >= limit
-            return False
-        cap = rem // w[i]
-        mod = n ** (s[i + 1] - s[i])
-        # completion needs n^{s_{i+1}} | rem - c*w[i]; solve for c mod n^{delta_i}
-        rem_red = rem // (n ** s[i])
-        d_part = d ** (s[B] - s[i])
-        start = (rem_red * pow(d_part, -1, mod)) % mod if mod > 1 else 0
-        c = start
-        while c <= cap:
-            if c:
-                coeffs[i] = c
-            done = descend(i + 1, rem - c * w[i])
+    # depth first: stack entry i < B holds what levels i..B must make up and
+    # the coefficients left to try at level i; level B takes a whole remainder
+    stack = [(target, iter(choices(0, target) if B else (0,)))]  # B = 0: all to level B
+    while stack:
+        i = len(stack) - 1
+        rem, todo = stack[-1]
+        c = next(todo, None)
+        if c is None:
+            stack.pop()
             coeffs.pop(i, None)
-            if done:
-                return True
-            c += mod
-        return False
-    descend(0, target)
+            continue
+        if c:
+            coeffs[i] = c
+        else:
+            coeffs.pop(i, None)
+        rest = rem - c * w[i]
+        if i + 1 < B:
+            stack.append((rest, iter(choices(i + 1, rest))))
+            continue
+        q, leftover = divmod(rest, w[B])
+        if leftover == 0:
+            results.append({**coeffs, B: q} if q else dict(coeffs))
+            if limit is not None and len(results) >= limit:
+                break
     out = [Factorization.make(M, cc) for cc in results]
     out.sort(key=lambda z: z.coeffs)
     return out

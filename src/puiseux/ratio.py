@@ -6,6 +6,7 @@ Only the nonnegative cone of Q is supported: subtraction below zero raises.
 
 from __future__ import annotations
 
+import sys
 from math import gcd
 
 from .errors import DomainError, ParseError
@@ -54,7 +55,11 @@ class Ratio:
             raise ParseError(f"malformed rational {text!r}: {exc}") from exc
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        try:
+            return f"{self.num}/{self.den}"
+        except ValueError as exc:  # CPython caps the digits of int -> str
+            raise DomainError("value too large to print: past the int -> str "
+                              f"limit of {sys.get_int_max_str_digits()} digits") from exc
 
     def __repr__(self) -> str:
         return f"Ratio({self.num}, {self.den})"

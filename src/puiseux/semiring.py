@@ -23,11 +23,12 @@ from .ratio import Ratio, max_power_dividing
 
 
 # ---------------------------------------------------------------------------
-# Numerical monoids
+# Exponent sets: numerical monoids and prefix-cofinite sets
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class NumericalMonoidSpec:
+    """The submonoid of N_0 generated by `generators`, of any gcd."""
     generators: Tuple[int, ...]
 
     @classmethod
@@ -40,6 +41,40 @@ class NumericalMonoidSpec:
     @property
     def gcd(self) -> int:
         return reduce(gcd, self.generators)
+
+    def least(self) -> Dict[int, int]:
+        """Least member of each residue class mod the least generator m; a
+        class with no member (gcd > 1) is absent."""
+        m = min(self.generators)
+        # Dijkstra over the residues mod m: an edge of weight g joins w to w + g
+        smallest: Dict[int, int] = {0: 0}
+        heap = [0]
+        while heap:
+            w = heapq.heappop(heap)
+            if w > smallest[w % m]:
+                continue
+            for g in self.generators:
+                v = w + g
+                if v < smallest.get(v % m, v + 1):
+                    smallest[v % m] = v
+                    heapq.heappush(heap, v)
+        return smallest
+
+    def members(self, up_to: int) -> List[int]:
+        m = min(self.generators)
+        least = self.least()
+        return [x for x in range(up_to + 1) if x >= least.get(x % m, x + 1)]
+
+    def tail(self) -> Tuple[int, int]:
+        """(conductor, step): from the conductor on, N holds the multiples of step."""
+        return max(self.least().values()) - min(self.generators) + self.gcd, self.gcd
+
+    def closure(self) -> Tuple[bool, str]:
+        # any submonoid of N_0 containing 0 is isomorphic to a numerical monoid
+        return True, "generator-form exponent sets are additively closed with 0"
+
+    def __str__(self) -> str:
+        return "gens(" + ",".join(map(str, self.generators)) + ")"
 
 
 def _reachable(gens, up_to: int) -> List[bool]:
@@ -54,35 +89,21 @@ def _reachable(gens, up_to: int) -> List[bool]:
 
 
 def nm_membership(N: NumericalMonoidSpec, x: int) -> bool:
-    """Exact reachability: is x a nonnegative combination of the generators."""
-    return x >= 0 and _reachable(N.generators, x)[x]
+    """Exact membership: x is at least the least member of its residue class."""
+    return x >= N.least().get(x % min(N.generators), x + 1)
 
 
-def apery_set(N: NumericalMonoidSpec, m: Optional[int] = None) -> List[int]:
-    """Smallest member in each residue class mod m (default: least generator)."""
+def apery_set(N: NumericalMonoidSpec) -> List[int]:
+    """Smallest member in each residue class mod the least generator."""
     if N.gcd != 1:
         raise DomainError("not a numerical monoid (infinite complement)")
-    if m is None:
-        m = min(N.generators)
-    # Dijkstra over the residues mod m: an edge of weight g joins w to w + g
-    smallest: Dict[int, int] = {0: 0}
-    heap = [0]
-    while heap:
-        w = heapq.heappop(heap)
-        if w > smallest[w % m]:
-            continue
-        for g in N.generators:
-            v = w + g
-            if v < smallest.get(v % m, v + 1):
-                smallest[v % m] = v
-                heapq.heappush(heap, v)
-    return [smallest[i] for i in range(m)]
+    least = N.least()
+    return [least[i] for i in range(min(N.generators))]
 
 
 def frobenius(N: NumericalMonoidSpec) -> int:
     """Largest integer outside N, via the Apery set of the least generator."""
-    m = min(N.generators)
-    f = max(apery_set(N, m)) - m
+    f = max(apery_set(N)) - min(N.generators)
     if f < 0:
         raise DomainError("no Frobenius number: the monoid is all of N_0")
     return f
@@ -97,15 +118,6 @@ def frobenius_bruteforce(N: NumericalMonoidSpec) -> int:
     if not gaps:
         raise DomainError("no Frobenius number: the monoid is all of N_0")
     return max(gaps)
-
-
-# ---------------------------------------------------------------------------
-# Exponent sets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Generators:
-    monoid: NumericalMonoidSpec
 
 
 @dataclass(frozen=True)
@@ -126,8 +138,29 @@ class PrefixCofinite:
     def contains(self, x: int) -> bool:
         return x >= self.threshold or x in self.prefix
 
+    def members(self, up_to: int) -> List[int]:
+        return [x for x in range(up_to + 1) if self.contains(x)]
 
-ExponentSetSpec = Union[Generators, PrefixCofinite]
+    def tail(self) -> Tuple[int, int]:
+        """(conductor, step): N holds every integer from the threshold on."""
+        return self.threshold, 1
+
+    def closure(self) -> Tuple[bool, str]:
+        """0 in N and additive closure; a sum at or past the threshold is in
+        N, so only pairs of prefix elements can fail."""
+        if not self.contains(0):
+            return False, "0 not in N"
+        for i, a in enumerate(self.prefix):
+            for b in self.prefix[i:]:
+                if not self.contains(a + b):
+                    return False, f"{a}+{b}={a + b} not in N"
+        return True, "0 in N and additive closure verified on the finite window"
+
+    def __str__(self) -> str:
+        return "prefix(" + ",".join(map(str, self.prefix)) + f");tail>={self.threshold}"
+
+
+ExponentSetSpec = Union[NumericalMonoidSpec, PrefixCofinite]
 
 NATURALS = PrefixCofinite((), 0)
 
@@ -141,7 +174,7 @@ def parse_exponent_set(text: str) -> ExponentSetSpec:
     if m:
         try:
             gens = [int(t) for t in m.group(1).split(",") if t]
-            return Generators(NumericalMonoidSpec.make(gens))
+            return NumericalMonoidSpec.make(gens)
         except (ValueError, DomainError) as exc:
             raise ParseError(f"bad generator set {text!r}: {exc}") from exc
     m = re.fullmatch(r"prefix\(([\d,]*)\);tail>=(\d+)", s)
@@ -154,19 +187,6 @@ def parse_exponent_set(text: str) -> ExponentSetSpec:
     raise ParseError(f"unrecognized exponent set {text!r}")
 
 
-def format_exponent_set(N: ExponentSetSpec) -> str:
-    if isinstance(N, Generators):
-        return "gens(" + ",".join(map(str, N.monoid.generators)) + ")"
-    return ("prefix(" + ",".join(map(str, N.prefix)) +
-            f");tail>={N.threshold}")
-
-
-def _exponent_members(N: ExponentSetSpec, up_to: int) -> List[int]:
-    if isinstance(N, PrefixCofinite):
-        return [x for x in range(up_to + 1) if N.contains(x)]
-    return [x for x, ok in enumerate(_reachable(N.monoid.generators, up_to)) if ok]
-
-
 def exponent_monoid(r: Ratio, N: ExponentSetSpec) -> Tuple[ExpMonoid, int]:
     """The generated monoid as an explicit gap spec, plus the least exponent.
 
@@ -175,20 +195,8 @@ def exponent_monoid(r: Ratio, N: ExponentSetSpec) -> Tuple[ExpMonoid, int]:
     min(N) > 0 the monoid is r^{min} times the shifted monoid; the shift is
     returned so callers can divide it out.
     """
-    if isinstance(N, PrefixCofinite):
-        step = 1  # cofinite sets are arithmetic with step 1 past the threshold
-        horizon = N.threshold + 2
-    else:
-        step = N.monoid.gcd
-        scaled = NumericalMonoidSpec.make(g // step for g in N.monoid.generators)
-        if min(scaled.generators) == 1:
-            conductor = 0
-        else:
-            conductor = frobenius(scaled) + 1
-        horizon = step * conductor + 2 * step
-    members = _exponent_members(N, horizon)
-    if not members:
-        raise DomainError("empty exponent set")
+    conductor, step = N.tail()
+    members = N.members(conductor + 2 * step)
     base = members[0]
     shifted = [x - base for x in members]
     gaps = tuple(b - a for a, b in zip(shifted, shifted[1:]))
@@ -211,24 +219,7 @@ def is_semiring(r: Ratio, N: ExponentSetSpec) -> Dict[str, object]:
     if r.num == 1 or r.den == 1:
         out["degenerate"] = (f"r={r} falls outside the characterization "
                              "hypothesis (n(r)=1 or r integral)")
-    if isinstance(N, Generators):
-        # any submonoid of N_0 containing 0 is isomorphic to a numerical monoid
-        out["semiring"] = True
-        out["reason"] = "generator-form exponent sets are additively closed with 0"
-        return out
-    if not N.contains(0):
-        out["semiring"] = False
-        out["reason"] = "0 not in N"
-        return out
-    window = _exponent_members(N, 2 * max(N.threshold, 1))
-    for i, a in enumerate(window):
-        for b in window[i:]:
-            if a + b <= 2 * N.threshold and not N.contains(a + b):
-                out["semiring"] = False
-                out["reason"] = f"{a}+{b}={a + b} not in N"
-                return out
-    out["semiring"] = True
-    out["reason"] = "0 in N and additive closure verified on the finite window"
+    out["semiring"], out["reason"] = N.closure()
     return out
 
 
@@ -250,11 +241,12 @@ def mult_divides(r: Ratio, n: int, x: Ratio, N: ExponentSetSpec,
         raise DomainError("x must be positive")
     if n < 0:
         raise DomainError("n must be >= 0")
-    if r < Ratio(1) and r.num > 1 and n > mult_divisor_bound(r, x):
-        return MembershipResult(
-            "not-member",
-            reason=f"n={n} exceeds the multiplicative divisor bound "
-                   f"{mult_divisor_bound(r, x)}")
+    if r < Ratio(1) and r.num > 1:
+        bound = mult_divisor_bound(r, x)
+        if n > bound:
+            return MembershipResult(
+                "not-member",
+                reason=f"n={n} exceeds the multiplicative divisor bound {bound}")
     y = x / r ** n
     M, base = exponent_monoid(r, N)
     y_shifted = y / r ** base
@@ -292,10 +284,11 @@ def classify_mult(r: Ratio, N: Optional[ExponentSetSpec] = None) -> MultVerdict:
                            {"rule": "ffm-above-one",
                             "instance": "every atom exceeds 1, so divisor sets are finite"})
     p = _smallest_prime_factor(d)
-    if _is_power_of(d, p):
+    k = max_power_dividing(p, d)
+    if p ** k == d:
         return MultVerdict("yes", "unknown", "unknown",
                            {"rule": "prime-power-denominator",
-                            "instance": f"d(r)={d}={p}^{max_power_dividing(p, d)}"})
+                            "instance": f"d(r)={d}={p}^{k}"})
     return MultVerdict("unknown", "unknown", "unknown",
                        {"rule": "no-closed-form",
                         "instance": f"r={r}<1 with composite-radical denominator"})
@@ -309,8 +302,3 @@ def _smallest_prime_factor(m: int) -> int:
         f += 1
     return m
 
-
-def _is_power_of(m: int, p: int) -> bool:
-    while m % p == 0:
-        m //= p
-    return m == 1

@@ -1,9 +1,12 @@
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from puiseux.accp import classify, construct_counterexample
-from puiseux.cli import main
+from puiseux.cli import _parse_factorization, main
+from puiseux.errors import DomainError, ParseError
 from puiseux.factorization import Factorization, evaluate
 from puiseux.monoid import ExpMonoid, format_monoid, parse_monoid
 from puiseux.ratio import Ratio
@@ -170,7 +173,7 @@ def test_malformed_spec_file_exit_2(tmp_path, capsys):
     path = tmp_path / "monoid.json"
     for content in (json.dumps({"r": "2/3", "delta": [1]}).encode(),
                     json.dumps({"r": "2/3", "delta": {"tail": {"geom": [1]}}}).encode(),
-                    b"{", b"", b"\xff\xfe"):  # the last three are not JSON
+                    b"{", b"", b"\xff\xfe", b"[" * 100000):  # the last four are not JSON
         path.write_bytes(content)
         code, out = run(capsys, "classify", "--spec-file", str(path))
         assert code == 2
@@ -199,3 +202,46 @@ def test_byte_identical_repeat_runs(capsys):
     first = capsys.readouterr().out
     main(["classify", "--monoid", "r=2/3; delta=const(1)"])
     assert capsys.readouterr().out == first
+
+
+def test_deep_support_bound_needs_no_recursion(capsys):
+    # a thousand levels: more than CPython's default recursion limit
+    code, doc = run(capsys, "enumerate", "--monoid", "r=2/3; delta=const(1)",
+                    "--x", "2", "--max-index", "1000")
+    assert code == 0
+    assert doc["result"]["count"] == 1001
+    code, doc = run(capsys, "member", "--monoid", "r=2/3; delta=const(1)",
+                    "--x", "2", "--bound", "1500")
+    assert code == 0
+    assert doc["result"]["membership"] == {"status": "member", "witness": [[0, 2]]}
+
+
+def test_value_past_the_int_str_limit_exit_3(capsys):
+    # the value is (2/3)^16383: 3^16383 has about 7800 decimal digits
+    code, doc = run(capsys, "normal-form", "--monoid", "r=2/3; delta=geom(1,2)",
+                    "--z", "[[14,1]]")
+    assert code == 3
+    assert doc["status"] == "error"
+    assert f"limit of {sys.get_int_max_str_digits()} digits" in doc["message"]
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                    | st.text(max_size=4),
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                    max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(st.one_of(JSON.map(json.dumps),
+                 st.lists(st.lists(st.integers(-3, 10 ** 6), max_size=3)).map(json.dumps),
+                 st.text(alphabet="[]{},-0123456789.e\"ab ", max_size=30)))
+@example("[" * 100000)  # deeper than the JSON decoder recurses
+def test_factorization_parses_or_raises(text):
+    # the parser only: a normal form of a huge index costs unbounded time
+    M = parse_monoid("r=2/3; delta=const(1)")
+    try:
+        z = _parse_factorization(M, text)
+    except (ParseError, DomainError):
+        return
+    assert isinstance(z, Factorization)

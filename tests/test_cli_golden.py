@@ -90,6 +90,15 @@ CASES = [
     ["semiring", "--r", "2/3", "--N", "prefix(0);tail>=3"],
     ["semiring", "--r", "2/3", "--N", "prefix(0,2);tail>=3"],
     ["oracle", "enumerate", "--spec-file", "const.json", "--x", "2", "--max-index", "3"],
+    # every exponent-set form through the semiring layer
+    ["semiring", "--r", "2/3", "--N", "gens(4,6)"],
+    ["semiring", "--r", "2/3", "--N", "gens(1)"],
+    ["semiring", "--r", "2/3", "--N", "N=gens(6,10,15)"],
+    ["semiring", "--r", "2/3", "--N", "prefix(1);tail>=4"],
+    ["semiring", "--r", "2/3", "--N", "prefix(0,1);tail>=5"],
+    ["semiring", "--r", "2/3", "--N", "prefix(0,3,4);tail>=7"],
+    ["semiring", "--r", "2/3", "--N", "prefix();tail>=0"],
+    ["mult-classify", "--r", "2/9", "--N", "prefix(0);tail>=3"],
 ]
 
 

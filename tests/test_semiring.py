@@ -8,16 +8,27 @@ from puiseux.factorization import Factorization, evaluate
 from puiseux.membership import is_member
 from puiseux.monoid import Constant, s_index
 from puiseux.ratio import Ratio
-from puiseux.semiring import (NATURALS, Generators, NumericalMonoidSpec,
-                              PrefixCofinite, apery_set, classify_mult,
-                              exponent_monoid, format_exponent_set, frobenius,
-                              frobenius_bruteforce, is_semiring, mult_divides,
-                              mult_divisor_bound, nm_membership,
-                              parse_exponent_set)
+from puiseux.semiring import (NATURALS, NumericalMonoidSpec, PrefixCofinite,
+                              _reachable, apery_set, classify_mult,
+                              exponent_monoid, frobenius, frobenius_bruteforce,
+                              is_semiring, mult_divides, mult_divisor_bound,
+                              nm_membership, parse_exponent_set)
 
 
 def NM(*gens):
     return NumericalMonoidSpec.make(gens)
+
+
+GENERATORS = st.lists(st.integers(1, 40), min_size=1, max_size=4)
+
+
+@st.composite
+def prefix_cofinite(draw, max_threshold=30):
+    threshold = draw(st.integers(0, max_threshold))
+    prefix = draw(st.lists(st.integers(0, max(threshold - 1, 0)), max_size=8))
+    if draw(st.booleans()):
+        prefix.append(0)  # most closure failures need 0 in N
+    return PrefixCofinite.make([p for p in prefix if p < threshold], threshold)
 
 
 class TestNumericalMonoids:
@@ -58,12 +69,25 @@ class TestNumericalMonoids:
         assume(gcd(*gens) == 1)
         assert frobenius(NM(*gens)) == frobenius_bruteforce(NM(*gens))
 
+    @settings(max_examples=200)
+    @given(GENERATORS)
+    def test_membership_agrees_with_the_sieve(self, gens):
+        # any gcd: a residue class with no member holds no x at all
+        reach = _reachable(gens, 300)
+        N = NM(*gens)
+        assert [nm_membership(N, x) for x in range(-3, 301)] == [False] * 3 + reach
+        assert N.members(300) == [x for x in range(301) if reach[x]]
+
+    def test_membership_with_a_common_factor(self):
+        assert [x for x in range(20) if nm_membership(NM(4, 6), x)] == [0, *range(4, 20, 2)]
+        assert not nm_membership(NM(4, 6), 2) and not nm_membership(NM(4, 6), 1001)
+
 
 class TestExponentSets:
     def test_parse_generators(self):
         N = parse_exponent_set("N=gens(2,3)")
-        assert isinstance(N, Generators)
-        assert N.monoid.generators == (2, 3)
+        assert isinstance(N, NumericalMonoidSpec)
+        assert N.generators == (2, 3)
 
     def test_parse_prefix_cofinite(self):
         N = parse_exponent_set("prefix(0,1); tail>=5")
@@ -73,7 +97,32 @@ class TestExponentSets:
     def test_format_round_trip(self):
         for text in ("gens(2,3)", "prefix(0,1);tail>=5", "prefix();tail>=0"):
             N = parse_exponent_set(text)
-            assert parse_exponent_set(format_exponent_set(N)) == N
+            assert parse_exponent_set(str(N)) == N
+
+    @settings(max_examples=200)
+    @given(st.one_of(GENERATORS.map(lambda g: NM(*g)), prefix_cofinite()))
+    def test_round_trip_both_forms(self, N):
+        assert parse_exponent_set(str(N)) == N
+        assert parse_exponent_set("N = " + str(N)) == N
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="gensprefixtail()N=;,>< 0123456789-", max_size=30))
+    def test_parses_or_raises_parse_error(self, text):
+        try:
+            N = parse_exponent_set(text)
+        except ParseError:
+            return
+        assert isinstance(N, (NumericalMonoidSpec, PrefixCofinite))
+
+    @settings(max_examples=200)
+    @given(st.one_of(GENERATORS.map(lambda g: NM(*g)), prefix_cofinite()))
+    def test_exponent_monoid_lists_the_members(self, N):
+        M, base = exponent_monoid(Ratio(2, 3), N)
+        window = 200
+        exponents = []
+        while not exponents or exponents[-1] <= window:
+            exponents.append(base + s_index(M, len(exponents)))
+        assert exponents[:-1] == N.members(window)
 
     @pytest.mark.parametrize("bad", ["gens()", "prefix(7);tail>=5",
                                      "gens(2,3);tail>=5", "everything"])
@@ -82,13 +131,13 @@ class TestExponentSets:
             parse_exponent_set(bad)
 
     def test_exponent_monoid_gens_2_3(self):
-        M, base = exponent_monoid(Ratio(2, 3), Generators(NM(2, 3)))
+        M, base = exponent_monoid(Ratio(2, 3), NM(2, 3))
         assert base == 0
         assert M.delta.tail == Constant(1)
         assert [s_index(M, n) for n in range(5)] == [0, 2, 3, 4, 5]
 
     def test_exponent_monoid_scaled_generators(self):
-        M, base = exponent_monoid(Ratio(2, 3), Generators(NM(4, 6)))
+        M, base = exponent_monoid(Ratio(2, 3), NM(4, 6))
         assert base == 0
         # members of <4,6> are 0 and the even numbers from 4 on
         assert [s_index(M, n) for n in range(4)] == [0, 4, 6, 8]
@@ -102,10 +151,10 @@ class TestExponentSets:
 
 class TestIsSemiring:
     def test_generator_form(self):
-        assert is_semiring(Ratio(2, 3), Generators(NM(2, 3)))["semiring"] is True
+        assert is_semiring(Ratio(2, 3), NM(2, 3))["semiring"] is True
 
     def test_zero_base_rejected(self):
-        for N in (Generators(NM(2, 3)), PrefixCofinite((0,), 3)):
+        for N in (NM(2, 3), PrefixCofinite((0,), 3)):
             with pytest.raises(DomainError, match="base r must be positive"):
                 is_semiring(Ratio(0), N)
 
@@ -123,13 +172,47 @@ class TestIsSemiring:
         out = is_semiring(Ratio(2, 3), PrefixCofinite((0,), 2))
         assert out["semiring"] is True
 
+    @settings(max_examples=300)
+    @given(prefix_cofinite())
+    def test_closure_agrees_with_a_pair_scan(self, N):
+        def in_n(v):
+            return v >= N.threshold or v in N.prefix
+
+        members = [x for x in range(2 * N.threshold + 1) if in_n(x)]
+        failures = [(a, b) for i, a in enumerate(members) for b in members[i:]
+                    if not in_n(a + b)]
+        out = is_semiring(Ratio(2, 3), N)
+        if 0 not in members:
+            assert out == {"semiring": False, "reason": "0 not in N"}
+        elif failures:
+            a, b = failures[0]
+            assert out == {"semiring": False, "reason": f"{a}+{b}={a + b} not in N"}
+        else:
+            assert out["semiring"] is True
+
+    @pytest.mark.parametrize("prefix, verdict", [((0, 2, 5), False),
+                                                 ((0, 400000, 800000), True)])
+    def test_closure_reads_prefix_pairs_only(self, monkeypatch, prefix, verdict):
+        # 0 and the six pairs of a three-element prefix, whatever the threshold
+        calls = []
+        contains = PrefixCofinite.contains
+
+        def counted(self, x):
+            calls.append(x)
+            if len(calls) > 7:
+                raise AssertionError(f"contains called more than 7 times: {calls[:9]}")
+            return contains(self, x)
+
+        monkeypatch.setattr(PrefixCofinite, "contains", counted)
+        assert is_semiring(Ratio(2, 3), PrefixCofinite(prefix, 10 ** 6))["semiring"] is verdict
+
     def test_degenerate_flagging(self):
-        assert "degenerate" in is_semiring(Ratio(1, 2), Generators(NM(2, 3)))
-        assert "degenerate" in is_semiring(Ratio(3), Generators(NM(2, 3)))
-        assert "degenerate" not in is_semiring(Ratio(2, 3), Generators(NM(2, 3)))
+        assert "degenerate" in is_semiring(Ratio(1, 2), NM(2, 3))
+        assert "degenerate" in is_semiring(Ratio(3), NM(2, 3))
+        assert "degenerate" not in is_semiring(Ratio(2, 3), NM(2, 3))
 
     def test_product_closure_on_members(self):
-        M, _ = exponent_monoid(Ratio(2, 3), Generators(NM(2, 3)))
+        M, _ = exponent_monoid(Ratio(2, 3), NM(2, 3))
         atoms = [Ratio(2, 3) ** s_index(M, n) for n in range(4)]
         for u in atoms:
             for v in atoms:
@@ -177,7 +260,7 @@ class TestMultiplicativeDivisibility:
 
 class TestClassifyMult:
     def test_zero_base_rejected(self):
-        for N in (None, Generators(NM(2, 3))):
+        for N in (None, NM(2, 3)):
             with pytest.raises(DomainError, match="base r must be positive"):
                 classify_mult(Ratio(0), N)
 
@@ -205,7 +288,7 @@ class TestClassifyMult:
     def test_independent_of_exponent_set(self):
         for r in (Ratio(5, 2), Ratio(2, 9), Ratio(2, 15), Ratio(3)):
             a = classify_mult(r, None)
-            b = classify_mult(r, Generators(NM(2, 3)))
+            b = classify_mult(r, NM(2, 3))
             c = classify_mult(r, NATURALS)
             assert (a.accp, a.bfp, a.ffp) == (b.accp, b.bfp, b.ffp)
             assert (a.accp, a.bfp, a.ffp) == (c.accp, c.bfp, c.ffp)
