@@ -13,8 +13,7 @@ from .factorization import (Factorization, LengthSet, MaxLengthOutcome,
                             rewrite_down_step, unique_factorization_check)
 from .membership import MembershipResult, divides, is_member
 from .accp import (Classification, WitnessChain, check_necessary, classify,
-                   construct_counterexample, empirical_probe,
-                   series_partial_sums, witness_chain)
+                   construct_counterexample, series_partial_sums, witness_chain)
 from .semiring import (MultVerdict, NumericalMonoidSpec,
                        PrefixCofinite, apery_set, classify_mult, frobenius,
                        frobenius_bruteforce, is_semiring, mult_divides,

@@ -17,7 +17,6 @@ from typing import Dict, List, Tuple
 
 from .errors import ChainError, DomainError
 from .factorization import Factorization, evaluate
-from .membership import is_member, default_support_bound
 from .monoid import (AtomicityVerdict, DeltaSpec, ExpMonoid, Recurrence,
                      classify_atomicity, descending_run, s_index)
 from .ratio import Ratio, ZERO
@@ -118,8 +117,8 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
     for offset, coeff in enumerate(coeffs):
         y = Factorization.make(M, {start + offset + 1: coeff})
         value = evaluate(y)
-        assert value != ZERO
-        assert elements[offset] == elements[offset + 1] + value
+        if value == ZERO or elements[offset] != elements[offset + 1] + value:
+            raise ChainError(f"link {start + offset} of the chain does not verify")
         diffs.append(y)
     return WitnessChain(start, elements, tuple(diffs))
 
@@ -162,62 +161,3 @@ def construct_counterexample(a: int, b: int, k: int,
     spec = DeltaSpec(tuple(delta), rec.shifted(k))
     return spec, report
 
-
-def empirical_probe(M: ExpMonoid, x: Factorization, depth: int) -> Dict[str, object]:
-    """Longest strictly descending divisibility chain found from evaluate(x).
-
-    Depth-first search over subtractions of single atoms, with bounded
-    membership checks on each remainder. For ACCP monoids the chain must
-    stop short of any requested depth; deterministic given its inputs.
-    """
-    verdict = classify_atomicity(M)
-    if verdict.kind != "atomic":
-        raise DomainError("probe requires an atomic monoid")
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    start = evaluate(x)
-    if start == ZERO:
-        return {"chain_length": 0, "chain": [str(start)]}
-
-    limit = M.delta.max_exponent_index
-    top = x.top_index + depth + 2
-    if limit is not None:
-        top = min(top, limit)
-    # keep exponents desk-scale: fast-growing gap rules would otherwise
-    # produce atoms with astronomically long numerators
-    s_cap = s_index(M, x.top_index) + max(64, 4 * depth)
-    atoms = []
-    for m in range(top + 1):
-        if s_index(M, m) > s_cap:
-            top = m - 1
-            break
-        atoms.append(M.r ** s_index(M, m))
-    memo: Dict[Tuple[Ratio, int], List[Ratio]] = {}
-
-    def member(v: Ratio) -> bool:
-        bound = min(default_support_bound(v, M), top)
-        return is_member(v, M, bound).is_member
-
-    def longest(v: Ratio, budget: int) -> List[Ratio]:
-        if budget == 0:
-            return []
-        key = (v, budget)
-        if key in memo:
-            return memo[key]
-        best: List[Ratio] = []
-        for a in atoms:
-            if not a < v:
-                continue
-            w = v - a
-            if w == ZERO or not member(w):
-                continue
-            tail = longest(w, budget - 1)
-            if 1 + len(tail) > len(best):
-                best = [w] + tail
-            if len(best) == budget:
-                break
-        memo[key] = best
-        return best
-
-    chain = [start] + longest(start, depth)
-    return {"chain_length": len(chain) - 1, "chain": [str(v) for v in chain]}

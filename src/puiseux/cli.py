@@ -195,10 +195,16 @@ def main(argv=None) -> int:
         doc["status"] = "ok"
         code = 0
     except (PuiseuxError, OSError) as exc:
-        doc["status"] = "error"
-        doc["message"] = str(exc)
+        doc.update(status="error", message=str(exc))
         code = 2 if isinstance(exc, ParseError) else 3
-    print(json.dumps(doc, sort_keys=True))
+    try:
+        text = json.dumps(doc, sort_keys=True)
+    except ValueError:  # an integer of the result is past CPython's int -> str cap
+        del doc["result"]
+        doc.update(status="error", message="result too large to print: past the int -> str "
+                                           f"limit of {sys.get_int_max_str_digits()} digits")
+        text, code = json.dumps(doc, sort_keys=True), 3
+    print(text)
     return code
 
 

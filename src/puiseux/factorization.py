@@ -92,7 +92,8 @@ def rewrite_down_step(z: Factorization, i: int) -> Factorization:
     coeffs[i] -= d_pow
     coeffs[i - 1] = coeffs.get(i - 1, 0) + n_pow
     out = Factorization.make(M, coeffs)
-    assert evaluate(out) == evaluate(z)
+    if evaluate(out) != evaluate(z):
+        raise StepError(f"rewrite at level {i} changed the value")
     return out
 
 
@@ -119,7 +120,8 @@ def min_normal_form(z: Factorization) -> Factorization:
                 levels.append(i - 1)
             coeffs[i - 1] = coeffs.get(i - 1, 0) + q * M.r.num ** delta
     out = Factorization.make(M, coeffs)
-    assert evaluate(out) == value
+    if evaluate(out) != value:
+        raise StepError("the minimum normal form changed the value")
     return out
 
 
@@ -167,7 +169,8 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
         carry = q * d ** delta_i if q else 0
         i += 1
     w = Factorization.make(M, out)
-    assert evaluate(w) == value
+    if evaluate(w) != value:
+        raise StepError("the max-length sweep changed the value")
     return MaxLengthOutcome(w, i)
 
 

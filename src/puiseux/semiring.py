@@ -266,7 +266,10 @@ def classify_mult(r: Ratio, N: Optional[ExponentSetSpec] = None) -> MultVerdict:
 
     Delegation makes the restricted and full cyclic monoids agree, so N is
     accepted only for interface symmetry. The prime-power-denominator rule
-    certifies the ACCP alone; BFP/FFP stay unknown there.
+    certifies the ACCP alone; BFP/FFP stay unknown there. d(r) = q^k with k
+    maximal is a prime power exactly when q is prime, which the Miller-Rabin
+    test below decides for q < psi_13; past it, with no witness, the verdict
+    is unknown and names the bound.
     """
     n, d = r.num, r.den
     if n == 0:
@@ -283,22 +286,71 @@ def classify_mult(r: Ratio, N: Optional[ExponentSetSpec] = None) -> MultVerdict:
         return MultVerdict("yes", "yes", "yes",
                            {"rule": "ffm-above-one",
                             "instance": "every atom exceeds 1, so divisor sets are finite"})
-    p = _smallest_prime_factor(d)
-    k = max_power_dividing(p, d)
-    if p ** k == d:
+    q, k = _perfect_power(d)
+    prime = _is_prime(q)
+    if prime:
         return MultVerdict("yes", "unknown", "unknown",
                            {"rule": "prime-power-denominator",
-                            "instance": f"d(r)={d}={p}^{k}"})
+                            "instance": f"d(r)={d}={q}^{k}"})
+    if prime is None:
+        return MultVerdict("unknown", "unknown", "unknown",
+                           {"rule": "primality-bound",
+                            "instance": f"d(r)=q^{k}, q >= psi_13={_PSI_13}: no witness in bases "
+                                        "2..41, which proves q prime only below psi_13"})
     return MultVerdict("unknown", "unknown", "unknown",
                        {"rule": "no-closed-form",
                         "instance": f"r={r}<1 with composite-radical denominator"})
 
 
-def _smallest_prime_factor(m: int) -> int:
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return f
-        f += 1
-    return m
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by Newton steps down from one more than the
+    root of the top half of m's bits (shifted back), so a few steps suffice."""
+    c = -(-m.bit_length() // k)  # the root has at most c bits
+    if c <= 1:
+        return 1
+    s = c // 2
+    x = (_iroot(m >> (k * s), k) + 1) << s
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
+
+def _perfect_power(d: int) -> Tuple[int, int]:
+    """(q, k) with d = q^k and k maximal, for d >= 2. d is an e-th power exactly
+    when e divides k, so every prime e-th root is taken out, as often as it goes."""
+    q, k, e = d, 1, 2
+    while e <= q.bit_length():
+        root = _iroot(q, e)
+        if root ** e == q:
+            q, k = root, k * e
+        else:
+            e = next(f for f in range(e + 1, 2 * e + 1) if _is_prime(f))  # Bertrand
+    return q, k
+
+
+# Miller-Rabin on these 13 bases decides primality below psi_13 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> Optional[bool]:
+    """Is n >= 2 prime: None when n >= psi_13 and no base is a witness."""
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = t * 2^s with t odd
+    t = (n - 1) >> s
+    for b in _BASES:
+        x = pow(b, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True if n < _PSI_13 else None

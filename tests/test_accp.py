@@ -1,11 +1,15 @@
+from typing import Dict, List, Tuple
+
 import pytest
 
 from puiseux.accp import (check_necessary, classify, construct_counterexample,
-                          empirical_probe, series_partial_sums, witness_chain)
+                          series_partial_sums, witness_chain)
 from puiseux.errors import ChainError, DomainError
 from puiseux.factorization import Factorization, evaluate
-from puiseux.monoid import DeltaSpec, ExpMonoid, Recurrence, parse_monoid, truncate
-from puiseux.ratio import Ratio
+from puiseux.membership import default_support_bound, is_member
+from puiseux.monoid import (DeltaSpec, ExpMonoid, Recurrence, classify_atomicity,
+                            parse_monoid, s_index, truncate)
+from puiseux.ratio import ZERO, Ratio
 
 
 def M(text):
@@ -107,6 +111,13 @@ class TestWitnessChain:
         # with d^delta - n^delta = 1 every difference is a single atom
         assert all(y.length == 1 for y in chain.diffs)
 
+    def test_link_check_raises_without_assert(self, monkeypatch):
+        # a wrong evaluate must trip the explicit link check, which unlike an
+        # assert also runs under python -O
+        monkeypatch.setattr("puiseux.accp.evaluate", lambda y: Ratio(0))
+        with pytest.raises(ChainError, match="does not verify"):
+            witness_chain(M("r=2/3; delta=const(1)"), 3)
+
     def test_wider_gap_coefficient(self):
         chain = witness_chain(M("r=2/5; delta=const(1)"), 2)
         assert all(dict(y.coeffs)[i] == 3 for y in chain.diffs
@@ -164,6 +175,66 @@ class TestCounterexample:
         monoid = ExpMonoid(Ratio(2, 3), spec)
         assert check_necessary(monoid)["bound_holds"] is True
         assert classify(monoid).accp == "no"
+
+
+def empirical_probe(M: ExpMonoid, x: Factorization, depth: int) -> Dict[str, object]:
+    """Longest strictly descending divisibility chain found from evaluate(x).
+
+    Depth-first search over subtractions of single atoms, with bounded
+    membership checks on each remainder. For ACCP monoids the chain must
+    stop short of any requested depth; deterministic given its inputs.
+    """
+    verdict = classify_atomicity(M)
+    if verdict.kind != "atomic":
+        raise DomainError("probe requires an atomic monoid")
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
+    start = evaluate(x)
+    if start == ZERO:
+        return {"chain_length": 0, "chain": [str(start)]}
+
+    limit = M.delta.max_exponent_index
+    top = x.top_index + depth + 2
+    if limit is not None:
+        top = min(top, limit)
+    # keep exponents desk-scale: fast-growing gap rules would otherwise
+    # produce atoms with astronomically long numerators
+    s_cap = s_index(M, x.top_index) + max(64, 4 * depth)
+    atoms = []
+    for m in range(top + 1):
+        if s_index(M, m) > s_cap:
+            top = m - 1
+            break
+        atoms.append(M.r ** s_index(M, m))
+    memo: Dict[Tuple[Ratio, int], List[Ratio]] = {}
+
+    def member(v: Ratio) -> bool:
+        bound = min(default_support_bound(v, M), top)
+        return is_member(v, M, bound).is_member
+
+    def longest(v: Ratio, budget: int) -> List[Ratio]:
+        if budget == 0:
+            return []
+        key = (v, budget)
+        if key in memo:
+            return memo[key]
+        best: List[Ratio] = []
+        for a in atoms:
+            if not a < v:
+                continue
+            w = v - a
+            if w == ZERO or not member(w):
+                continue
+            tail = longest(w, budget - 1)
+            if 1 + len(tail) > len(best):
+                best = [w] + tail
+            if len(best) == budget:
+                break
+        memo[key] = best
+        return best
+
+    chain = [start] + longest(start, depth)
+    return {"chain_length": len(chain) - 1, "chain": [str(v) for v in chain]}
 
 
 class TestEmpiricalProbe:

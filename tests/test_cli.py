@@ -225,6 +225,17 @@ def test_value_past_the_int_str_limit_exit_3(capsys):
     assert f"limit of {sys.get_int_max_str_digits()} digits" in doc["message"]
 
 
+def test_result_past_the_int_str_limit_exit_3(capsys):
+    # the sweep carries 9...9 (4200 digits) up to coefficients of 16 384 to
+    # 52 288 bits, which json.dumps cannot print as decimal digits
+    code, doc = run(capsys, "max-length", "--monoid", "r=2/3; delta=geom(1,2)",
+                    "--z", f"[[0,{'9' * 4200}]]")
+    assert code == 3
+    assert doc["status"] == "error"
+    assert "result" not in doc
+    assert f"limit of {sys.get_int_max_str_digits()} digits" in doc["message"]
+
+
 JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
                     | st.text(max_size=4),
                     lambda inner: st.lists(inner, max_size=4)

@@ -288,3 +288,15 @@ def test_normal_form_skips_empty_levels(monkeypatch):
                         lambda self, k: calls.append(k) or original(self, k))
     assert min_normal_form(F(CONST, {5000: 1})) == F(CONST, {5000: 1})
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("step", [lambda z: rewrite_down_step(z, 1),
+                                  min_normal_form, max_length_sweep],
+                         ids=["rewrite_down_step", "min_normal_form", "max_length_sweep"])
+def test_value_check_raises_without_assert(monkeypatch, step):
+    # a wrong evaluate, one more on every call, must trip the explicit value
+    # check, which unlike an assert also runs under python -O
+    calls = iter(range(1, 100))
+    monkeypatch.setattr("puiseux.factorization.evaluate", lambda z: Ratio(next(calls)))
+    with pytest.raises(StepError, match="changed the value"):
+        step(F(GEOM, {1: 3}))

@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from puiseux.errors import DomainError, ParseError
@@ -9,10 +10,11 @@ from puiseux.membership import is_member
 from puiseux.monoid import Constant, s_index
 from puiseux.ratio import Ratio
 from puiseux.semiring import (NATURALS, NumericalMonoidSpec, PrefixCofinite,
-                              _reachable, apery_set, classify_mult,
-                              exponent_monoid, frobenius, frobenius_bruteforce,
-                              is_semiring, mult_divides, mult_divisor_bound,
-                              nm_membership, parse_exponent_set)
+                              _iroot, _perfect_power, _reachable, apery_set,
+                              classify_mult, exponent_monoid, frobenius,
+                              frobenius_bruteforce, is_semiring, mult_divides,
+                              mult_divisor_bound, nm_membership,
+                              parse_exponent_set)
 
 
 def NM(*gens):
@@ -292,3 +294,95 @@ class TestClassifyMult:
             c = classify_mult(r, NATURALS)
             assert (a.accp, a.bfp, a.ffp) == (b.accp, b.bfp, b.ffp)
             assert (a.accp, a.bfp, a.ffp) == (c.accp, c.bfp, c.ffp)
+
+
+PSI_12 = 318665857834031151167461     # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981    # 1287836182261 * 2575672364521
+BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+
+def ratio_below_one(d):
+    """n/d in lowest terms with 1 < n < d, for d >= 3."""
+    return Ratio(next(n for n in range(2, d) if gcd(n, d) == 1), d)
+
+
+def sympy_mult_evidence(r):
+    """(rule, instance) that the trial-free classifier must give, from sympy."""
+    f = sympy.factorint(r.den)
+    if len(f) == 1:
+        (p, e), = f.items()
+        return "prime-power-denominator", f"d(r)={r.den}={p}^{e}"
+    return "no-closed-form", f"r={r}<1 with composite-radical denominator"
+
+
+class TestMultPrimality:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 10 ** 12))
+    def test_agrees_with_factorint(self, d):
+        r = ratio_below_one(d)
+        v = classify_mult(r)
+        assert (v.evidence["rule"], v.evidence["instance"]) == sympy_mult_evidence(r)
+        assert v.accp == ("yes" if v.evidence["rule"] == "prime-power-denominator"
+                          else "unknown")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10 ** 6).map(lambda x: sympy.prevprime(x + 1)),
+           st.integers(1, 6))
+    def test_prime_powers_agree_with_factorint(self, p, k):
+        assume(p ** k >= 3)
+        r = ratio_below_one(p ** k)
+        v = classify_mult(r)
+        assert (v.evidence["rule"], v.evidence["instance"]) == sympy_mult_evidence(r)
+        assert v.evidence["instance"].endswith(f"={p}^{k}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2 ** 300), st.integers(1, 40))
+    def test_integer_root(self, m, k):
+        x = _iroot(m, k)
+        assert x ** k <= m < (x + 1) ** k
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 10 ** 4), st.integers(1, 12))
+    def test_perfect_power_is_maximal(self, b, k):
+        want = sympy.perfect_power(b ** k) or (b ** k, 1)
+        assert _perfect_power(b ** k) == tuple(want)
+
+    def test_psi_12_is_caught_by_base_41_only(self):
+        assert sympy.ntheory.primetest.mr(PSI_12, BASES[:-1])
+        assert not sympy.ntheory.primetest.mr(PSI_12, BASES[-1:])
+        v = classify_mult(Ratio(2, PSI_12))
+        assert (v.accp, v.evidence["rule"]) == ("unknown", "no-closed-form")
+
+    def test_psi_13_is_unknown_and_names_the_bound(self):
+        assert sympy.ntheory.primetest.mr(PSI_13, BASES)
+        for d in (PSI_13, PSI_13 ** 3, sympy.nextprime(PSI_13)):
+            v = classify_mult(ratio_below_one(d))
+            assert (v.accp, v.bfp, v.ffp) == ("unknown", "unknown", "unknown")
+            assert v.evidence["rule"] == "primality-bound"
+            assert f"psi_13={PSI_13}" in v.evidence["instance"]
+        assert classify_mult(Ratio(2, PSI_13 ** 3)).evidence["instance"].startswith("d(r)=q^3,")
+
+    def test_a_witness_above_psi_13_proves_composite(self):
+        d = sympy.nextprime(PSI_13) * sympy.nextprime(10 ** 30)
+        assert classify_mult(Ratio(2, d)).evidence["rule"] == "no-closed-form"
+
+    def test_large_prime_powers(self):
+        p = 10 ** 19 + 51
+        v = classify_mult(Ratio(2, p))
+        assert (v.accp, v.evidence["rule"]) == ("yes", "prime-power-denominator")
+        assert v.evidence["instance"] == f"d(r)={p}={p}^1"
+        v = classify_mult(Ratio(2, 3 ** 200))
+        assert v.evidence["rule"] == "prime-power-denominator"
+        assert v.evidence["instance"].endswith("=3^200")
+
+    @pytest.mark.parametrize("d,rule,tail", [
+        (7 ** 4733, "prime-power-denominator", "=7^4733"),
+        ((10 ** 19 + 51) ** 210, "prime-power-denominator", f"={10 ** 19 + 51}^210"),
+        (10 ** 3999, "no-closed-form", "composite-radical denominator"),
+        (PSI_13 ** 163, "primality-bound", "only below psi_13"),
+    ], ids=["7^4733", "p20^210", "10^3999", "psi13^163"])
+    def test_four_thousand_digits(self, d, rule, tail):
+        assert 3990 <= len(str(d)) <= 4010
+        v = classify_mult(ratio_below_one(d))
+        assert v.evidence["rule"] == rule
+        assert v.evidence["instance"].endswith(tail)
