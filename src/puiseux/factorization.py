@@ -8,7 +8,7 @@ factorization, bounded exact enumeration, and length sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
 from .monoid import ExpMonoid, s_index
@@ -125,22 +125,16 @@ def min_normal_form(z: Factorization) -> Factorization:
     return out
 
 
-def _sweep_guaranteed(M: ExpMonoid) -> bool:
-    # carries strictly shrink when d^{delta_i} < n^{delta_{i+1}} holds on the tail
-    t = M.delta.tail
-    return t is not None and t.gap_growth(M.r.num, M.r.den)
-
-
 def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcome:
     """Deterministic low-to-high carry sweep toward the max-length form.
 
     At level i the running total t_i is split as q*n^{delta_i} + rem; rem
     stays, q*d^{delta_i} carries to level i+1. Termination (carry hits zero)
     yields the unique maximum-length factorization; otherwise the bound is
-    reported honestly. When the tail satisfies the eventual growth condition
-    d^{delta_i} < n^{delta_{i+1}} the carry strictly decreases, so the sweep
-    runs to its guaranteed end and the bound is ignored. On a finite window
-    the top level keeps all it receives, so the sweep always terminates.
+    reported, at once when a shortfall tail makes the carry endless. On a
+    gap-growth tail (d^{delta_i} < n^{delta_{i+1}}) the carry strictly
+    decreases, so the sweep runs to its end and the bound is ignored. On a
+    finite window the top level keeps all it receives, so it terminates too.
     """
     M = z.monoid
     _require_contracting(M, "the max-length sweep")
@@ -149,8 +143,11 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     value = evaluate(z)
     coeffs = z.as_dict()
     n, d = M.r.num, M.r.den
-    window = M.delta.max_exponent_index
-    unbounded = window is not None or _sweep_guaranteed(M)
+    window, tail = M.delta.max_exponent_index, M.delta.tail
+    unbounded = tail is None or tail.gap_growth(n, d)
+    # on a shortfall tail d^{delta_i} >= n^{delta_{i+1}}, and coefficients only
+    # add, so once past the prefix each level's q is at least the last one's
+    endless = not unbounded and tail.shortfall(n, d)
     out: Dict[int, int] = {}
     carry = 0
     i = 0
@@ -164,6 +161,8 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
         else:
             delta_i = M.delta.delta(i)
             q, rem = divmod(total, n ** delta_i)
+            if q and endless and i >= len(M.delta.prefix):
+                return MaxLengthOutcome(None, level_bound)
         if rem:
             out[i] = rem
         carry = q * d ** delta_i if q else 0
@@ -174,15 +173,14 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     return MaxLengthOutcome(w, i)
 
 
-def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int,
-                  limit: Optional[int] = None) -> List[Factorization]:
-    """All factorizations of x with support contained in [0, max_index].
+def _search(x: Ratio, M: ExpMonoid, max_index: int,
+            limit: Optional[int] = None) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """Each factorization of x with support in [0, max_index] as the sorted
+    tuple of its (index, coeff >= 1) pairs; a limit stops after that many.
 
     Exact Diophantine search over the common denominator d^{s_B} with
-    per-level caps and residue pruning; the result is canonically sorted.
-    For r > 1 choosing max_index at the first n with r^{s_n} > x makes the
-    list the complete factorization set of x. A limit stops the search
-    after that many factorizations (witness searches pass 1).
+    per-level caps and residue pruning. Levels enter `coeffs` in index order
+    and leave it deepest first, so each tuple is sorted as built.
     """
     if max_index < 0:
         raise DomainError("max_index must be >= 0")
@@ -191,12 +189,13 @@ def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int,
     window = M.delta.max_exponent_index
     B = max_index if window is None else min(max_index, window)
     if x == ZERO:
-        return [Factorization.make(M, {})]
+        yield ()
+        return
     n, d = M.r.num, M.r.den
     s = [s_index(M, i) for i in range(B + 1)]
     D = d ** s[B]
     if D % x.den != 0:
-        return []
+        return
     target = x.num * (D // x.den)
     # per level i: n^{s_i}, the weight of one atom in units of 1/D, the step
     # n^{delta_i} between coefficients that can complete, 1/d^{s_B-s_i} mod it
@@ -210,7 +209,7 @@ def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int,
         start = rem // n_pow[i] * inv[i] % mod[i]
         return range(start, rem // w[i] + 1, mod[i])
 
-    results: List[Dict[int, int]] = []
+    found = 0
     coeffs: Dict[int, int] = {}
     # depth first: stack entry i < B holds what levels i..B must make up and
     # the coefficients left to try at level i; level B takes a whole remainder
@@ -233,12 +232,18 @@ def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int,
             continue
         q, leftover = divmod(rest, w[B])
         if leftover == 0:
-            results.append({**coeffs, B: q} if q else dict(coeffs))
-            if limit is not None and len(results) >= limit:
-                break
-    out = [Factorization.make(M, cc) for cc in results]
-    out.sort(key=lambda z: z.coeffs)
-    return out
+            yield (*coeffs.items(), (B, q)) if q else tuple(coeffs.items())
+            found += 1
+            if found == limit:
+                return
+
+
+def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int,
+                  limit: Optional[int] = None) -> List[Factorization]:
+    """All factorizations of x with support in [0, max_index], or the first
+    limit found, canonically sorted. For r > 1 a max_index at the first n
+    with r^{s_n} > x makes the list the complete factorization set of x."""
+    return [Factorization(M, p) for p in sorted(_search(x, M, max_index, limit))]
 
 
 def unique_factorization_check(z: Factorization) -> bool:
@@ -267,10 +272,10 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
     end of a finite window, or the next atom r^{s_{max_index+1}} already
     exceeds x.
     """
-    zs = enumerate_all(x, M, max_index)
-    if not zs and witness is None:
+    found = list(_search(x, M, max_index))
+    if not found and witness is None:
         raise DomainError("membership unresolved: no factorization within bound")
-    lengths = tuple(sorted({z.length for z in zs}))
+    lengths = tuple(sorted({sum(c for _, c in p) for p in found}))
     if not lengths:
         return LengthSet(lengths, False, False)
     if M.r >= Ratio(1):
@@ -278,6 +283,6 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
         complete = (M.r == Ratio(1) or (window is not None and max_index >= window)
                     or M.r ** s_index(M, max_index + 1) > x)
         return LengthSet(lengths, complete, complete)
-    w = witness if witness is not None else zs[0]
+    w = witness if witness is not None else Factorization(M, min(found))
     sweep = max_length_sweep(w)
     return LengthSet(lengths, True, sweep.terminated and sweep.found.length == lengths[-1])

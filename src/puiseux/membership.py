@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .factorization import Factorization, enumerate_all, min_normal_form
+from .factorization import Factorization, _search, enumerate_all, min_normal_form
 from .monoid import ExpMonoid, s_index
 from .ratio import Ratio, ZERO
 
@@ -72,10 +72,9 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
             bound = 0
             while M.r ** s_index(M, bound) <= q:
                 bound += 1
-        zs = enumerate_all(q, M, bound)
-        if zs:
-            witness = min(zs, key=lambda z: z.length)
-            return MembershipResult("member", witness)
+        best = min(((sum(c for _, c in p), p) for p in _search(q, M, bound)), default=None)
+        if best is not None:
+            return MembershipResult("member", Factorization(M, best[1]))
         return MembershipResult(
             "not-member", reason=f"exhausted complete search up to support {bound}")
 

@@ -75,6 +75,10 @@ class Tail:
         """True when d^{delta_k} < n^{delta_{k+1}} is certain at every tail position."""
         return False
 
+    def shortfall(self, n: int, d: int) -> bool:
+        """True when d^{delta_k} >= n^{delta_{k+1}} is certain at every tail position."""
+        return False
+
     def necessary_bound(self, n: int, d: int) -> Tuple[object, str]:
         """(holds, rhs) of d <= n * limsup n^{delta_k/s_k} for this family."""
         # delta_n/s_n -> 0, limsup factor is 1
@@ -98,6 +102,9 @@ class Constant(Tail):
 
     def shifted(self, j: int) -> "Constant":
         return self
+
+    def shortfall(self, n: int, d: int) -> bool:
+        return d >= n
 
     def accp_rule(self, M):
         return "no", "bounded-delta", f"delta_n={self.value} eventually"
@@ -234,6 +241,9 @@ class Geometric(Tail):
         # delta_{k+1} = ratio * delta_k: the single comparison d < n^ratio
         return d < n ** self.ratio
 
+    def shortfall(self, n: int, d: int) -> bool:
+        return d >= n ** self.ratio
+
     def accp_rule(self, M):
         n, d, c = M.r.num, M.r.den, self.ratio
         # coprimality of n and d makes d = n^c impossible: always decisive
@@ -268,6 +278,9 @@ class Periodic(Tail):
     def shifted(self, j: int) -> "Periodic":
         j %= len(self.pattern)
         return Periodic(self.pattern[j:] + self.pattern[:j])
+
+    def shortfall(self, n: int, d: int) -> bool:
+        return all(d ** a >= n ** b for a, b in zip(self.pattern, self.shifted(1).pattern))
 
     def accp_rule(self, M):
         return "no", "bounded-delta", f"delta_n <= {max(self.pattern)} eventually"
@@ -331,11 +344,14 @@ class Recurrence(Tail):
     def shifted(self, j: int) -> "Recurrence":
         return Recurrence(self.a, self.b, self.delta(j))
 
+    def shortfall(self, n: int, d: int) -> bool:
+        return self.a * d == self.b * n  # see accp_rule
+
     def accp_rule(self, M):
         # b^delta_k > a^delta_{k+1} holds at every step. When a/b = r, that is
         # a = g*n and b = g*d, then log_a b <= log_n d, so d^delta_k >
         # n^delta_{k+1} holds too; for any other (a, b) no rule is known
-        if self.a * M.r.den != self.b * M.r.num:
+        if not self.shortfall(M.r.num, M.r.den):
             return "unknown", "no-closed-form", ""
         return "no", "gap-shortfall", _shortfall_instance(M, len(M.delta.prefix))
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DomainError, ParseError
 from .membership import MembershipResult, is_member
-from .monoid import Constant, DeltaSpec, ExpMonoid
+from .monoid import Constant, DeltaSpec, ExpMonoid, _power
 from .ratio import Ratio, max_power_dividing
 
 
@@ -291,7 +291,7 @@ def classify_mult(r: Ratio, N: Optional[ExponentSetSpec] = None) -> MultVerdict:
     if prime:
         return MultVerdict("yes", "unknown", "unknown",
                            {"rule": "prime-power-denominator",
-                            "instance": f"d(r)={d}={q}^{k}"})
+                            "instance": f"d(r)={_power(q, k)}={q}^{k}"})
     if prime is None:
         return MultVerdict("unknown", "unknown", "unknown",
                            {"rule": "primality-bound",
@@ -299,7 +299,7 @@ def classify_mult(r: Ratio, N: Optional[ExponentSetSpec] = None) -> MultVerdict:
                                         "2..41, which proves q prime only below psi_13"})
     return MultVerdict("unknown", "unknown", "unknown",
                        {"rule": "no-closed-form",
-                        "instance": f"r={r}<1 with composite-radical denominator"})
+                        "instance": f"r={n}/{_power(q, k)}<1 with composite-radical denominator"})
 
 
 def _iroot(m: int, k: int) -> int:

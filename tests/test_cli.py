@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -256,3 +259,30 @@ def test_factorization_parses_or_raises(text):
     except (ParseError, DomainError):
         return
     assert isinstance(z, Factorization)
+
+
+def _cap_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv, result", [
+    (("max-length", "--monoid", "r=2/5; delta=geom(1,2)", "--z", "[[0,100]]"),
+     {"levels_explored": 64, "status": "no-termination-within-bound"}),
+    (("max-length", "--monoid", "r=2/3; delta=recurrence(2,3,2)", "--z", "[[0,100]]"),
+     {"levels_explored": 64, "status": "no-termination-within-bound"}),
+    (("lengths", "--monoid", "r=2/3; delta=recurrence(2,3,2)", "--x", "100",
+      "--max-index", "2"), {"min_exact": True, "max_exact": False}),
+], ids=["geom-2/5", "recurrence-max-length", "recurrence-lengths"])
+def test_endless_carries_answer_at_once(argv, result):
+    # carries that can never die: the sweep used to form powers of gigabits
+    # before it reached level 64
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "puiseux.cli", *argv], capture_output=True,
+                          text=True, timeout=10, env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_cap_memory)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "ok"
+    assert result.items() <= doc["result"].items()

@@ -1,8 +1,10 @@
-"""The library's standing constraints: exact arithmetic only, stdlib only.
+"""The library's standing constraints: exact arithmetic only, stdlib only,
+and checks that hold under ``python -O``.
 
 Every module under ``src/puiseux`` is parsed, not imported, and its syntax
-tree is searched for a float literal, the name ``float``, and any import of
-a module that is neither in the standard library nor the package itself.
+tree is searched for a float literal, the name ``float``, any import of a
+module that is neither in the standard library nor the package itself, and
+any ``assert`` statement, which ``python -O`` strips.
 """
 
 import ast
@@ -40,3 +42,10 @@ def test_no_floating_point_and_no_third_party_import(path):
             if root not in sys.stdlib_module_names and root != "puiseux":
                 problems.append(f"line {line}: import of {root}")
     assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_assert_statement(path):
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statement at line(s) {lines}; raise instead"

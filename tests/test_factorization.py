@@ -1,15 +1,18 @@
+from unittest.mock import patch
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from puiseux.errors import DomainError, StepError
-from puiseux.factorization import (Factorization, LengthSet, enumerate_all, evaluate,
-                                   length_set, max_length_sweep,
+from puiseux.factorization import (Factorization, LengthSet, MaxLengthOutcome, enumerate_all,
+                                   evaluate, length_set, max_length_sweep,
                                    min_normal_form, rewrite_down_step,
                                    unique_factorization_check)
-from puiseux.membership import is_member
-from puiseux.monoid import DeltaSpec, parse_monoid
+from puiseux.membership import (MembershipResult, _foreign_prime, default_support_bound,
+                                is_member)
+from puiseux.monoid import DeltaSpec, parse_monoid, s_index
 from puiseux.oracle import oracle_enumerate, oracle_lengths
-from puiseux.ratio import Ratio
+from puiseux.ratio import ZERO, Ratio
 
 CONST = parse_monoid("r=2/3; delta=const(1)")
 GEOM = parse_monoid("r=2/3; delta=geom(1,2)")
@@ -300,3 +303,206 @@ def test_value_check_raises_without_assert(monkeypatch, step):
     monkeypatch.setattr("puiseux.factorization.evaluate", lambda z: Ratio(next(calls)))
     with pytest.raises(StepError, match="changed the value"):
         step(F(GEOM, {1: 3}))
+
+
+# ---------------------------------------------------------------------------
+# One search behind enumerate_all, length_set and complete membership,
+# against the materialising versions it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_enumerate_all(x, M, max_index, limit=None):
+    """Reference: a dict per result, each made into a Factorization, then sorted."""
+    if max_index < 0:
+        raise DomainError("max_index must be >= 0")
+    if limit is not None and limit < 1:
+        raise DomainError("limit must be >= 1")
+    window = M.delta.max_exponent_index
+    B = max_index if window is None else min(max_index, window)
+    if x == ZERO:
+        return [F(M, {})]
+    n, d = M.r.num, M.r.den
+    s = [s_index(M, i) for i in range(B + 1)]
+    D = d ** s[B]
+    if D % x.den != 0:
+        return []
+    target = x.num * (D // x.den)
+    n_pow = [n ** e for e in s]
+    w = [n_pow[i] * d ** (s[B] - s[i]) for i in range(B + 1)]
+    mod = [n_pow[i + 1] // n_pow[i] for i in range(B)]
+    inv = [pow(pow(d, s[B] - s[i], mod[i]), -1, mod[i]) for i in range(B)]
+
+    def choices(i, rem):
+        start = rem // n_pow[i] * inv[i] % mod[i]
+        return range(start, rem // w[i] + 1, mod[i])
+
+    results, coeffs = [], {}
+    stack = [(target, iter(choices(0, target) if B else (0,)))]
+    while stack:
+        i = len(stack) - 1
+        rem, todo = stack[-1]
+        c = next(todo, None)
+        if c is None:
+            stack.pop()
+            coeffs.pop(i, None)
+            continue
+        if c:
+            coeffs[i] = c
+        else:
+            coeffs.pop(i, None)
+        rest = rem - c * w[i]
+        if i + 1 < B:
+            stack.append((rest, iter(choices(i + 1, rest))))
+            continue
+        q, leftover = divmod(rest, w[B])
+        if leftover == 0:
+            results.append({**coeffs, B: q} if q else dict(coeffs))
+            if limit is not None and len(results) >= limit:
+                break
+    out = [F(M, cc) for cc in results]
+    out.sort(key=lambda z: z.coeffs)
+    return out
+
+
+def _ref_length_set(x, M, max_index, witness=None):
+    """Reference: lengths and the fallback witness read off the made list."""
+    zs = _ref_enumerate_all(x, M, max_index)
+    if not zs and witness is None:
+        raise DomainError("membership unresolved: no factorization within bound")
+    lengths = tuple(sorted({z.length for z in zs}))
+    if not lengths:
+        return LengthSet(lengths, False, False)
+    if M.r >= Ratio(1):
+        window = M.delta.max_exponent_index
+        complete = (M.r == Ratio(1) or (window is not None and max_index >= window)
+                    or M.r ** s_index(M, max_index + 1) > x)
+        return LengthSet(lengths, complete, complete)
+    sweep = max_length_sweep(witness if witness is not None else zs[0])
+    return LengthSet(lengths, True, sweep.terminated and sweep.found.length == lengths[-1])
+
+
+def _ref_is_member(q, M, support_bound=None):
+    """Reference: the complete branch takes min(zs, key=length) over the made list."""
+    if q == ZERO:
+        return MembershipResult("member", F(M, {}))
+    if _foreign_prime(q.den, M.r.den):
+        return MembershipResult(
+            "not-member", reason=f"a prime of d(x)={q.den} does not divide d(r)={M.r.den}")
+    finite = M.delta.is_finite
+    if M.r >= Ratio(1) or finite:
+        if finite:
+            bound = M.delta.max_exponent_index
+        elif M.r == Ratio(1):
+            bound = 0
+        else:
+            bound = 0
+            while M.r ** s_index(M, bound) <= q:
+                bound += 1
+        zs = _ref_enumerate_all(q, M, bound)
+        if zs:
+            return MembershipResult("member", min(zs, key=lambda z: z.length))
+        return MembershipResult(
+            "not-member", reason=f"exhausted complete search up to support {bound}")
+    bound = support_bound if support_bound is not None else default_support_bound(q, M)
+    zs = _ref_enumerate_all(q, M, bound, limit=1)
+    if zs:
+        return MembershipResult("member", min_normal_form(zs[0]))
+    return MembershipResult("unresolved", bound=bound)
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+# the seven families of the factor-mix benchmark workload
+FACTOR_MIX = [parse_monoid(text) for text in (
+    "r=2/3; delta=const(1)", "r=2/3; delta=geom(1,2)", "r=2/3; delta=poly(1,1)",
+    "r=3/4; delta=periodic(1,2)", "r=3/4; delta=prefix(2,1);const(1)",
+    "r=3/2; delta=const(1)", "r=2/3; delta=prefix(1,1,2);finite")]
+FINITE = FACTOR_MIX[-1]
+
+
+@st.composite
+def search_queries(draw):
+    """(x, M, B): x a few atoms at indices up to B + 1, plus an optional
+    offset that may leave the monoid or bring in a foreign prime."""
+    M = draw(st.sampled_from(FACTOR_MIX))
+    B = draw(st.integers(0, 5))
+    window = M.delta.max_exponent_index
+    top = B + 1 if window is None else min(B + 1, window)
+    support = draw(st.dictionaries(st.integers(0, top), st.integers(1, 3), max_size=3))
+    offset = draw(st.sampled_from([ZERO, ZERO, Ratio(1, M.r.den), Ratio(1, 5)]))
+    return evaluate(F(M, support)) + offset, M, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_queries(), st.sampled_from([None, 1, 2]))
+def test_one_search_matches_the_materialising_versions(query, limit):
+    x, M, B = query
+    zs = enumerate_all(x, M, B, limit)
+    assert zs == _ref_enumerate_all(x, M, B, limit)
+    for z in zs:
+        assert z == Factorization.make(M, z.coeffs)
+    res = is_member(x, M)
+    assert res == _ref_is_member(x, M)
+    assert is_member(x, M, B) == _ref_is_member(x, M, B)
+    if res.witness is not None:
+        assert res.witness == Factorization.make(M, res.witness.coeffs)
+    for witness in (None, res.witness):
+        assert (_outcome(length_set, x, M, B, witness)
+                == _outcome(_ref_length_set, x, M, B, witness))
+
+
+def test_the_search_makes_no_factorization_per_result(monkeypatch):
+    tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix
+    x, least = evaluate(tail_query), min_normal_form(tail_query).length
+    calls = []
+    make = Factorization.make.__func__
+    monkeypatch.setattr(Factorization, "make", classmethod(
+        lambda cls, M, coeffs: calls.append(coeffs) or make(cls, M, coeffs)))
+    assert x == Ratio(2056, 243)
+    assert len(enumerate_all(x, CONST, 5)) == 1712
+    assert length_set(x, CONST, 5).lengths[0] == least
+    assert is_member(Ratio(12), FINITE).is_member
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The shortfall certificate ends a carry sweep that cannot terminate
+# ---------------------------------------------------------------------------
+
+# prefix(1,5) has d < n^5 at its first position for every r = n/d in range
+SHORTFALL_TAILS = ["const(1)", "const(3)", "periodic(1,2)", "periodic(2,1,3)",
+                   "prefix(3,1);const(2)", "prefix(1,5);const(1)", "geom(1,2)", "poly(1,1)",
+                   "recurrence(2,3,2)"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d))),
+       st.sampled_from(SHORTFALL_TAILS),
+       st.dictionaries(st.integers(0, 6), st.integers(1, 10 ** 3), max_size=3),
+       st.integers(1, 14))  # geom(1,2) puts a 2^14-bit exponent at level 14
+def test_shortfall_exit_matches_the_full_sweep(r, tail, support, level_bound):
+    M = parse_monoid(f"r={r[0]}/{r[1]}; delta={tail}")
+    assume(M.r.den > 1)
+    z = F(M, support)
+    fast = max_length_sweep(z, level_bound)
+    with patch.object(type(M.delta.tail), "shortfall", lambda self, n, d: False):
+        assert max_length_sweep(z, level_bound) == fast
+
+
+def test_shortfall_answers_without_sweeping(monkeypatch):
+    # r=2/5 with geom(1,2): 5 >= 2^2, so every carry survives; a sweep to
+    # level 64 would form 5^(2^63), so the gaps past level 1 are cut off
+    M = parse_monoid("r=2/5; delta=geom(1,2)")
+    original = DeltaSpec.delta
+
+    def delta(self, k):
+        if k > 1:
+            raise RuntimeError(f"the sweep reached gap {k}")
+        return original(self, k)
+
+    monkeypatch.setattr(DeltaSpec, "delta", delta)
+    assert max_length_sweep(F(M, {0: 100})) == MaxLengthOutcome(None, 64)

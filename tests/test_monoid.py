@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -433,3 +435,39 @@ def test_descending_run_restarts_after_a_miss():
     assert descending_run(m, 1, 10) == (0, [7])
     assert descending_run(m, 2, 10) == (2, [7, 1])
     assert descending_run(m, 2, 3) is None  # the run must end below scan
+
+
+def _at_least(d, a, n, b):
+    """d^a >= n^b, compared with the gcd of the exponents divided out."""
+    g = gcd(a, b)
+    return d ** (a // g) >= n ** (b // g)
+
+
+@st.composite
+def tails_and_bases(draw):
+    tail = draw(st.one_of(
+        st.builds(Constant, st.integers(1, 4)),
+        st.builds(Geometric, st.integers(1, 2), st.integers(2, 3)),
+        st.builds(Periodic, st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)),
+        st.builds(Polynomial, st.tuples(st.integers(1, 3), st.integers(0, 2))),
+        st.integers(2, 5).flatmap(lambda a: st.builds(
+            Recurrence, st.just(a), st.integers(a + 1, 2 * a), st.integers(1, 3)))))
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    if isinstance(tail, Recurrence) and draw(st.booleans()):
+        g = gcd(tail.a, tail.b)  # r = a/b in lowest terms
+        n, d = tail.a // g, tail.b // g
+    return tail, n, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(tails_and_bases())
+def test_shortfall_is_a_certificate(case):
+    tail, n, d = case
+    shortfall = tail.shortfall(n, d)
+    assert not (shortfall and tail.gap_growth(n, d))
+    direct = all(_at_least(d, tail.delta(k), n, tail.delta(k + 1)) for k in range(12))
+    if isinstance(tail, (Constant, Geometric, Periodic)):
+        # every tail position repeats one of the first 12 comparisons
+        assert shortfall == direct
+    else:
+        assert direct or not shortfall

@@ -375,6 +375,15 @@ class TestMultPrimality:
         assert v.evidence["rule"] == "prime-power-denominator"
         assert v.evidence["instance"].endswith("=3^200")
 
+    @pytest.mark.parametrize("r,rule,instance", [
+        (Ratio(5, 3 ** 9100), "prime-power-denominator", "d(r)=3^9100=3^9100"),
+        (Ratio(5, 6 ** 5600), "no-closed-form", "r=5/6^5600<1 with composite-radical denominator"),
+    ], ids=["3^9100", "6^5600"])
+    def test_evidence_past_the_int_str_limit(self, r, rule, instance):
+        # d(r) has more digits than int -> str allows: the power is written b^e
+        v = classify_mult(r)
+        assert (v.evidence["rule"], v.evidence["instance"]) == (rule, instance)
+
     @pytest.mark.parametrize("d,rule,tail", [
         (7 ** 4733, "prime-power-denominator", "=7^4733"),
         ((10 ** 19 + 51) ** 210, "prime-power-denominator", f"={10 ** 19 + 51}^210"),
