@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 from .errors import ChainError, DomainError
 from .factorization import Factorization, evaluate
-from .monoid import (AtomicityVerdict, DeltaSpec, ExpMonoid, Recurrence,
+from .monoid import (SCAN_LIMIT, AtomicityVerdict, DeltaSpec, ExpMonoid, Recurrence,
                      classify_atomicity, descending_run, s_index)
 from .ratio import Ratio, ZERO
 
@@ -106,7 +106,7 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
     if verdict.accp != "no":
         raise ChainError("no constructive witness available: monoid is not "
                          "certified non-ACCP")
-    found = descending_run(M, k, len(M.delta.prefix) + 4 * k + 64)
+    found = descending_run(M, k, len(M.delta.prefix) + 4 * k + SCAN_LIMIT)
     if found is None:
         raise ChainError("no constructive witness available: the descending "
                          "identity never holds on a long enough run")

@@ -144,16 +144,15 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     coeffs = z.as_dict()
     n, d = M.r.num, M.r.den
     window, tail = M.delta.max_exponent_index, M.delta.tail
-    unbounded = tail is None or tail.gap_growth(n, d)
-    # on a shortfall tail d^{delta_i} >= n^{delta_{i+1}}, and coefficients only
-    # add, so once past the prefix each level's q is at least the last one's
-    endless = not unbounded and tail.shortfall(n, d)
+    # on a shortfall tail (True) d^{delta_i} >= n^{delta_{i+1}} and coefficients
+    # only add, so past the prefix each level's q is at least the last one's
+    descent = False if tail is None else tail.descent(n, d)  # a window ends too
     out: Dict[int, int] = {}
     carry = 0
     i = 0
     top = z.top_index
     while carry or i <= top:
-        if not unbounded and i > level_bound:
+        if descent is not False and i > level_bound:
             return MaxLengthOutcome(None, level_bound)
         total = coeffs.get(i, 0) + carry
         if i == window:  # the top level of a finite window has none above it
@@ -161,7 +160,7 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
         else:
             delta_i = M.delta.delta(i)
             q, rem = divmod(total, n ** delta_i)
-            if q and endless and i >= len(M.delta.prefix):
+            if q and descent and i >= len(M.delta.prefix):
                 return MaxLengthOutcome(None, level_bound)
         if rem:
             out[i] = rem

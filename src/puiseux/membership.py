@@ -9,7 +9,6 @@ element's denominator divides a power of d(r).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from .factorization import Factorization, _search, enumerate_all, min_normal_form
@@ -29,18 +28,6 @@ class MembershipResult:
         return self.status == "member"
 
 
-def _foreign_prime(q_den: int, r_den: int) -> bool:
-    """True when some prime of q_den does not divide r_den."""
-    g = q_den
-    while g > 1:
-        t = gcd(g, r_den)
-        if t == 1:
-            return True
-        while g % t == 0:
-            g //= t
-    return False
-
-
 def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
     """m + 3 for the least m with d(q) | d(r)^{s_m}, capped at index 512 or
     the window's end; the 3 covers a witness a few levels above that m."""
@@ -48,7 +35,7 @@ def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
     limit = M.delta.max_exponent_index
     top = 512 if limit is None else limit
     for m in range(top + 1):
-        if (d ** s_index(M, m)) % q.den == 0:
+        if pow(d, s_index(M, m), q.den) == 0:
             return min(m + 3, top)
     return top
 
@@ -56,7 +43,9 @@ def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
 def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> MembershipResult:
     if q == ZERO:
         return MembershipResult("member", Factorization.make(M, {}))
-    if _foreign_prime(q.den, M.r.den):
+    # no prime occurs in d(x) more often than its bit length, so d(x) divides
+    # a power of d(r) exactly when it divides that one
+    if pow(M.r.den, q.den.bit_length(), q.den) != 0:
         return MembershipResult(
             "not-member", reason=f"a prime of d(x)={q.den} does not divide d(r)={M.r.den}")
 

@@ -15,7 +15,7 @@ from math import comb
 from typing import Optional, Tuple
 
 from .errors import DomainError, IndexRangeError, ParseError
-from .ratio import Ratio
+from .ratio import Ratio, _printable
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,10 @@ def _power(base: int, e: int) -> str:
     try:
         return str(base ** e)
     except ValueError:
-        return f"{base}^{e}"
+        return f"{_printable(base)}^{e}"
+
+
+SCAN_LIMIT = 10_000  # indices scanned for a run of the descending identity
 
 
 def descending_run(M: "ExpMonoid", k: int, scan: int) -> Optional[Tuple[int, list]]:
@@ -71,13 +74,10 @@ class Tail:
         values = astuple(self)
         return values if self.arity else values[0]
 
-    def gap_growth(self, n: int, d: int) -> bool:
-        """True when d^{delta_k} < n^{delta_{k+1}} is certain at every tail position."""
-        return False
-
-    def shortfall(self, n: int, d: int) -> bool:
-        """True when d^{delta_k} >= n^{delta_{k+1}} is certain at every tail position."""
-        return False
+    def descent(self, n: int, d: int) -> Optional[bool]:
+        """True when d^{delta_k} >= n^{delta_{k+1}} is certain at every tail
+        position, False when d^{delta_k} < n^{delta_{k+1}} is, None otherwise."""
+        return None
 
     def necessary_bound(self, n: int, d: int) -> Tuple[object, str]:
         """(holds, rhs) of d <= n * limsup n^{delta_k/s_k} for this family."""
@@ -103,7 +103,7 @@ class Constant(Tail):
     def shifted(self, j: int) -> "Constant":
         return self
 
-    def shortfall(self, n: int, d: int) -> bool:
+    def descent(self, n: int, d: int) -> bool:
         return d >= n
 
     def accp_rule(self, M):
@@ -208,7 +208,7 @@ class Polynomial(Tail):
     def accp_rule(self, M):
         if self.degree == 0:
             return "no", "bounded-delta", f"delta_n={self.coeffs[0]} eventually"
-        found = descending_run(M, 1, 10_000)
+        found = descending_run(M, 1, SCAN_LIMIT)
         if found is None:  # the gap ratio tends to 1, but slowly when d is close to n
             return "unknown", "no-closed-form", ""
         return "no", "polynomial-gaps", _shortfall_instance(M, found[0])
@@ -237,17 +237,14 @@ class Geometric(Tail):
     def shifted(self, j: int) -> "Geometric":
         return Geometric(self.scale * self.ratio ** j, self.ratio)
 
-    def gap_growth(self, n: int, d: int) -> bool:
-        # delta_{k+1} = ratio * delta_k: the single comparison d < n^ratio
-        return d < n ** self.ratio
-
-    def shortfall(self, n: int, d: int) -> bool:
+    def descent(self, n: int, d: int) -> bool:
+        # delta_{k+1} = ratio * delta_k: the single comparison d >= n^ratio
         return d >= n ** self.ratio
 
     def accp_rule(self, M):
         n, d, c = M.r.num, M.r.den, self.ratio
         # coprimality of n and d makes d = n^c impossible: always decisive
-        if self.gap_growth(n, d):
+        if not self.descent(n, d):
             return "yes", "gap-growth", (f"d={d} < n^{c}={_power(n, c)}, so d^delta_n < "
                                          f"n^delta_n+1 for n >= {len(M.delta.prefix)}")
         return "no", "gap-shortfall", f"d={d} > n^{c}={_power(n, c)}"
@@ -279,8 +276,10 @@ class Periodic(Tail):
         j %= len(self.pattern)
         return Periodic(self.pattern[j:] + self.pattern[:j])
 
-    def shortfall(self, n: int, d: int) -> bool:
-        return all(d ** a >= n ** b for a, b in zip(self.pattern, self.shifted(1).pattern))
+    def descent(self, n: int, d: int) -> Optional[bool]:
+        # the tail repeats one cycle of comparisons: certain when they agree
+        found = {d ** a >= n ** b for a, b in zip(self.pattern, self.shifted(1).pattern)}
+        return found.pop() if len(found) == 1 else None
 
     def accp_rule(self, M):
         return "no", "bounded-delta", f"delta_n <= {max(self.pattern)} eventually"
@@ -344,14 +343,14 @@ class Recurrence(Tail):
     def shifted(self, j: int) -> "Recurrence":
         return Recurrence(self.a, self.b, self.delta(j))
 
-    def shortfall(self, n: int, d: int) -> bool:
-        return self.a * d == self.b * n  # see accp_rule
+    def descent(self, n: int, d: int) -> Optional[bool]:
+        # b^delta_k > a^delta_{k+1} holds at every step. When (a, b) = g*(n, d)
+        # for an integer g >= 1, log_a b <= log_n d, so d^delta_k >
+        # n^delta_{k+1} holds too; for any other (a, b) no rule is known
+        return True if self.a % n == 0 and self.a // n * d == self.b else None
 
     def accp_rule(self, M):
-        # b^delta_k > a^delta_{k+1} holds at every step. When a/b = r, that is
-        # a = g*n and b = g*d, then log_a b <= log_n d, so d^delta_k >
-        # n^delta_{k+1} holds too; for any other (a, b) no rule is known
-        if not self.shortfall(M.r.num, M.r.den):
+        if not self.descent(M.r.num, M.r.den):
             return "unknown", "no-closed-form", ""
         return "no", "gap-shortfall", _shortfall_instance(M, len(M.delta.prefix))
 

@@ -12,6 +12,15 @@ from math import gcd
 from .errors import DomainError, ParseError
 
 
+def _printable(value: int) -> str:
+    """value in decimal; a DomainError when CPython's int -> str cap forbids it."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise DomainError("value too large to print: past the int -> str "
+                          f"limit of {sys.get_int_max_str_digits()} digits") from exc
+
+
 class Ratio:
     __slots__ = ("num", "den")
 
@@ -55,11 +64,7 @@ class Ratio:
             raise ParseError(f"malformed rational {text!r}: {exc}") from exc
 
     def __str__(self) -> str:
-        try:
-            return f"{self.num}/{self.den}"
-        except ValueError as exc:  # CPython caps the digits of int -> str
-            raise DomainError("value too large to print: past the int -> str "
-                              f"limit of {sys.get_int_max_str_digits()} digits") from exc
+        return f"{_printable(self.num)}/{_printable(self.den)}"
 
     def __repr__(self) -> str:
         return f"Ratio({self.num}, {self.den})"

@@ -137,6 +137,12 @@ class TestWitnessChain:
         assert len(chain.diffs) == k
         assert len(calls) <= 3 * k + 3
 
+    def test_a_deep_link_is_found_where_the_classifier_names_it(self):
+        # d = 21 is close to n = 20, so the first link lies past index 64
+        monoid = M("r=20/21; delta=poly(1,0,1)")
+        assert classify(monoid).evidence["instance"].startswith("d^delta_124=")
+        assert witness_chain(monoid, 1).start == 124
+
     def test_consistency_with_classifier(self):
         for text in ("r=2/3; delta=const(1)", "r=2/3; delta=poly(1,1)",
                      "r=2/9; delta=geom(1,2)"):

@@ -266,6 +266,15 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _run_capped(*args):
+    """Run python with args on the source tree, in 10 s and 2 GiB at most."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=10, env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_cap_memory)
+
+
 @pytest.mark.parametrize("argv, result", [
     (("max-length", "--monoid", "r=2/5; delta=geom(1,2)", "--z", "[[0,100]]"),
      {"levels_explored": 64, "status": "no-termination-within-bound"}),
@@ -277,12 +286,18 @@ def _cap_memory():
 def test_endless_carries_answer_at_once(argv, result):
     # carries that can never die: the sweep used to form powers of gigabits
     # before it reached level 64
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "puiseux.cli", *argv], capture_output=True,
-                          text=True, timeout=10, env=dict(os.environ, PYTHONPATH=path),
-                          preexec_fn=_cap_memory)
+    proc = _run_capped("-m", "puiseux.cli", *argv)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["status"] == "ok"
     assert result.items() <= doc["result"].items()
+
+
+def test_support_bound_of_a_foreign_prime_answers_at_once():
+    # 7 never divides a power of 3: the scan runs to its cap at index 512,
+    # where d^{s_m} in full would be 3^(2^512 - 1)
+    proc = _run_capped("-c", "from puiseux import Ratio, parse_monoid\n"
+                             "from puiseux.membership import default_support_bound\n"
+                             "M = parse_monoid('r=2/3; delta=geom(1,2)')\n"
+                             "print(default_support_bound(Ratio(1, 7), M))")
+    assert (proc.returncode, proc.stdout) == (0, "512\n")

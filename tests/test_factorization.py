@@ -1,3 +1,4 @@
+from math import gcd
 from unittest.mock import patch
 
 import pytest
@@ -8,9 +9,8 @@ from puiseux.factorization import (Factorization, LengthSet, MaxLengthOutcome, e
                                    evaluate, length_set, max_length_sweep,
                                    min_normal_form, rewrite_down_step,
                                    unique_factorization_check)
-from puiseux.membership import (MembershipResult, _foreign_prime, default_support_bound,
-                                is_member)
-from puiseux.monoid import DeltaSpec, parse_monoid, s_index
+from puiseux.membership import MembershipResult, default_support_bound, is_member
+from puiseux.monoid import DeltaSpec, ExpMonoid, parse_monoid, s_index
 from puiseux.oracle import oracle_enumerate, oracle_lengths
 from puiseux.ratio import ZERO, Ratio
 
@@ -125,6 +125,14 @@ class TestMaxLengthSweep:
         out = max_length_sweep(F(GEOM, {0: 2}), 16)
         top = out.found.top_index
         assert out.found.length == max(oracle_lengths(Ratio(2), GEOM, top))
+
+    def test_the_top_of_a_finite_window_keeps_its_carry(self):
+        # 3 = 1 + 3 * (2/3): the carry lands on level 1, the window's top,
+        # which has no gap above it to split by
+        fin = parse_monoid("r=2/3; delta=prefix(1); finite")
+        out = max_length_sweep(F(fin, {0: 3}))
+        assert out.found == F(fin, {0: 1, 1: 3})
+        assert oracle_lengths(Ratio(3), fin, 1) == [3, 4]
 
 
 class TestEnumerateAll:
@@ -380,6 +388,18 @@ def _ref_length_set(x, M, max_index, witness=None):
     return LengthSet(lengths, True, sweep.terminated and sweep.found.length == lengths[-1])
 
 
+def _foreign_prime(q_den, r_den):
+    """Reference: True when some prime of q_den does not divide r_den."""
+    g = q_den
+    while g > 1:
+        t = gcd(g, r_den)
+        if t == 1:
+            return True
+        while g % t == 0:
+            g //= t
+    return False
+
+
 def _ref_is_member(q, M, support_bound=None):
     """Reference: the complete branch takes min(zs, key=length) over the made list."""
     if q == ZERO:
@@ -470,6 +490,57 @@ def test_the_search_makes_no_factorization_per_result(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The denominator rule: d(x) divides a power of d(r) exactly when it divides
+# d(r)^{bit length of d(x)}
+# ---------------------------------------------------------------------------
+
+@st.composite
+def denominators(draw):
+    """(d(x), d(r)): d(x) is a divisor of a power of d(r) times a cofactor
+    that may bring in a foreign prime."""
+    r_den = draw(st.integers(1, 300))
+    part = gcd(r_den ** draw(st.integers(0, 24)), draw(st.integers(1, 10 ** 12)))
+    return part * draw(st.sampled_from([1, 1, 1, 2, 3, 5, 7, 11])), r_den
+
+
+@settings(max_examples=500, deadline=None)
+@given(denominators())
+def test_the_denominator_rule_matches_the_gcd_loop(dens):
+    q_den, r_den = dens
+    # a window of two atoms keeps the search behind the rule small
+    M = ExpMonoid(Ratio(1, r_den), DeltaSpec((1,)))
+    res = is_member(Ratio(1, q_den), M)
+    foreign = res.reason == f"a prime of d(x)={q_den} does not divide d(r)={r_den}"
+    assert foreign == _foreign_prime(q_den, r_den)
+
+
+def _ref_support_bound(q, M):
+    """Reference: the scan that forms d^{s_m} in full."""
+    d = M.r.den
+    limit = M.delta.max_exponent_index
+    top = 512 if limit is None else limit
+    for m in range(top + 1):
+        if (d ** s_index(M, m)) % q.den == 0:
+            return min(m + 3, top)
+    return top
+
+
+# families whose s_m stays small enough for the full scan up to index 512
+SLOW = [M for M in FACTOR_MIX
+        if M.delta.tail is None or M.delta.tail.name in ("const", "periodic")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FACTOR_MIX), st.integers(0, 40), st.integers(1, 10 ** 6),
+       st.sampled_from([1, 1, 5, 7]))
+def test_support_bound_matches_the_full_power_scan(M, e, t, cofactor):
+    # a foreign cofactor sends the scan to its cap, so only slow families get one
+    assume(cofactor == 1 or M in SLOW)
+    q = Ratio(1, gcd(M.r.den ** e, t) * cofactor)
+    assert default_support_bound(q, M) == _ref_support_bound(q, M)
+
+
+# ---------------------------------------------------------------------------
 # The shortfall certificate ends a carry sweep that cannot terminate
 # ---------------------------------------------------------------------------
 
@@ -489,7 +560,11 @@ def test_shortfall_exit_matches_the_full_sweep(r, tail, support, level_bound):
     assume(M.r.den > 1)
     z = F(M, support)
     fast = max_length_sweep(z, level_bound)
-    with patch.object(type(M.delta.tail), "shortfall", lambda self, n, d: False):
+    # withdraw the shortfall certificate (True -> None); gap growth (False)
+    # stays, since without it a terminating sweep would stop at the bound
+    descent = type(M.delta.tail).descent
+    with patch.object(type(M.delta.tail), "descent",
+                      lambda self, n, d: descent(self, n, d) and None):
         assert max_length_sweep(z, level_bound) == fast
 
 

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from puiseux.errors import DomainError, IndexRangeError, ParseError
 from puiseux.monoid import (Constant, DeltaSpec, ExpMonoid, Geometric,
@@ -461,13 +461,15 @@ def tails_and_bases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(tails_and_bases())
+# a*d == b*n without (a, b) = g*(n, d): d^delta_k < n^delta_{k+1} at every k < 12
+@example((Recurrence(2, 3, 2), 12, 18))
+@example((Recurrence(2, 4, 2), 9, 18))
 def test_shortfall_is_a_certificate(case):
     tail, n, d = case
-    shortfall = tail.shortfall(n, d)
-    assert not (shortfall and tail.gap_growth(n, d))
-    direct = all(_at_least(d, tail.delta(k), n, tail.delta(k + 1)) for k in range(12))
-    if isinstance(tail, (Constant, Geometric, Periodic)):
+    descent = tail.descent(n, d)
+    direct = {_at_least(d, tail.delta(k), n, tail.delta(k + 1)) for k in range(12)}
+    if descent is not None:
+        assert direct == {descent}
+    elif isinstance(tail, (Constant, Geometric, Periodic)):
         # every tail position repeats one of the first 12 comparisons
-        assert shortfall == direct
-    else:
-        assert direct or not shortfall
+        assert direct == {True, False}

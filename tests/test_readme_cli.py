@@ -5,6 +5,7 @@ only for an intended change of output, with
 ``PYTHONPATH=src python tests/test_readme_cli.py``.
 """
 
+import ast
 import io
 import json
 import shlex
@@ -42,6 +43,28 @@ def test_golden_file_covers_the_readme_examples():
 def test_readme_example_output_is_byte_identical(index):
     case = json.loads(GOLDEN.read_text())[index]
     assert run(case["argv"]) == case
+
+
+def test_readme_python_example_gives_its_commented_values():
+    text = (HERE.parent / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    # join continuation lines, then check each line whose comment is a literal
+    statements, scope, checked = [], {}, []
+    for line in block.splitlines():
+        if statements and line.startswith(" "):
+            statements[-1] += "\n" + line
+        elif line.strip():
+            statements.append(line)
+    for statement in statements:
+        code, _, comment = statement.partition("  #")
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            exec(statement, scope)
+            continue
+        assert eval(code, scope) == expected, code
+        checked.append(expected)
+    assert checked == ["yes", {0: 2}]
 
 
 if __name__ == "__main__":

@@ -384,6 +384,11 @@ class TestMultPrimality:
         v = classify_mult(r)
         assert (v.evidence["rule"], v.evidence["instance"]) == (rule, instance)
 
+    def test_an_unprintable_base_is_a_domain_error(self):
+        # d(r) = 2 * 3^9100 is no proper power, so b^e cannot shorten it
+        with pytest.raises(DomainError, match="too large to print"):
+            classify_mult(Ratio(5, 2 * 3 ** 9100))
+
     @pytest.mark.parametrize("d,rule,tail", [
         (7 ** 4733, "prime-power-denominator", "=7^4733"),
         ((10 ** 19 + 51) ** 210, "prime-power-denominator", f"={10 ** 19 + 51}^210"),
