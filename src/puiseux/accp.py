@@ -81,12 +81,17 @@ def series_partial_sums(M: ExpMonoid, terms: int) -> List[Ratio]:
     """Exact partial sums of sum_k (n^{delta_k} - 1) r^{s_k}; diagnostic only."""
     if M.r >= Ratio(1):
         raise DomainError("series diagnostic requires r < 1")
+    n, d = M.r.num, M.r.den
     out: List[Ratio] = []
-    total = ZERO
+    total, n_pow, d_pow = 0, 1, 1  # the sum over d^{s_k}; n^{s_k}; d^{s_k}
     for k in range(terms):
-        term = Ratio(M.r.num ** M.delta.delta(k) - 1) * (M.r ** s_index(M, k))
-        total = total + term
-        out.append(total)
+        delta = M.delta.delta(k)
+        n_delta = n ** delta
+        total += (n_delta - 1) * n_pow
+        out.append(Ratio.over_power(total, d_pow, d))
+        if k + 1 < terms:  # on to s_{k+1}; past the last term d^{delta_k} is unused
+            d_delta = d ** delta
+            total, n_pow, d_pow = total * d_delta, n_pow * n_delta, d_pow * d_delta
     return out
 
 
@@ -111,16 +116,29 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
         raise ChainError("no constructive witness available: the descending "
                          "identity never holds on a long enough run")
     start, coeffs = found
-    elements = tuple(Ratio(M.r.num ** M.delta.delta(m)) * (M.r ** s_index(M, m))
-                     for m in range(start, start + k + 1))
+    n, d = M.r.num, M.r.den
+    # element m is n^{delta_m} r^{s_m} = n^{s_{m+1}} / d^{s_m}, reduced as
+    # gcd(n, d) = 1; carry n^{s_m} and d^{s_m} from one index to the next
+    s = s_index(M, start)
+    n_pow, d_pow = n ** s, d ** s
+    elements, d_steps = [], []  # d_steps[m - start] = d^{delta_m}
+    for m in range(start, start + k + 1):
+        delta = M.delta.delta(m)
+        n_pow *= n ** delta
+        elements.append(Ratio.over_power(n_pow, d_pow, d))
+        d_steps.append(d ** delta)
+        d_pow *= d_steps[-1]
     diffs = []
     for offset, coeff in enumerate(coeffs):
         y = Factorization.make(M, {start + offset + 1: coeff})
         value = evaluate(y)
-        if value == ZERO or elements[offset] != elements[offset + 1] + value:
+        # x_m = x_{m+1} + value, compared over x_{m+1}'s denominator x.den * q
+        x, z, q = elements[offset], elements[offset + 1], d_steps[offset]
+        if (value == ZERO or x.den * q != z.den or value.den != z.den
+                or x.num * q != z.num + value.num):
             raise ChainError(f"link {start + offset} of the chain does not verify")
         diffs.append(y)
-    return WitnessChain(start, elements, tuple(diffs))
+    return WitnessChain(start, tuple(elements), tuple(diffs))
 
 
 def construct_counterexample(a: int, b: int, k: int,

@@ -63,11 +63,16 @@ class MaxLengthOutcome:
 
 
 def evaluate(z: Factorization) -> Ratio:
-    """The exact value sum c_n * r**s_n; the empty factorization gives 0."""
-    total = ZERO
-    for i, c in z.coeffs:
-        total = total + Ratio(c) * (z.monoid.r ** s_index(z.monoid, i))
-    return total
+    """The exact value sum c_n * r**s_n; the empty factorization gives 0.
+
+    The terms are summed over the common denominator d^S, S the top exponent,
+    and only the sum is reduced.
+    """
+    n, d = z.monoid.r.num, z.monoid.r.den
+    s = [s_index(z.monoid, i) for i, _ in z.coeffs]
+    top = s[-1] if s else 0
+    total = sum(c * n ** e * d ** (top - e) for (_, c), e in zip(z.coeffs, s))
+    return Ratio.over_power(total, d ** top, d)
 
 
 def _require_contracting(M: ExpMonoid, what: str) -> None:

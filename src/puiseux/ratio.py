@@ -29,12 +29,9 @@ class Ratio:
             raise DomainError("zero denominator")
         if num < 0 or den < 0:
             raise DomainError("negative rational: only Q>=0 is supported")
-        g = gcd(num, den)
-        if num == 0:
-            den = 1
-        else:
-            num //= g
-            den //= g
+        g = gcd(num, den)  # gcd(0, den) = den makes zero 0/1
+        num //= g
+        den //= g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -45,6 +42,14 @@ class Ratio:
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
         return out
+
+    @staticmethod
+    def over_power(num: int, den: int, d: int) -> "Ratio":
+        """num/den for num >= 0 and den = d^e: every prime of d^e divides d,
+        so num/den is reduced as it stands exactly when gcd(num, d) = 1."""
+        if gcd(num, d) == 1:
+            return Ratio._reduced(num, den)
+        return Ratio(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ratio is immutable")
@@ -72,10 +77,11 @@ class Ratio:
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, Ratio):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, int):
+            return self.den == 1 and self.num == other
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -105,7 +111,7 @@ class Ratio:
             return value
         if isinstance(value, int):
             return Ratio(value)
-        return NotImplemented
+        raise TypeError(f"unsupported operand for Ratio: {type(value).__name__}")
 
     # -- arithmetic ----------------------------------------------------
 

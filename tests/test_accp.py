@@ -1,7 +1,11 @@
+import importlib
+import math
+import pkgutil
 from typing import Dict, List, Tuple
 
 import pytest
 
+import puiseux
 from puiseux.accp import (check_necessary, classify, construct_counterexample,
                           series_partial_sums, witness_chain)
 from puiseux.errors import ChainError, DomainError
@@ -142,6 +146,40 @@ class TestWitnessChain:
         monoid = M("r=20/21; delta=poly(1,0,1)")
         assert classify(monoid).evidence["instance"].startswith("d^delta_124=")
         assert witness_chain(monoid, 1).start == 124
+
+    def test_a_deep_chain_takes_no_gcd_of_two_long_integers(self, monkeypatch):
+        # every element and link value is reduced against d alone; one gcd
+        # against 21^{s_125}, 2.8 megabits, takes seconds
+        long_calls = []
+
+        def counted(*args):
+            if sum(a.bit_length() > 64 for a in args) >= 2:
+                long_calls.append(max(a.bit_length() for a in args))
+            return math.gcd(*args)
+
+        for info in pkgutil.iter_modules(puiseux.__path__):
+            module = importlib.import_module(f"puiseux.{info.name}")
+            if getattr(module, "gcd", None) is math.gcd:
+                monkeypatch.setattr(module, "gcd", counted)
+        assert witness_chain(M("r=20/21; delta=poly(1,0,1)"), 1).start == 124
+        assert long_calls == []
+
+    @pytest.mark.parametrize("link", range(4))
+    @pytest.mark.parametrize("wrong", ["numerator plus one", "next link", "denominator times d"])
+    def test_a_wrong_link_value_is_refused(self, monkeypatch, wrong, link):
+        # one wrong value among right ones: 2^{j+1} + 1 keeps the denominator
+        # 3^{j+1} at odd j only, and the numerator over 3^{j+2} stays right
+        monoid = M("r=2/3; delta=const(1)")
+        chain = witness_chain(monoid, 5)
+        values = {y.coeffs: evaluate(y) for y in chain.diffs}
+        v = evaluate(chain.diffs[link])
+        values[chain.diffs[link].coeffs] = {
+            "numerator plus one": Ratio(v.num + 1, v.den),
+            "next link": evaluate(chain.diffs[link + 1]),
+            "denominator times d": Ratio(v.num, v.den * 3)}[wrong]
+        monkeypatch.setattr("puiseux.accp.evaluate", lambda y: values[y.coeffs])
+        with pytest.raises(ChainError, match=f"link {link} of the chain does not verify"):
+            witness_chain(monoid, 4)
 
     def test_consistency_with_classifier(self):
         for text in ("r=2/3; delta=const(1)", "r=2/3; delta=poly(1,1)",

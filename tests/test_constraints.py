@@ -4,7 +4,9 @@ and checks that hold under ``python -O``.
 Every module under ``src/puiseux`` is parsed, not imported, and its syntax
 tree is searched for a float literal, the name ``float``, any import of a
 module that is neither in the standard library nor the package itself, and
-any ``assert`` statement, which ``python -O`` strips.
+any ``assert`` statement, which ``python -O`` strips. The gcd-free
+constructor ``Ratio._reduced`` is named in ``ratio.py`` alone, so each value
+built without a gcd sits beside the argument that it is coprime.
 """
 
 import ast
@@ -49,3 +51,17 @@ def test_no_assert_statement(path):
     lines = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statement at line(s) {lines}; raise instead"
+
+
+def test_the_gcd_free_constructor_stays_in_ratio():
+    uses = []
+    for path in MODULES:
+        if path.name == "ratio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            named = ((isinstance(node, ast.Attribute) and node.attr == "_reduced")
+                     or (isinstance(node, ast.Name) and node.id == "_reduced")
+                     or (isinstance(node, ast.Constant) and node.value == "_reduced"))
+            if named:
+                uses.append(f"{path.name}:{node.lineno}")
+    assert not uses, f"Ratio._reduced used outside ratio.py at {uses}"

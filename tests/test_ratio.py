@@ -1,3 +1,6 @@
+import operator
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,3 +97,31 @@ def test_ordering_and_arithmetic():
     assert Ratio(2) - Ratio(2, 3) == Ratio(4, 3)
     assert Ratio(4, 3) / Ratio(4, 9) == Ratio(3)
     assert Ratio(7, 2).floor() == 3
+
+
+FOREIGN = [1.5, Fraction(1, 2)]
+OPERATORS = [operator.lt, operator.le, operator.gt, operator.ge,
+             operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("other", FOREIGN, ids=["float", "Fraction"])
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+def test_a_foreign_operand_is_a_type_error(op, other):
+    with pytest.raises(TypeError):
+        op(Ratio(1, 2), other)
+    with pytest.raises(TypeError):
+        op(other, Ratio(1, 2))
+
+
+@pytest.mark.parametrize("other", FOREIGN, ids=["float", "Fraction"])
+def test_a_foreign_operand_is_never_equal(other):
+    assert (Ratio(1, 2) == other) is False and (other == Ratio(1, 2)) is False
+    assert Ratio(1, 2) != other and other != Ratio(1, 2)
+    assert Ratio(3) == 3 and 3 == Ratio(3) and Ratio(3, 2) != 1
+
+
+@given(st.integers(0, 10**6), st.integers(1, 30), st.integers(0, 12))
+def test_over_power_matches_the_reducing_constructor(num, d, e):
+    got = Ratio.over_power(num, d ** e, d)
+    want = Ratio(num, d ** e)
+    assert (got.num, got.den) == (want.num, want.den)
