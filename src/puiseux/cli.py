@@ -93,6 +93,8 @@ def _cmd_member(args, M, x) -> dict:
 
 def _cmd_lengths(args, M, x) -> dict:
     res = membership.is_member(x, M, args.bound)
+    if res.status == "not-member":
+        raise DomainError(f"not a member: {res.reason}")
     if not res.is_member:
         raise DomainError("membership unresolved: no witness for the query")
     ls = fz.length_set(x, M, args.max_index, witness=res.witness)

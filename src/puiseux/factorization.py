@@ -177,10 +177,9 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     return MaxLengthOutcome(w, i)
 
 
-def _search(x: Ratio, M: ExpMonoid, max_index: int,
-            limit: Optional[int] = None) -> Iterator[Tuple[Tuple[int, int], ...]]:
+def _search(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
     """Each factorization of x with support in [0, max_index] as the sorted
-    tuple of its (index, coeff >= 1) pairs; a limit stops after that many.
+    tuple of its (index, coeff >= 1) pairs.
 
     Exact Diophantine search over the common denominator d^{s_B} with
     per-level caps and residue pruning. Levels enter `coeffs` in index order
@@ -188,8 +187,6 @@ def _search(x: Ratio, M: ExpMonoid, max_index: int,
     """
     if max_index < 0:
         raise DomainError("max_index must be >= 0")
-    if limit is not None and limit < 1:
-        raise DomainError("limit must be >= 1")
     window = M.delta.max_exponent_index
     B = max_index if window is None else min(max_index, window)
     if x == ZERO:
@@ -213,7 +210,6 @@ def _search(x: Ratio, M: ExpMonoid, max_index: int,
         start = rem // n_pow[i] * inv[i] % mod[i]
         return range(start, rem // w[i] + 1, mod[i])
 
-    found = 0
     coeffs: Dict[int, int] = {}
     # depth first: stack entry i < B holds what levels i..B must make up and
     # the coefficients left to try at level i; level B takes a whole remainder
@@ -237,17 +233,13 @@ def _search(x: Ratio, M: ExpMonoid, max_index: int,
         q, leftover = divmod(rest, w[B])
         if leftover == 0:
             yield (*coeffs.items(), (B, q)) if q else tuple(coeffs.items())
-            found += 1
-            if found == limit:
-                return
 
 
-def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int,
-                  limit: Optional[int] = None) -> List[Factorization]:
-    """All factorizations of x with support in [0, max_index], or the first
-    limit found, canonically sorted. For r > 1 a max_index at the first n
-    with r^{s_n} > x makes the list the complete factorization set of x."""
-    return [Factorization(M, p) for p in sorted(_search(x, M, max_index, limit))]
+def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int) -> List[Factorization]:
+    """All factorizations of x with support in [0, max_index], canonically
+    sorted. For r > 1 a max_index at the first n with r^{s_n} > x makes the
+    list the complete factorization set of x."""
+    return [Factorization(M, p) for p in sorted(_search(x, M, max_index))]
 
 
 def unique_factorization_check(z: Factorization) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .factorization import Factorization, _search, enumerate_all, min_normal_form
+from .factorization import Factorization, _search, min_normal_form
 from .monoid import ExpMonoid, s_index
 from .ratio import Ratio, ZERO
 
@@ -69,9 +69,9 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
 
     bound = support_bound if support_bound is not None else default_support_bound(q, M)
     # one witness suffices: its normal form is the global minimum anyway
-    zs = enumerate_all(q, M, bound, limit=1)
-    if zs:
-        return MembershipResult("member", min_normal_form(zs[0]))
+    first = next(_search(q, M, bound), None)
+    if first is not None:
+        return MembershipResult("member", min_normal_form(Factorization(M, first)))
     return MembershipResult("unresolved", bound=bound)
 
 

@@ -485,17 +485,14 @@ def _int_tuple(what: str, values) -> tuple:
 
 
 def _make_tail(name: str, args: list) -> Tail:
-    """The tail rule name(args), with its arity, integer and domain checks."""
+    """The tail rule name(args); its own domain checks raise DomainError."""
     cls = TAILS.get(name)
     if cls is None:
         raise ParseError(f"unknown gap rule {name!r}")
     args = _int_tuple(name, args)
     if len(args) != cls.arity if cls.arity else not args:
         raise ParseError(f"{name} takes {cls.arity or 'one or more'} argument(s)")
-    try:
-        return cls(*args) if cls.arity else cls(args)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
+    return cls(*args) if cls.arity else cls(args)
 
 
 def parse_delta(text: str) -> DeltaSpec:
@@ -503,38 +500,22 @@ def parse_delta(text: str) -> DeltaSpec:
     if not m:
         raise ParseError(f"unrecognized gap rule {text!r}")
     prefix, name, body = m.groups()
-    tail = None if name is None else _make_tail(name, _parse_int_args(name, body))
-    return _spec(_parse_int_args("prefix", prefix or ""), tail)
-
-
-def _spec(prefix, tail):
     try:
-        return DeltaSpec(prefix, tail)
+        tail = None if name is None else _make_tail(name, _parse_int_args(name, body))
+        return DeltaSpec(_parse_int_args("prefix", prefix or ""), tail)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def parse_monoid(text: str) -> ExpMonoid:
-    """Parse the whitespace-insensitive spec grammar, e.g. "r=2/3; delta=geom(1,2)"."""
-    s = re.sub(r"\s+", "", text)
-    parts = [p for p in s.split(";") if p]
-    fields = {}
-    rest = []
-    for p in parts:
-        if p.startswith("r="):
-            fields["r"] = p[2:]
-        elif p.startswith("delta="):
-            rest.append(p[6:])
-        else:
-            rest.append(p)  # continuation such as the tail after prefix(...);
-    if "r" not in fields:
-        raise ParseError("missing 'r=' in monoid spec")
-    if not rest:
-        raise ParseError("missing 'delta=' in monoid spec")
-    r = Ratio.parse(fields["r"])
+    """Parse "r=2/3; delta=geom(1,2)": each field once, in that order, any whitespace."""
+    m = re.fullmatch(r"r=([^;]*);delta=(.*)", re.sub(r"\s+", "", text))
+    if not m:
+        raise ParseError(f"monoid spec {text!r} is not of the form 'r=...; delta=...'")
+    r = Ratio.parse(m.group(1))
     if r.num == 0:
         raise ParseError("base r must be positive")
-    return ExpMonoid(r, parse_delta(";".join(rest)))
+    return ExpMonoid(r, parse_delta(m.group(2)))
 
 
 def monoid_from_json(doc: dict) -> ExpMonoid:

@@ -154,6 +154,8 @@ class Ratio:
         return Ratio(self.num * other.den, self.den * other.num)
 
     def __pow__(self, e: int) -> "Ratio":
+        if not isinstance(e, int):
+            raise TypeError(f"unsupported exponent for Ratio: {type(e).__name__}")
         if e < 0:
             raise DomainError("negative exponent")
         # a power of a reduced fraction is reduced: no gcd needed

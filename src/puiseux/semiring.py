@@ -167,24 +167,18 @@ NATURALS = PrefixCofinite((), 0)
 
 def parse_exponent_set(text: str) -> ExponentSetSpec:
     """Grammar: `N=gens(2,3)` or `N=prefix(0,1);tail>=5` (N= optional)."""
-    s = re.sub(r"\s+", "", text)
-    if s.startswith("N="):
-        s = s[2:]
-    m = re.fullmatch(r"gens\(([\d,]*)\)", s)
-    if m:
-        try:
-            gens = [int(t) for t in m.group(1).split(",") if t]
-            return NumericalMonoidSpec.make(gens)
-        except (ValueError, DomainError) as exc:
-            raise ParseError(f"bad generator set {text!r}: {exc}") from exc
-    m = re.fullmatch(r"prefix\(([\d,]*)\);tail>=(\d+)", s)
-    if m:
-        try:
-            prefix = [int(t) for t in m.group(1).split(",") if t]
-            return PrefixCofinite.make(prefix, int(m.group(2)))
-        except (ValueError, DomainError) as exc:
-            raise ParseError(f"bad exponent set {text!r}: {exc}") from exc
-    raise ParseError(f"unrecognized exponent set {text!r}")
+    m = re.fullmatch(r"(?:N=)?(?:gens\(([\d,]*)\)|prefix\(([\d,]*)\);tail>=(\d+))",
+                     re.sub(r"\s+", "", text))
+    if not m:
+        raise ParseError(f"unrecognized exponent set {text!r}")
+    gens, prefix, start = m.groups()
+    try:  # int() of a run past the int -> str digit limit raises ValueError
+        if gens is not None:
+            return NumericalMonoidSpec.make([int(t) for t in gens.split(",") if t])
+        return PrefixCofinite.make([int(t) for t in prefix.split(",") if t], int(start))
+    except (ValueError, DomainError) as exc:
+        what = "generator" if gens is not None else "exponent"
+        raise ParseError(f"bad {what} set {text!r}: {exc}") from exc
 
 
 def exponent_monoid(r: Ratio, N: ExponentSetSpec) -> Tuple[ExpMonoid, int]:

@@ -131,6 +131,16 @@ class TestWitnessChain:
         with pytest.raises(ChainError):
             witness_chain(M("r=2/3; delta=geom(1,2)"), 2)
 
+    def test_a_polynomial_tail_past_the_scan_is_unknown(self, monkeypatch):
+        # r=60/61; poly(1,0,1) first descends at index 496; with a scan of 50
+        # the classifier must say unknown and refuse to build a chain
+        monkeypatch.setattr("puiseux.monoid.SCAN_LIMIT", 50)
+        m = M("r=60/61; delta=poly(1,0,1)")
+        c = classify(m)
+        assert (c.accp, c.evidence["rule"]) == ("unknown", "no-closed-form")
+        with pytest.raises(ChainError, match="not certified"):
+            witness_chain(m, 1)
+
     def test_each_gap_is_read_a_bounded_number_of_times(self, monkeypatch):
         calls = []
         original = DeltaSpec.delta

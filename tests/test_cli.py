@@ -36,6 +36,29 @@ def test_classify_unknown_exits_zero(capsys):
     assert doc["result"]["accp"] == "unknown"
 
 
+@pytest.mark.parametrize("r,x,reason", [
+    ("2/3", "1/5", "a prime of d(x)=5 does not divide d(r)=3"),
+    ("3/2", "1/3", "a prime of d(x)=3 does not divide d(r)=2"),
+])
+def test_lengths_names_a_non_member(capsys, r, x, reason):
+    monoid = f"r={r}; delta=const(1)"
+    code, doc = run(capsys, "member", "--monoid", monoid, "--x", x)
+    assert (code, doc["result"]["membership"]) == (0, {"status": "not-member", "reason": reason})
+    code, doc = run(capsys, "lengths", "--monoid", monoid, "--x", x, "--max-index", "3")
+    assert (code, doc["status"], doc["message"]) == (3, "error", f"not a member: {reason}")
+
+
+def test_lengths_keeps_the_unresolved_verdict(capsys):
+    code, doc = run(capsys, "lengths", "--monoid", "r=2/3; delta=const(1)", "--x", "1/9",
+                    "--max-index", "3", "--bound", "0")
+    assert (code, doc["message"]) == (3, "membership unresolved: no witness for the query")
+
+
+def test_a_repeated_field_is_a_parse_error(capsys):
+    code, doc = run(capsys, "classify", "--monoid", "r=2/3; delta=const(1); r=5/7")
+    assert (code, doc["status"]) == (2, "error")
+
+
 def test_counterexample(capsys):
     code, doc = run(capsys, "counterexample", "--a", "2", "--b", "3", "--k", "6")
     assert code == 0

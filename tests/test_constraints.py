@@ -6,7 +6,9 @@ tree is searched for a float literal, the name ``float``, any import of a
 module that is neither in the standard library nor the package itself, and
 any ``assert`` statement, which ``python -O`` strips. The gcd-free
 constructor ``Ratio._reduced`` is named in ``ratio.py`` alone, so each value
-built without a gcd sits beside the argument that it is coprime.
+built without a gcd sits beside the argument that it is coprime. A
+``DomainError`` becomes a ``ParseError`` in one except clause of each
+parser, and nowhere else.
 """
 
 import ast
@@ -65,3 +67,34 @@ def test_the_gcd_free_constructor_stays_in_ratio():
             if named:
                 uses.append(f"{path.name}:{node.lineno}")
     assert not uses, f"Ratio._reduced used outside ratio.py at {uses}"
+
+
+
+# each parser turns a DomainError into a ParseError in one except clause
+RELAYS = [("monoid.py", "monoid_from_json"), ("monoid.py", "parse_delta"),
+          ("ratio.py", "Ratio.parse"), ("semiring.py", "parse_exponent_set")]
+
+
+def _is_relay(handler):
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return (any(getattr(name, "id", None) == "DomainError" for name in caught)
+            and any(isinstance(node, ast.Raise)
+                    and getattr(getattr(node.exc, "func", None), "id", None) == "ParseError"
+                    for node in ast.walk(handler)))
+
+
+def _relays(scope, prefix=""):
+    """The name of the top-level definition around each relaying except clause."""
+    for node in scope.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _relays(node, f"{node.name}.")
+            continue
+        for handler in ast.walk(node):
+            if isinstance(handler, ast.ExceptHandler) and _is_relay(handler):
+                yield prefix + getattr(node, "name", "<module>")
+
+
+def test_the_domain_error_relays_sit_in_the_parsers_alone():
+    found = sorted((path.name, name) for path in MODULES
+                   for name in _relays(ast.parse(path.read_text(), filename=str(path))))
+    assert found == RELAYS

@@ -185,6 +185,16 @@ class TestGrammar:
         {"r": "2/3", "delta": {"tail": {"const": True}}},
         {"r": "2/3", "delta": {"prefix": "12", "tail": {"const": 1}}},
         {"r": "2/3", "delta": {"tail": [1]}},
+        # domain errors of the gap prefix and of the base, relayed as parse errors
+        "r=2/3; delta=prefix(0);const(1)",
+        {"r": "2/3", "delta": {"prefix": [0], "tail": {"const": 1}}},
+        {"r": "0", "delta": {"tail": {"const": 1}}},
+        # each field once, r first
+        "r=2/3; delta=const(1); r=5/7",
+        "delta=const(1); r=2/3",
+        "r=2/3; prefix(1); delta=const(2)",
+        "r=2/3; delta=prefix(1); delta=const(2)",
+        "r=2/3;;delta=geom(1,2);",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):

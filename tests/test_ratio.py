@@ -113,6 +113,14 @@ def test_a_foreign_operand_is_a_type_error(op, other):
         op(other, Ratio(1, 2))
 
 
+@pytest.mark.parametrize("e", [0.5, 2.0, Fraction(1, 2), Fraction(2), Ratio(1, 2), Ratio(2)],
+                         ids=["float", "whole-float", "Fraction", "whole-Fraction", "Ratio",
+                              "whole-Ratio"])
+def test_a_foreign_exponent_is_a_type_error(e):
+    with pytest.raises(TypeError):
+        Ratio(2, 3) ** e
+
+
 @pytest.mark.parametrize("other", FOREIGN, ids=["float", "Fraction"])
 def test_a_foreign_operand_is_never_equal(other):
     assert (Ratio(1, 2) == other) is False and (other == Ratio(1, 2)) is False

@@ -132,6 +132,16 @@ class TestExponentSets:
         with pytest.raises(ParseError):
             parse_exponent_set(bad)
 
+    @pytest.mark.parametrize("text,message", [
+        ("gens(0)", "bad generator set 'gens(0)': generators must be positive integers"),
+        ("prefix(3);tail>=2",
+         "bad exponent set 'prefix(3);tail>=2': prefix elements must lie below the threshold"),
+    ])
+    def test_rejection_names_the_form(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_exponent_set(text)
+        assert str(info.value) == message
+
     def test_exponent_monoid_gens_2_3(self):
         M, base = exponent_monoid(Ratio(2, 3), NM(2, 3))
         assert base == 0
