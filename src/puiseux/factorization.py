@@ -8,6 +8,7 @@ factorization, bounded exact enumeration, and length sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
@@ -177,20 +178,32 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     return MaxLengthOutcome(w, i)
 
 
-def _search(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Each factorization of x with support in [0, max_index] as the sorted
-    tuple of its (index, coeff >= 1) pairs.
+def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
+    """The factorizations of x with support in [0, B], B = max_index cut to
+    the window, grouped into runs: one per node at the last free level B-1.
 
-    Exact Diophantine search over the common denominator d^{s_B} with
-    per-level caps and residue pruning. Levels enter `coeffs` in index order
-    and leave it deepest first, so each tuple is sorted as built.
+    A run (head, B, c, q, k, m, e) stands for the k results head + (B-1, c +
+    j*m) + (B, q - j*e), j < k, where head holds levels below B-1 and m =
+    n^{delta_{B-1}}, e = d^{delta_{B-1}}; a zero coefficient is left out.
+    For x = 0 or B = 0 the one result is a run with c = 0 and k = 1.
+
+    Residue argument. Count in units of 1/D, D = d^{s_B}: an atom at level i
+    weighs w_i = n^{s_i} d^{s_B-s_i}, and the remainder R that levels i..B
+    must make up is divisible by n^{s_i}. Every weight above level i is
+    divisible by n^{s_{i+1}}, so a coefficient c at level i can complete only
+    when n^{delta_i} | R/n^{s_i} - c d^{s_B-s_i}; d is a unit mod n, so this
+    fixes c mod n^{delta_i} (`inv`) and keeps the invariant one level up. At
+    B-1 the top level takes any multiple of w_B = n^{s_B}, so every such c
+    up to R/w_{B-1} completes with q = (R - c w_{B-1})/w_B >= 0, and since
+    m w_{B-1} = e w_B, q falls by e as c rises by m. The divisibility is
+    checked once per run and a failure raises StepError.
     """
     if max_index < 0:
         raise DomainError("max_index must be >= 0")
     window = M.delta.max_exponent_index
     B = max_index if window is None else min(max_index, window)
     if x == ZERO:
-        yield ()
+        yield (), B, 0, 0, 1, 1, 1
         return
     n, d = M.r.num, M.r.den
     s = [s_index(M, i) for i in range(B + 1)]
@@ -198,48 +211,121 @@ def _search(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[Tuple[Tuple[int,
     if D % x.den != 0:
         return
     target = x.num * (D // x.den)
+    if B == 0:
+        yield (), 0, 0, target, 1, 1, 1
+        return
     # per level i: n^{s_i}, the weight of one atom in units of 1/D, the step
     # n^{delta_i} between coefficients that can complete, 1/d^{s_B-s_i} mod it
     n_pow = [n ** e for e in s]
     w = [n_pow[i] * d ** (s[B] - s[i]) for i in range(B + 1)]
     mod = [n_pow[i + 1] // n_pow[i] for i in range(B)]
     inv = [pow(pow(d, s[B] - s[i], mod[i]), -1, mod[i]) for i in range(B)]
+    last = B - 1
+    m, e = mod[last], d ** (s[B] - s[last])
 
-    def choices(i: int, rem: int) -> range:
-        # completion needs n^{s_{i+1}} | rem - c*w[i]; solve for c mod n^{delta_i}
-        start = rem // n_pow[i] * inv[i] % mod[i]
-        return range(start, rem // w[i] + 1, mod[i])
+    def choices(i: int, rem: int) -> Iterator[int]:
+        # the coefficients at level i < B-1 that can complete, zero last
+        start, stop = rem // n_pow[i] * inv[i] % mod[i], rem // w[i] + 1
+        if start:
+            return iter(range(start, stop, mod[i]))
+        return chain(range(mod[i], stop, mod[i]), (0,))
 
-    coeffs: Dict[int, int] = {}
-    # depth first: stack entry i < B holds what levels i..B must make up and
-    # the coefficients left to try at level i; level B takes a whole remainder
-    stack = [(target, iter(choices(0, target) if B else (0,)))]  # B = 0: all to level B
+    def run(rem: int, head: tuple) -> Optional[tuple]:
+        # the run at level B-1 for remainder rem, or None when no c fits
+        c, top = rem // n_pow[last] * inv[last] % m, rem // w[last]
+        if c > top:
+            return None
+        q, leftover = divmod(rem - c * w[last], w[B])
+        if leftover:
+            raise StepError(f"level {B} cannot complete the run at level {last}")
+        return head, B, c, q, (top - c) // m + 1, m, e
+
+    if not last:
+        node = run(target, ())
+        if node:
+            yield node
+        return
+    # depth first, with no recursion: stack entry i holds what levels i..B
+    # must make up, the pairs below level i and the coefficients left to try
+    stack = [(target, (), choices(0, target))]
     while stack:
         i = len(stack) - 1
-        rem, todo = stack[-1]
+        rem, head, todo = stack[-1]
         c = next(todo, None)
         if c is None:
             stack.pop()
-            coeffs.pop(i, None)
             continue
-        if c:
-            coeffs[i] = c
-        else:
-            coeffs.pop(i, None)
         rest = rem - c * w[i]
-        if i + 1 < B:
-            stack.append((rest, iter(choices(i + 1, rest))))
+        if c:
+            head += ((i, c),)
+        if i + 1 < last:
+            stack.append((rest, head, choices(i + 1, rest)))
             continue
-        q, leftover = divmod(rest, w[B])
-        if leftover == 0:
-            yield (*coeffs.items(), (B, q)) if q else tuple(coeffs.items())
+        node = run(rest, head)
+        if node:
+            yield node
+
+
+def _leaf(head: tuple, B: int, c: int, q: int) -> Tuple[Tuple[int, int], ...]:
+    """The result of a run with c atoms at level B-1 and q at level B."""
+    if c:
+        head += ((B - 1, c),)
+    return head + ((B, q),) if q else head
+
+
+def _expand(node: tuple) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """The results of a run in ascending order: c rising, then c = 0."""
+    head, B, c, q, k, m, e = node
+    zero = None
+    if c == 0:
+        zero = _leaf(head, B, 0, q)
+        c, q, k = m, q - e, k - 1
+    i = B - 1
+    for _ in range(k):
+        yield head + ((i, c), (B, q)) if q else head + ((i, c),)
+        c += m
+        q -= e
+    if zero is not None:
+        yield zero
+
+
+def _search(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """Each factorization of x with support in [0, max_index] as the sorted
+    tuple of its (index, coeff >= 1) pairs, in ascending tuple order.
+
+    Every level tries its positive coefficients in rising order and zero
+    last: a result with c atoms at level i comes before one that skips level
+    i, whose next pair has a larger index. So the runs of `_runs`, each read
+    off without a division, come out sorted.
+    """
+    return chain.from_iterable(map(_expand, _runs(x, M, max_index)))
+
+
+def _shortest(x: Ratio, M: ExpMonoid, max_index: int) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """The least factorization by (length, tuple), one candidate per run.
+
+    Along a run the length moves by m - e per step, so the shortest result
+    is at the end where c is least (r > 1) or greatest (r < 1); when m = e
+    all lengths tie and the first result wins.
+    """
+    best = None
+    for node in _runs(x, M, max_index):
+        head, B, c, q, k, m, e = node
+        j = 0 if m > e else k - 1
+        z = next(_expand(node)) if m == e else _leaf(head, B, c + j * m, q - j * e)
+        key = (sum(v for _, v in z), z)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[1]
 
 
 def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int) -> List[Factorization]:
     """All factorizations of x with support in [0, max_index], canonically
-    sorted. For r > 1 a max_index at the first n with r^{s_n} > x makes the
-    list the complete factorization set of x."""
-    return [Factorization(M, p) for p in sorted(_search(x, M, max_index))]
+    sorted: the search yields them in ascending order of their (index,
+    coeff) pairs, each level trying zero last, so no sort follows. For r > 1
+    a max_index at the first n with r^{s_n} > x makes the list the complete
+    factorization set of x."""
+    return [Factorization(M, p) for p in _search(x, M, max_index)]
 
 
 def unique_factorization_check(z: Factorization) -> bool:
@@ -267,11 +353,23 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
     both flags hold once the enumeration is complete: max_index reaches the
     end of a finite window, or the next atom r^{s_{max_index+1}} already
     exceeds x.
+
+    The lengths are read per run of the search, never per factorization:
+    along a run they form an arithmetic progression with step
+    n^{delta_{B-1}} - d^{delta_{B-1}}. Without a witness, r < 1 sweeps from
+    the least factorization, the first result of the first run.
     """
-    found = list(_search(x, M, max_index))
-    if not found and witness is None:
+    found = set()
+    first = None
+    for node in _runs(x, M, max_index):
+        head, _, c, q, k, m, e = node
+        if first is None:
+            first = node
+        low, step = sum(v for _, v in head) + c + q, m - e
+        found.update(range(low, low + k * step, step) if step else (low,))
+    if first is None and witness is None:
         raise DomainError("membership unresolved: no factorization within bound")
-    lengths = tuple(sorted({sum(c for _, c in p) for p in found}))
+    lengths = tuple(sorted(found))
     if not lengths:
         return LengthSet(lengths, False, False)
     if M.r >= Ratio(1):
@@ -279,6 +377,6 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
         complete = (M.r == Ratio(1) or (window is not None and max_index >= window)
                     or M.r ** s_index(M, max_index + 1) > x)
         return LengthSet(lengths, complete, complete)
-    w = witness if witness is not None else Factorization(M, min(found))
+    w = witness if witness is not None else Factorization(M, next(_expand(first)))
     sweep = max_length_sweep(w)
     return LengthSet(lengths, True, sweep.terminated and sweep.found.length == lengths[-1])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .factorization import Factorization, _search, min_normal_form
+from .factorization import Factorization, _search, _shortest, min_normal_form
 from .monoid import ExpMonoid, s_index
 from .ratio import Ratio, ZERO
 
@@ -61,9 +61,9 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
             bound = 0
             while M.r ** s_index(M, bound) <= q:
                 bound += 1
-        best = min(((sum(c for _, c in p), p) for p in _search(q, M, bound)), default=None)
+        best = _shortest(q, M, bound)
         if best is not None:
-            return MembershipResult("member", Factorization(M, best[1]))
+            return MembershipResult("member", Factorization(M, best))
         return MembershipResult(
             "not-member", reason=f"exhausted complete search up to support {bound}")
 

@@ -4,6 +4,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from puiseux import factorization as fz
 from puiseux.errors import DomainError, StepError
 from puiseux.factorization import (Factorization, LengthSet, MaxLengthOutcome, enumerate_all,
                                    evaluate, length_set, max_length_sweep,
@@ -487,6 +488,41 @@ def test_the_search_makes_no_factorization_per_result(monkeypatch):
     assert length_set(x, CONST, 5).lengths[0] == least
     assert is_member(Ratio(12), FINITE).is_member
     assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_queries())
+def test_the_search_ascends_and_length_sets_match_the_expansion(query):
+    x, M, B = query
+    found = list(fz._search(x, M, B))
+    assert all(a < b for a, b in zip(found, found[1:]))
+    ls = _outcome(length_set, x, M, B)
+    assert ls == _outcome(_ref_length_set, x, M, B)
+    if isinstance(ls, LengthSet):
+        assert ls.lengths == tuple(sorted({sum(c for _, c in p) for p in found}))
+
+
+def test_length_sets_read_runs_and_enumeration_needs_no_sort(monkeypatch):
+    tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix
+    x, witness = evaluate(tail_query), min_normal_form(tail_query)
+    runs, expand, nodes, expanded = fz._runs, fz._expand, [], []
+    monkeypatch.setattr(fz, "_runs", lambda *args: (
+        nodes.append(node) or node for node in runs(*args)))
+    monkeypatch.setattr(fz, "_expand", lambda node: expanded.append(node) or expand(node))
+
+    def banned(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(fz, "_search", banned)
+    assert length_set(x, CONST, 5, witness).lengths[0] == witness.length
+    assert (len(nodes), sum(node[4] for node in nodes)) == (307, 1712)  # runs, results
+    assert expanded == []
+    nodes.clear()
+    length_set(x, CONST, 5)  # without a witness the sweep starts from the first result
+    assert len(nodes) == 307 and expanded == nodes[:1]
+    monkeypatch.undo()
+    monkeypatch.setattr(fz, "sorted", banned, raising=False)
+    assert [z.coeffs for z in enumerate_all(x, CONST, 5)] == sorted(fz._search(x, CONST, 5))
 
 
 # ---------------------------------------------------------------------------
