@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .errors import ChainError, DomainError
-from .factorization import Factorization, evaluate
+from .factorization import Factorization
 from .monoid import (SCAN_LIMIT, AtomicityVerdict, DeltaSpec, ExpMonoid, Recurrence,
                      classify_atomicity, descending_run, s_index)
-from .ratio import Ratio, ZERO
+from .ratio import Ratio
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,14 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
                               + n^{delta_{m+1}} r^{s_{m+1}},
     which needs d^{delta_m} > n^{delta_{m+1}} at every link; the chain is
     anchored at the first index from which that holds k times in a row
-    (``descending_run``).
+    (``descending_run``). Element m is x_m = n^{s_{m+1}} / d^{s_m}, reduced
+    as gcd(n, d) = 1; link m, coefficient c_m >= 1 at index m+1, is checked
+    over d^{s_{m+1}} by one multiply-add on powers carried from index to index:
+        n^{s_{m+1}} d^{delta_m} = n^{s_{m+2}} + c_m n^{s_{m+1}}.
     """
     if k < 1:
         raise DomainError("chain length must be >= 1")
-    verdict = classify(M)
-    if verdict.accp != "no":
+    if classify(M).accp != "no":
         raise ChainError("no constructive witness available: monoid is not "
                          "certified non-ACCP")
     found = descending_run(M, k, len(M.delta.prefix) + 4 * k + SCAN_LIMIT)
@@ -117,27 +119,23 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
                          "identity never holds on a long enough run")
     start, coeffs = found
     n, d = M.r.num, M.r.den
-    # element m is n^{delta_m} r^{s_m} = n^{s_{m+1}} / d^{s_m}, reduced as
-    # gcd(n, d) = 1; carry n^{s_m} and d^{s_m} from one index to the next
+    # carry n^{s_m}, d^{s_m} and d^{delta_{m-1}} from one index to the next
     s = s_index(M, start)
-    n_pow, d_pow = n ** s, d ** s
-    elements, d_steps = [], []  # d_steps[m - start] = d^{delta_m}
+    n_pow, d_pow, d_step = n ** s, d ** s, 1
+    elements, diffs = [], []
     for m in range(start, start + k + 1):
         delta = M.delta.delta(m)
-        n_pow *= n ** delta
-        elements.append(Ratio.over_power(n_pow, d_pow, d))
-        d_steps.append(d ** delta)
-        d_pow *= d_steps[-1]
-    diffs = []
-    for offset, coeff in enumerate(coeffs):
-        y = Factorization.make(M, {start + offset + 1: coeff})
-        value = evaluate(y)
-        # x_m = x_{m+1} + value, compared over x_{m+1}'s denominator x.den * q
-        x, z, q = elements[offset], elements[offset + 1], d_steps[offset]
-        if (value == ZERO or x.den * q != z.den or value.den != z.den
-                or x.num * q != z.num + value.num):
-            raise ChainError(f"link {start + offset} of the chain does not verify")
-        diffs.append(y)
+        n_next = n_pow * n ** delta
+        x = Ratio.over_power(n_next, d_pow, d)
+        if m > start:  # link m-1, checked over d^{s_m}
+            coeff, prev = coeffs[m - 1 - start], elements[-1]
+            if (coeff < 1 or prev.den * d_step != x.den
+                    or prev.num * d_step != x.num + coeff * n_pow):
+                raise ChainError(f"link {m - 1} of the chain does not verify")
+            diffs.append(Factorization(M, ((m, coeff),)))
+        elements.append(x)
+        d_step = d ** delta
+        n_pow, d_pow = n_next, d_pow * d_step
     return WitnessChain(start, tuple(elements), tuple(diffs))
 
 

@@ -42,8 +42,10 @@ def descending_run(M: "ExpMonoid", k: int, scan: int) -> Optional[Tuple[int, lis
     """
     n, d = M.r.num, M.r.den
     run: list = []
+    upper = M.delta.delta(0)  # delta_{j+1} is read once, then carried to j+1
     for j in range(scan):
-        c = d ** M.delta.delta(j) - n ** M.delta.delta(j + 1)
+        lower, upper = upper, M.delta.delta(j + 1)
+        c = d ** lower - n ** upper
         if c > 0:
             run.append(c)
             if len(run) == k:

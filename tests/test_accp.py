@@ -12,7 +12,7 @@ from puiseux.errors import ChainError, DomainError
 from puiseux.factorization import Factorization, evaluate
 from puiseux.membership import default_support_bound, is_member
 from puiseux.monoid import (DeltaSpec, ExpMonoid, Recurrence, classify_atomicity,
-                            parse_monoid, s_index, truncate)
+                            descending_run, parse_monoid, s_index, truncate)
 from puiseux.ratio import ZERO, Ratio
 
 
@@ -116,11 +116,18 @@ class TestWitnessChain:
         assert all(y.length == 1 for y in chain.diffs)
 
     def test_link_check_raises_without_assert(self, monkeypatch):
-        # a wrong evaluate must trip the explicit link check, which unlike an
-        # assert also runs under python -O
-        monkeypatch.setattr("puiseux.accp.evaluate", lambda y: Ratio(0))
+        # a zero coefficient must trip the explicit link check, which unlike
+        # an assert also runs under python -O
+        monkeypatch.setattr("puiseux.accp.descending_run", lambda M, k, scan: (0, [0] * k))
         with pytest.raises(ChainError, match="does not verify"):
             witness_chain(M("r=2/3; delta=const(1)"), 3)
+
+    def test_a_true_but_nonpositive_coefficient_is_refused(self, monkeypatch):
+        # r=2/3; periodic(1,2) has 3 - 2^2 = -1 at link 0: the integer identity
+        # holds there, so only c >= 1 keeps the chain strictly descending
+        monkeypatch.setattr("puiseux.accp.descending_run", lambda M, k, scan: (0, [-1, 7]))
+        with pytest.raises(ChainError, match="link 0 of the chain does not verify"):
+            witness_chain(M("r=2/3; delta=periodic(1,2)"), 2)
 
     def test_wider_gap_coefficient(self):
         chain = witness_chain(M("r=2/5; delta=const(1)"), 2)
@@ -149,7 +156,29 @@ class TestWitnessChain:
         k = 50
         chain = witness_chain(M("r=2/3; delta=const(1)"), k)
         assert len(chain.diffs) == k
-        assert len(calls) <= 3 * k + 3
+        assert len(calls) <= 2 * k + 2
+
+    def test_links_are_checked_on_carried_powers(self, monkeypatch):
+        # s_index once, for the anchor; no link is built by make or evaluated
+        counts = {"s_index": 0, "evaluate": 0, "make": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                counts[name] += 1
+                return f(*args)
+            return wrapper
+
+        for info in pkgutil.iter_modules(puiseux.__path__):
+            module = importlib.import_module(f"puiseux.{info.name}")
+            for name, f in (("s_index", s_index), ("evaluate", evaluate)):
+                if getattr(module, name, None) is f:
+                    monkeypatch.setattr(module, name, counted(name, f))
+        make = Factorization.make.__func__
+        monkeypatch.setattr(Factorization, "make",
+                            classmethod(counted("make", make)))
+        chain = witness_chain(M("r=2/3; delta=const(1)"), 50)
+        assert len(chain.diffs) == 50
+        assert counts == {"s_index": 1, "evaluate": 0, "make": 0}
 
     def test_a_deep_link_is_found_where_the_classifier_names_it(self):
         # d = 21 is close to n = 20, so the first link lies past index 64
@@ -177,18 +206,18 @@ class TestWitnessChain:
     @pytest.mark.parametrize("link", range(4))
     @pytest.mark.parametrize("wrong", ["numerator plus one", "next link", "denominator times d"])
     def test_a_wrong_link_value_is_refused(self, monkeypatch, wrong, link):
-        # one wrong value among right ones: 2^{j+1} + 1 keeps the denominator
-        # 3^{j+1} at odd j only, and the numerator over 3^{j+2} stays right
-        monoid = M("r=2/3; delta=const(1)")
-        chain = witness_chain(monoid, 5)
-        values = {y.coeffs: evaluate(y) for y in chain.diffs}
-        v = evaluate(chain.diffs[link])
-        values[chain.diffs[link].coeffs] = {
-            "numerator plus one": Ratio(v.num + 1, v.den),
-            "next link": evaluate(chain.diffs[link + 1]),
-            "denominator times d": Ratio(v.num, v.den * 3)}[wrong]
-        monkeypatch.setattr("puiseux.accp.evaluate", lambda y: values[y.coeffs])
-        with pytest.raises(ChainError, match=f"link {link} of the chain does not verify"):
+        # one wrong coefficient among right ones; poly(1,1) has coefficients
+        # 1, 11, 49, 179, 601 from index 1, so no two links share one
+        monoid = M("r=2/3; delta=poly(1,1)")
+        start, coeffs = descending_run(monoid, 5, 100)
+        right = coeffs[link]
+        coeffs[link] = {"numerator plus one": right + 1,
+                        "next link": coeffs[link + 1],
+                        "denominator times d": right * 3}[wrong]
+        monkeypatch.setattr("puiseux.accp.descending_run",
+                            lambda M, k, scan: (start, coeffs[:k]))
+        with pytest.raises(ChainError,
+                           match=f"link {start + link} of the chain does not verify"):
             witness_chain(monoid, 4)
 
     def test_consistency_with_classifier(self):
