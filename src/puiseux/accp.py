@@ -38,18 +38,17 @@ class WitnessChain:
 
 def classify(M: ExpMonoid) -> Classification:
     atom_verdict = classify_atomicity(M)
-    n, d = M.r.num, M.r.den
-    if d == 1:
+    if atom_verdict.kind == "iso-naturals":
         return Classification(atom_verdict, "yes",
                               {"rule": "iso-naturals", "instance": "d(r)=1"})
-    if n == 1:
+    if atom_verdict.kind == "antimatter":
         return Classification(atom_verdict, "n/a",
                               {"rule": "antimatter", "instance": "n(r)=1, d(r)>1"})
     if M.delta.is_finite:
         return Classification(atom_verdict, "yes",
                               {"rule": "finitely-generated",
                                "instance": f"|S|={M.delta.max_exponent_index + 1}"})
-    if n > d:
+    if M.r > Ratio(1):
         return Classification(atom_verdict, "yes",
                               {"rule": "r-above-one", "instance": f"r={M.r}>1"})
 

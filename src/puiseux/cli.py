@@ -127,8 +127,9 @@ def _cmd_semiring(args, M, x) -> dict:
 
 def _cmd_mult_classify(args, M, x) -> dict:
     r = Ratio.parse(args.r)
-    N = semiring.parse_exponent_set(args.N) if args.N else None
-    v = semiring.classify_mult(r, N)
+    if args.N:  # the verdict depends on r alone; a malformed set is still an error
+        semiring.parse_exponent_set(args.N)
+    v = semiring.classify_mult(r)
     return {"accp": v.accp, "bfp": v.bfp, "ffp": v.ffp, "evidence": v.evidence}
 
 

@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
 from .monoid import ExpMonoid, s_index
-from .ratio import Ratio, ZERO
+from .ratio import Ratio
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class Factorization:
 
     @classmethod
     def make(cls, monoid: ExpMonoid, coeffs) -> "Factorization":
-        """Build from a dict or iterable of (index, coeff); zeros are dropped."""
+        """Check outside input, a dict or iterable of (index, coeff); zeros are dropped."""
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         cleaned = {}
         for i, c in items:
@@ -81,6 +81,14 @@ def _require_contracting(M: ExpMonoid, what: str) -> None:
         raise DomainError(f"{what} requires r < 1; use finite enumeration")
 
 
+def _checked(M: ExpMonoid, coeffs: Dict[int, int], value: Ratio, what: str) -> Factorization:
+    """The factorization of the nonzero coefficients, which must evaluate to value."""
+    out = Factorization(M, tuple(sorted((i, c) for i, c in coeffs.items() if c)))
+    if evaluate(out) != value:
+        raise StepError(f"{what} changed the value")
+    return out
+
+
 def rewrite_down_step(z: Factorization, i: int) -> Factorization:
     """Trade d^{delta_{i-1}} atoms at level i for n^{delta_{i-1}} at level i-1.
 
@@ -97,10 +105,7 @@ def rewrite_down_step(z: Factorization, i: int) -> Factorization:
         raise StepError(f"step not applicable at level {i}: need c_{i} >= {d_pow}")
     coeffs[i] -= d_pow
     coeffs[i - 1] = coeffs.get(i - 1, 0) + n_pow
-    out = Factorization.make(M, coeffs)
-    if evaluate(out) != evaluate(z):
-        raise StepError(f"rewrite at level {i} changed the value")
-    return out
+    return _checked(M, coeffs, evaluate(z), f"rewrite at level {i}")
 
 
 def min_normal_form(z: Factorization) -> Factorization:
@@ -125,10 +130,7 @@ def min_normal_form(z: Factorization) -> Factorization:
             if i - 1 not in coeffs:  # every remaining level is below i
                 levels.append(i - 1)
             coeffs[i - 1] = coeffs.get(i - 1, 0) + q * M.r.num ** delta
-    out = Factorization.make(M, coeffs)
-    if evaluate(out) != value:
-        raise StepError("the minimum normal form changed the value")
-    return out
+    return _checked(M, coeffs, value, "the minimum normal form")
 
 
 def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcome:
@@ -172,10 +174,7 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
             out[i] = rem
         carry = q * d ** delta_i if q else 0
         i += 1
-    w = Factorization.make(M, out)
-    if evaluate(w) != value:
-        raise StepError("the max-length sweep changed the value")
-    return MaxLengthOutcome(w, i)
+    return MaxLengthOutcome(_checked(M, out, value, "the max-length sweep"), i)
 
 
 def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
@@ -202,9 +201,6 @@ def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
         raise DomainError("max_index must be >= 0")
     window = M.delta.max_exponent_index
     B = max_index if window is None else min(max_index, window)
-    if x == ZERO:
-        yield (), B, 0, 0, 1, 1, 1
-        return
     n, d = M.r.num, M.r.den
     s = [s_index(M, i) for i in range(B + 1)]
     D = d ** s[B]
@@ -359,6 +355,7 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
     n^{delta_{B-1}} - d^{delta_{B-1}}. Without a witness, r < 1 sweeps from
     the least factorization, the first result of the first run.
     """
+    window = M.delta.max_exponent_index
     found = set()
     first = None
     for node in _runs(x, M, max_index):
@@ -368,12 +365,12 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
         low, step = sum(v for _, v in head) + c + q, m - e
         found.update(range(low, low + k * step, step) if step else (low,))
     if first is None and witness is None:
-        raise DomainError("membership unresolved: no factorization within bound")
+        B = max_index if window is None else min(max_index, window)
+        raise DomainError(f"no factorization with support in [0, {B}]")
     lengths = tuple(sorted(found))
     if not lengths:
         return LengthSet(lengths, False, False)
     if M.r >= Ratio(1):
-        window = M.delta.max_exponent_index
         complete = (M.r == Ratio(1) or (window is not None and max_index >= window)
                     or M.r ** s_index(M, max_index + 1) > x)
         return LengthSet(lengths, complete, complete)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .factorization import Factorization, _search, _shortest, min_normal_form
 from .monoid import ExpMonoid, s_index
-from .ratio import Ratio, ZERO
+from .ratio import Ratio
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,6 @@ def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
 
 
 def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> MembershipResult:
-    if q == ZERO:
-        return MembershipResult("member", Factorization.make(M, {}))
     # no prime occurs in d(x) more often than its bit length, so d(x) divides
     # a power of d(r) exactly when it divides that one
     if pow(M.r.den, q.den.bit_length(), q.den) != 0:
@@ -75,9 +73,8 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
     return MembershipResult("unresolved", bound=bound)
 
 
-def divides(x: Ratio, y: Ratio, M: ExpMonoid,
-            support_bound: Optional[int] = None) -> MembershipResult:
+def divides(x: Ratio, y: Ratio, M: ExpMonoid) -> MembershipResult:
     """Whether x divides y in M, i.e. y - x is a member."""
     if y < x:
         return MembershipResult("not-member", reason="negative difference")
-    return is_member(y - x, M, support_bound)
+    return is_member(y - x, M)

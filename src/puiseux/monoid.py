@@ -209,7 +209,7 @@ class Polynomial(Tail):
 
     def accp_rule(self, M):
         if self.degree == 0:
-            return "no", "bounded-delta", f"delta_n={self.coeffs[0]} eventually"
+            return Constant(self.coeffs[0]).accp_rule(M)
         found = descending_run(M, 1, SCAN_LIMIT)
         if found is None:  # the gap ratio tends to 1, but slowly when d is close to n
             return "unknown", "no-closed-form", ""

@@ -115,19 +115,9 @@ class Ratio:
 
     # -- arithmetic ----------------------------------------------------
 
-    # Sums and products of reduced operands take gcds of factors, not of the
-    # full result (Knuth, TAOCP vol. 2, 4.5.1): far cheaper on long integers.
-
     def __add__(self, other) -> "Ratio":
         other = self._coerce(other)
-        g = gcd(self.den, other.den)
-        if g == 1:
-            return Ratio._reduced(self.num * other.den + other.num * self.den,
-                                  self.den * other.den)
-        s = self.den // g
-        t = self.num * (other.den // g) + other.num * s
-        g2 = gcd(t, g)
-        return Ratio._reduced(t // g2, s * (other.den // g2))
+        return Ratio(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -140,10 +130,7 @@ class Ratio:
 
     def __mul__(self, other) -> "Ratio":
         other = self._coerce(other)
-        g1 = gcd(self.num, other.den)
-        g2 = gcd(other.num, self.den)
-        return Ratio._reduced((self.num // g1) * (other.num // g2),
-                              (self.den // g2) * (other.den // g1))
+        return Ratio(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 

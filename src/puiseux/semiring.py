@@ -223,13 +223,10 @@ def mult_divisor_bound(r: Ratio, x: Ratio) -> int:
         raise DomainError("not applicable: needs r < 1 < n(r)")
     if x.num == 0:
         raise DomainError("not applicable: x must be positive")
-    if x.num == 1:
-        return 0
     return max_power_dividing(r.num, x.num)
 
 
-def mult_divides(r: Ratio, n: int, x: Ratio, N: ExponentSetSpec,
-                 support_bound: Optional[int] = None) -> MembershipResult:
+def mult_divides(r: Ratio, n: int, x: Ratio, N: ExponentSetSpec) -> MembershipResult:
     """Whether r^n divides x in the multiplicative monoid of the semiring."""
     if x.num == 0:
         raise DomainError("x must be positive")
@@ -244,7 +241,7 @@ def mult_divides(r: Ratio, n: int, x: Ratio, N: ExponentSetSpec,
     y = x / r ** n
     M, base = exponent_monoid(r, N)
     y_shifted = y / r ** base
-    return is_member(y_shifted, M, support_bound)
+    return is_member(y_shifted, M)
 
 
 @dataclass(frozen=True)
@@ -255,15 +252,15 @@ class MultVerdict:
     evidence: Dict[str, str]
 
 
-def classify_mult(r: Ratio, N: Optional[ExponentSetSpec] = None) -> MultVerdict:
-    """Chain conditions of the multiplicative monoid; independent of N.
+def classify_mult(r: Ratio) -> MultVerdict:
+    """Chain conditions of the multiplicative monoid, from r alone.
 
-    Delegation makes the restricted and full cyclic monoids agree, so N is
-    accepted only for interface symmetry. The prime-power-denominator rule
-    certifies the ACCP alone; BFP/FFP stay unknown there. d(r) = q^k with k
-    maximal is a prime power exactly when q is prime, which the Miller-Rabin
-    test below decides for q < psi_13; past it, with no witness, the verdict
-    is unknown and names the bound.
+    Delegation makes the monoid restricted to any exponent set agree with
+    the full cyclic one, so no exponent set is taken. The prime-power-
+    denominator rule certifies the ACCP alone; BFP/FFP stay unknown there.
+    d(r) = q^k with k maximal is a prime power exactly when q is prime,
+    which the Miller-Rabin test below decides for q < psi_13; past it, with
+    no witness, the verdict is unknown and names the bound.
     """
     n, d = r.num, r.den
     if n == 0:

@@ -248,7 +248,7 @@ def test_criterion_8_semiring_layer(capsys):
         for _ in range(50):
             x = Ratio(rng.randint(1, 64), 3 ** rng.randint(0, 3))
             n = rng.randint(0, 8)
-            res = mult_divides(r, n, x, NATURALS, 8)
+            res = mult_divides(r, n, x, NATURALS)
             if res.is_member:
                 assert n <= mult_divisor_bound(r, x)
             if n > mult_divisor_bound(r, x):

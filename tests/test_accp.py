@@ -80,6 +80,15 @@ class TestCheckNecessary:
             if check_necessary(M(text))["bound_holds"] is False:
                 assert classify(M(text)).accp == "no"
 
+    def test_finite_window_is_unknown(self):
+        out = check_necessary(M("r=2/3; delta=prefix(1,2); finite"))
+        assert (out["bound_holds"], out["rhs"]) == (
+            "unknown", "finite exponent set: bound not applicable")
+
+    def test_recurrence_off_the_base_is_unknown(self):
+        out = check_necessary(M("r=2/3; delta=recurrence(2,5,2)"))
+        assert (out["bound_holds"], out["rhs"]) == ("unknown", "no closed form for this rule")
+
     def test_not_applicable(self):
         for text in ("r=3/2; delta=const(1)", "r=3; delta=const(1)",
                      "r=1/2; delta=const(1)"):
@@ -127,6 +136,14 @@ class TestWitnessChain:
         # holds there, so only c >= 1 keeps the chain strictly descending
         monkeypatch.setattr("puiseux.accp.descending_run", lambda M, k, scan: (0, [-1, 7]))
         with pytest.raises(ChainError, match="link 0 of the chain does not verify"):
+            witness_chain(M("r=2/3; delta=periodic(1,2)"), 2)
+
+    def test_links_that_never_run_in_a_row_give_no_chain(self):
+        # classify says no (bounded-delta), but on periodic(1,2) the identity
+        # 3^delta_m > 2^delta_{m+1} holds only at odd m: no two links in a row
+        with pytest.raises(ChainError, match="^no constructive witness available: the "
+                                             "descending identity never holds on a long "
+                                             "enough run$"):
             witness_chain(M("r=2/3; delta=periodic(1,2)"), 2)
 
     def test_wider_gap_coefficient(self):
@@ -240,6 +257,10 @@ class TestCounterexample:
         spec, report = construct_counterexample(2, 4, 3)
         assert report["delta"] == [2, 3, 5]
         assert "warning" in report
+
+    def test_reduction_warning_names_the_reduced_base(self):
+        _, report = construct_counterexample(4, 6, 3)
+        assert report["warning"] == "r=4/6 reduces to 2/3"
 
     def test_constant_recurrence(self):
         spec, report = construct_counterexample(3, 5, 3)

@@ -6,9 +6,10 @@ tree is searched for a float literal, the name ``float``, any import of a
 module that is neither in the standard library nor the package itself, and
 any ``assert`` statement, which ``python -O`` strips. The gcd-free
 constructor ``Ratio._reduced`` is named in ``ratio.py`` alone, so each value
-built without a gcd sits beside the argument that it is coprime. A
-``DomainError`` becomes a ``ParseError`` in one except clause of each
-parser, and nowhere else.
+built without a gcd sits beside the argument that it is coprime.
+``Factorization.make``, which checks input from outside the library, is
+called from ``cli.py`` alone. A ``DomainError`` becomes a ``ParseError``
+in one except clause of each parser, and nowhere else.
 """
 
 import ast
@@ -68,6 +69,19 @@ def test_the_gcd_free_constructor_stays_in_ratio():
                 uses.append(f"{path.name}:{node.lineno}")
     assert not uses, f"Ratio._reduced used outside ratio.py at {uses}"
 
+
+def test_only_the_cli_validates_factorizations():
+    # the library builds its own sorted pairs; make is for input from outside
+    callers = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            func = node.func if isinstance(node, ast.Call) else None
+            owner = getattr(func, "value", None)
+            if (isinstance(func, ast.Attribute) and func.attr == "make"
+                    and "Factorization" in (getattr(owner, "id", None),
+                                            getattr(owner, "attr", None))):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert {caller.split(":")[0] for caller in callers} == {"cli.py"}, callers
 
 
 # each parser turns a DomainError into a ParseError in one except clause

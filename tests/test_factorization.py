@@ -204,8 +204,13 @@ class TestLengthSet:
         assert ls.min_exact and ls.max_exact
 
     def test_unresolved(self):
-        with pytest.raises(DomainError):
+        # 1/5 is no member (5 does not divide a power of 3): the error says
+        # only what the window shows, with B cut to a finite window's end
+        with pytest.raises(DomainError, match=r"^no factorization with support in \[0, 3\]$"):
             length_set(Ratio(1, 5), CONST, 3)
+        fin = parse_monoid("r=2/3; delta=prefix(1,1,2); finite")
+        with pytest.raises(DomainError, match=r"^no factorization with support in \[0, 3\]$"):
+            length_set(Ratio(1, 3), fin, 7)
 
     def test_finite_window_sweep_stays_inside(self):
         fin = parse_monoid("r=2/3; delta=prefix(1,1,2); finite")
@@ -376,7 +381,9 @@ def _ref_length_set(x, M, max_index, witness=None):
     """Reference: lengths and the fallback witness read off the made list."""
     zs = _ref_enumerate_all(x, M, max_index)
     if not zs and witness is None:
-        raise DomainError("membership unresolved: no factorization within bound")
+        window = M.delta.max_exponent_index
+        B = max_index if window is None else min(max_index, window)
+        raise DomainError(f"no factorization with support in [0, {B}]")
     lengths = tuple(sorted({z.length for z in zs}))
     if not lengths:
         return LengthSet(lengths, False, False)

@@ -71,7 +71,7 @@ class TestIsMember:
 
 class TestDivides:
     def test_positive_case(self):
-        res = divides(Ratio(2, 3), Ratio(2), CONST, 3)
+        res = divides(Ratio(2, 3), Ratio(2), CONST)
         assert res.is_member
         assert evaluate(res.witness) == Ratio(4, 3)
 

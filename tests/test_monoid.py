@@ -151,6 +151,21 @@ class TestTailRules:
         with pytest.raises(DomainError):
             DeltaSpec((1, 0), Constant(1))
 
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: Polynomial(()), DomainError, "empty polynomial"),
+        (lambda: parse_delta("recurrence(3,2,1)"), ParseError, "recurrence needs 1 < a < b"),
+        (lambda: parse_delta("recurrence(2,3,0)"), ParseError, "recurrence seed must be >= 1"),
+        (lambda: parse_delta("const(x)"), ParseError, r"non-integer argument in const\(\.\.\.\)"),
+        (lambda: DeltaSpec((1,), Constant(1)).delta(-1), IndexRangeError, "negative gap index"),
+        (lambda: DeltaSpec((1, 2)).delta(2), IndexRangeError,
+         "gap index 2 beyond finite window of 2 gaps"),
+        (lambda: DeltaSpec((1,)).drop(-1), IndexRangeError, "negative truncation index"),
+    ], ids=["empty-polynomial", "recurrence-order", "recurrence-seed", "non-integer",
+            "negative-gap", "gap-past-window", "negative-drop"])
+    def test_a_bad_rule_or_index_raises(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
 
 class TestGrammar:
     def test_round_trip(self):

@@ -1,3 +1,6 @@
+import pytest
+
+from puiseux.errors import DomainError
 from puiseux.factorization import (enumerate_all, max_length_sweep,
                                    min_normal_form, Factorization)
 from puiseux.monoid import parse_monoid
@@ -11,6 +14,11 @@ GEOM = parse_monoid("r=2/3; delta=geom(1,2)")
 def test_known_vectors():
     vecs = oracle_enumerate(Ratio(2), CONST, 3)
     assert set(vecs) == {(2, 0, 0, 0), (0, 3, 0, 0), (0, 1, 3, 0), (0, 1, 1, 3)}
+
+
+def test_negative_max_index_rejected():
+    with pytest.raises(DomainError, match="^max_index must be >= 0$"):
+        oracle_enumerate(Ratio(1), CONST, -1)
 
 
 def test_non_member_is_empty():

@@ -133,3 +133,21 @@ def test_over_power_matches_the_reducing_constructor(num, d, e):
     got = Ratio.over_power(num, d ** e, d)
     want = Ratio(num, d ** e)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Ratio(1, 2) / 0, DomainError, "division by zero"),
+    (lambda: Ratio(1, 2) ** -1, DomainError, "negative exponent"),
+    (lambda: setattr(Ratio(1, 2), "num", 3), AttributeError, "Ratio is immutable"),
+    (lambda: max_power_dividing(1, 8), DomainError, "base must be >= 2"),
+    (lambda: max_power_dividing(2, 0), DomainError, "argument must be >= 1"),
+], ids=["divide-by-zero", "negative-exponent", "immutable", "base-below-two",
+        "argument-below-one"])
+def test_an_invalid_operation_raises(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_zero_is_false_and_an_int_operand_is_coerced():
+    assert not Ratio(0) and Ratio(1, 2)
+    assert Ratio(1, 2) < 1 < Ratio(3, 2)
