@@ -16,10 +16,42 @@ from .monoid import ExpMonoid, s_index
 from .ratio import Ratio
 
 
-@dataclass(frozen=True)
 class Factorization:
-    monoid: ExpMonoid
-    coeffs: Tuple[Tuple[int, int], ...]  # sorted (index, coeff >= 1) pairs
+    """The sum of c atoms r^{s_i} over the sorted (index i, coeff c >= 1)
+    pairs of coeffs.
+
+    An immutable slotted value, with the equality, hash and repr of a frozen
+    dataclass of the fields (monoid, coeffs); copies and pickles rebuild it
+    through the constructor. Enumeration builds one per result, so __init__
+    stores the fields through the slot descriptors' __set__, the cheapest
+    store that the blocking __setattr__ leaves open.
+    """
+
+    __slots__ = ("monoid", "coeffs")
+
+    def __init__(self, monoid: ExpMonoid, coeffs: Tuple[Tuple[int, int], ...]):
+        _set_monoid(self, monoid)
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Factorization is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Factorization is immutable")
+
+    def __reduce__(self):
+        return Factorization, (self.monoid, self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.monoid == other.monoid
+
+    def __hash__(self):
+        return hash((self.monoid, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"Factorization(monoid={self.monoid!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def make(cls, monoid: ExpMonoid, coeffs) -> "Factorization":
@@ -51,6 +83,9 @@ class Factorization:
 
     def as_pairs(self) -> List[List[int]]:
         return [[i, c] for i, c in self.coeffs]
+
+
+_set_monoid, _set_coeffs = Factorization.monoid.__set__, Factorization.coeffs.__set__
 
 
 @dataclass(frozen=True)

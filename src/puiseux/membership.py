@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import DomainError
 from .factorization import Factorization, _search, _shortest, min_normal_form
 from .monoid import ExpMonoid, s_index
 from .ratio import Ratio
@@ -41,6 +42,8 @@ def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
 
 
 def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> MembershipResult:
+    if support_bound is not None and support_bound < 0:
+        raise DomainError("support bound must be >= 0")
     # no prime occurs in d(x) more often than its bit length, so d(x) divides
     # a power of d(r) exactly when it divides that one
     if pow(M.r.den, q.den.bit_length(), q.den) != 0:

@@ -54,6 +54,12 @@ class Ratio:
     def __setattr__(self, name, value):
         raise AttributeError("Ratio is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Ratio is immutable")
+
+    def __reduce__(self):
+        return Ratio, (self.num, self.den)
+
     # -- construction / formatting -------------------------------------
 
     @classmethod

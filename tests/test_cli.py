@@ -54,6 +54,14 @@ def test_lengths_keeps_the_unresolved_verdict(capsys):
     assert (code, doc["message"]) == (3, "membership unresolved: no witness for the query")
 
 
+@pytest.mark.parametrize("x", ["1/9", "1/5"])  # a bounded search, a foreign prime
+def test_a_negative_bound_is_a_precondition_error(capsys, x):
+    monoid = "r=2/3; delta=const(1)"
+    for argv in (["member"], ["lengths", "--max-index", "3"]):
+        code, doc = run(capsys, *argv, "--monoid", monoid, "--x", x, "--bound", "-1")
+        assert (code, doc["status"], doc["message"]) == (3, "error", "support bound must be >= 0")
+
+
 def test_a_repeated_field_is_a_parse_error(capsys):
     code, doc = run(capsys, "classify", "--monoid", "r=2/3; delta=const(1); r=5/7")
     assert (code, doc["status"]) == (2, "error")

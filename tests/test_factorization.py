@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import gcd
 from unittest.mock import patch
 
@@ -40,6 +42,83 @@ class TestEvaluate:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             F(CONST, {0: -1})
+
+
+class TestValue:
+    """A Factorization is an immutable slotted value with a frozen dataclass's
+    equality, hash and repr."""
+
+    def test_equality(self):
+        z = F(CONST, {0: 8, 4: 1, 5: 2})
+        assert z == Factorization(CONST, ((0, 8), (4, 1), (5, 2)))
+        assert z != F(CONST, {0: 8, 4: 1, 5: 1})
+        assert z != F(GEOM, z.coeffs)  # the same pairs on another monoid
+        assert z != z.coeffs and z.coeffs != z
+
+    def test_equal_values_hash_equal(self):
+        z, twin = F(CONST, {1: 3, 0: 2}), Factorization(CONST, ((0, 2), (1, 3)))
+        assert z is not twin and hash(z) == hash(twin)
+        assert len({z, twin, F(GEOM, z.coeffs)}) == 2
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(F(CONST, {0: 8, 4: 1})) == (
+            "Factorization(monoid=ExpMonoid(r=Ratio(2, 3), delta=DeltaSpec(prefix=(), "
+            "tail=Constant(value=1))), coeffs=((0, 8), (4, 1)))")
+
+    @pytest.mark.parametrize("field", ["monoid", "coeffs", "other"])
+    def test_immutable(self, field):
+        z = F(CONST, {0: 2})
+        with pytest.raises(AttributeError):
+            setattr(z, field, ())
+        with pytest.raises(AttributeError):
+            delattr(z, field)
+        assert z == F(CONST, {0: 2})
+
+    def test_no_instance_dict(self):
+        assert not hasattr(F(CONST, {0: 2}), "__dict__")
+
+    def test_enumeration_wraps_the_search_results(self):
+        x = Ratio(2056, 243)  # the tail query of factor-mix
+        found = list(fz._search(x, CONST, 5))
+        assert len(found) == 1712
+        assert [z.coeffs for z in enumerate_all(x, CONST, 5)] == found
+
+
+def _filled_recurrence():
+    M = parse_monoid("r=2/3; delta=recurrence(2,3,1)")
+    s_index(M, 12)
+    assert len(M.delta.tail._memo[0]) > 1
+    return M
+
+
+ROUND_TRIP = {
+    "ratio": Ratio(2, 3), "zero": Ratio(0), "const": CONST, "geom": GEOM,
+    "poly": parse_monoid("r=2/3; delta=poly(1,1)"),
+    "periodic": parse_monoid("r=3/4; delta=periodic(1,2)"),
+    "recurrence": parse_monoid("r=2/3; delta=recurrence(2,3,1)"),
+    "recurrence-memo": _filled_recurrence(),
+    "finite": parse_monoid("r=2/3; delta=prefix(1,1,2);finite"),
+    "factorization": F(CONST, {0: 8, 4: 1, 5: 2}),
+    "membership": is_member(Ratio(4, 3), CONST, 4),
+}
+
+
+@pytest.mark.parametrize("value", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
+def test_copy_deepcopy_and_pickle_round_trip(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+    if isinstance(value, MembershipResult):
+        assert value.witness is not None
+    if isinstance(value, ExpMonoid):
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            top = value.delta.max_exponent_index or 15
+            assert [s_index(twin, i) for i in range(top + 1)] == [
+                s_index(value, i) for i in range(top + 1)]
+            tail = value.delta.tail
+            if hasattr(tail, "_memo"):  # a filled memo travels with the copy
+                assert twin.delta.tail._memo == tail._memo
 
 
 class TestRewriteDownStep:

@@ -1,5 +1,6 @@
 import pytest
 
+from puiseux.errors import DomainError
 from puiseux.factorization import evaluate
 from puiseux.membership import default_support_bound, divides, is_member
 from puiseux.monoid import parse_monoid
@@ -67,6 +68,16 @@ class TestIsMember:
         assert is_member(Ratio(2, 3), fin).is_member
         res = is_member(Ratio(16, 81), fin)  # r^4: outside the window
         assert res.status == "not-member"
+
+    @pytest.mark.parametrize("spec,q", [
+        ("r=2/3; delta=const(1)", Ratio(1, 9)),   # bounded search
+        ("r=2/3; delta=const(1)", Ratio(1, 5)),   # denominator obstruction
+        ("r=3/2; delta=const(1)", Ratio(3)),      # expanding base
+        ("r=2/3; delta=prefix(1,2); finite", Ratio(2, 3)),  # finite window
+    ])
+    def test_negative_bound_is_rejected_on_every_path(self, spec, q):
+        with pytest.raises(DomainError, match=r"^support bound must be >= 0$"):
+            is_member(q, parse_monoid(spec), -1)
 
 
 class TestDivides:

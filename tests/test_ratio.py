@@ -139,9 +139,10 @@ def test_over_power_matches_the_reducing_constructor(num, d, e):
     (lambda: Ratio(1, 2) / 0, DomainError, "division by zero"),
     (lambda: Ratio(1, 2) ** -1, DomainError, "negative exponent"),
     (lambda: setattr(Ratio(1, 2), "num", 3), AttributeError, "Ratio is immutable"),
+    (lambda: delattr(Ratio(1, 2), "num"), AttributeError, "Ratio is immutable"),
     (lambda: max_power_dividing(1, 8), DomainError, "base must be >= 2"),
     (lambda: max_power_dividing(2, 0), DomainError, "argument must be >= 1"),
-], ids=["divide-by-zero", "negative-exponent", "immutable", "base-below-two",
+], ids=["divide-by-zero", "negative-exponent", "immutable", "undeletable", "base-below-two",
         "argument-below-one"])
 def test_an_invalid_operation_raises(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
