@@ -327,6 +327,8 @@ def test_s_index_is_the_gap_sum(m, n):
 
 @settings(max_examples=150)
 @given(MONOIDS, st.integers(0, 6), st.integers(0, 6))
+# gaps near 10^6 by index 12: the recurrence step must not form 9^delta_k
+@example(ExpMonoid(Ratio(1, 1), DeltaSpec((), Recurrence(2, 9, 3))), 6, 6)
 def test_s_index_of_a_truncation(m, i, n):
     i, n = _finite_safe(m, i, n)
     assert s_index(truncate(m, i), n) == s_index(m, i + n) - s_index(m, i)
@@ -346,6 +348,15 @@ def _linear_step(a, b, d):
 def test_recurrence_step_matches_linear_search(ab, d):
     a, b = ab
     assert Recurrence(a, b, 1).step(d) == _linear_step(a, b, d)
+
+
+@pytest.mark.parametrize("a,b,d,expected", [
+    (2, 4, 1, 1), (2, 4, 10 ** 6, 2 * 10 ** 6 - 1), (4, 8, 2, 2), (4, 8, 4, 5),
+    (3, 9, 7, 13), (8, 16, 3, 3), (9, 27, 10 ** 5, 3 * 10 ** 5 // 2 - 1),
+])
+def test_recurrence_step_when_b_to_the_d_is_a_power_of_a(a, b, d, expected):
+    # log_a(b^d) is an integer k here, so the step is exactly k - 1
+    assert Recurrence(a, b, 1).step(d) == expected
 
 
 @pytest.mark.parametrize("text", [
