@@ -311,24 +311,40 @@ class Recurrence(Tail):
         object.__setattr__(self, "_memo", ([self.seed], [0, self.seed]))
 
     def step(self, d: int) -> int:
-        # a^m < b^d iff m < x = d ln b / ln a. Decimal's ln and arithmetic
-        # round correctly, so four roundings at `prec` digits put x within
-        # x * 10^(2 - prec) of the truth; floor(x) is then exact unless x
-        # lies that close to an integer, and only then are b^d and a^m formed.
-        # Imported here: no other query needs decimal, and CLI start-up pays for it.
-        from decimal import ROUND_FLOOR, Context, Decimal
+        # the step m has a^m < b^d <= a^(m+1); bisect on a bracket
+        # a^lo < b^d <= a^hi by comparing exact powers
+        if d * self.b.bit_length() <= 4096:
+            target = self.b ** d
+            bits = target.bit_length()
+            # a^lo < 2^(bits-1) <= target < 2^bits <= a^hi
+            lo = max(1, (bits - 1) // self.a.bit_length())
+            hi = -(-bits // (self.a.bit_length() - 1))
+        else:
+            # Past about 4096 bits, forming b^d costs more than logarithms:
+            # a^m < b^d iff m < y = d ln b / ln a. Decimal's ln and arithmetic
+            # round correctly, so four roundings at `prec` digits put x within
+            # x * 10^(2 - prec) of y; the check allows ten times that for
+            # margin. floor(x) is the step unless x lies that close to an
+            # integer, and only then is b^d formed. Only this branch needs
+            # decimal, so a query whose gaps stay small never imports it.
+            from decimal import ROUND_FLOOR, Context, Decimal
 
-        prec = len(str(d)) + 20
-        ctx = Context(prec=prec)
-        x = ctx.multiply(Decimal(d), ctx.divide(ctx.ln(Decimal(self.b)), ctx.ln(Decimal(self.a))))
-        m = int(x.to_integral_value(rounding=ROUND_FLOOR))
-        frac, eps = x - m, x.scaleb(3 - prec)
-        if eps < frac < 1 - eps:
-            return m
-        target, m = self.b ** d, m + 1
-        while self.a ** m >= target:
-            m -= 1
-        return m
+            prec = len(str(d)) + 20
+            ctx = Context(prec=prec)
+            x = ctx.multiply(Decimal(d), ctx.divide(ctx.ln(Decimal(self.b)), ctx.ln(Decimal(self.a))))
+            m = int(x.to_integral_value(rounding=ROUND_FLOOR))
+            frac, eps = x - m, x.scaleb(3 - prec)
+            if eps < frac < 1 - eps:
+                return m
+            # y lies within 2 eps of m or of m + 1
+            target, lo, hi = self.b ** d, m - 1, m + 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.a ** mid < target:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def _known(self, k: int) -> tuple:
         """(gaps, sums) holding at least delta_0..delta_k."""
