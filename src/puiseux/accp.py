@@ -13,6 +13,7 @@ first-class verdict for anything the exact rules cannot settle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Tuple
 
 from .errors import ChainError, DomainError
@@ -44,7 +45,7 @@ def classify(M: ExpMonoid) -> Classification:
     if atom_verdict.kind == "antimatter":
         return Classification(atom_verdict, "n/a",
                               {"rule": "antimatter", "instance": "n(r)=1, d(r)>1"})
-    if M.delta.is_finite:
+    if M.delta.tail is None:
         return Classification(atom_verdict, "yes",
                               {"rule": "finitely-generated",
                                "instance": f"|S|={M.delta.max_exponent_index + 1}"})
@@ -83,8 +84,7 @@ def series_partial_sums(M: ExpMonoid, terms: int) -> List[Ratio]:
     n, d = M.r.num, M.r.den
     out: List[Ratio] = []
     total, n_pow, d_pow = 0, 1, 1  # the sum over d^{s_k}; n^{s_k}; d^{s_k}
-    for k in range(terms):
-        delta = M.delta.delta(k)
+    for k, delta in enumerate(islice(M.delta.gaps(), terms)):
         n_delta = n ** delta
         total += (n_delta - 1) * n_pow
         out.append(Ratio.over_power(total, d_pow, d))
@@ -122,8 +122,7 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
     s = s_index(M, start)
     n_pow, d_pow, d_step = n ** s, d ** s, 1
     elements, diffs = [], []
-    for m in range(start, start + k + 1):
-        delta = M.delta.delta(m)
+    for m, delta in enumerate(islice(M.delta.gaps(start), k + 1), start):
         n_next = n_pow * n ** delta
         x = Ratio.over_power(n_next, d_pow, d)
         if m > start:  # link m-1, checked over d^{s_m}

@@ -178,19 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_echo(args) -> dict:
-    skip = {"fn", "command"}
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and v is not None}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    doc = {"command": args.command, "input": _input_echo(args)}
+    echo = {k: v for k, v in sorted(vars(args).items())
+            if k not in ("fn", "command") and v is not None}
+    doc = {"command": args.command, "input": echo}
     try:
         M = _load_monoid(args) if "monoid" in vars(args) else None
         x = Ratio.parse(args.x) if "x" in vars(args) else None

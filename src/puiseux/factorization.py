@@ -8,7 +8,7 @@ factorization, bounded exact enumeration, and length sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
@@ -187,6 +187,7 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     coeffs = z.as_dict()
     n, d = M.r.num, M.r.den
     window, tail = M.delta.max_exponent_index, M.delta.tail
+    gaps = M.delta.gaps()  # level i reads delta_i, once and in order
     # on a shortfall tail (True) d^{delta_i} >= n^{delta_{i+1}} and coefficients
     # only add, so past the prefix each level's q is at least the last one's
     descent = False if tail is None else tail.descent(n, d)  # a window ends too
@@ -201,7 +202,7 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
         if i == window:  # the top level of a finite window has none above it
             q, rem = 0, total
         else:
-            delta_i = M.delta.delta(i)
+            delta_i = next(gaps)
             q, rem = divmod(total, n ** delta_i)
             if q and descent and i >= len(M.delta.prefix):
                 return MaxLengthOutcome(None, level_bound)
@@ -237,7 +238,7 @@ def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
     window = M.delta.max_exponent_index
     B = max_index if window is None else min(max_index, window)
     n, d = M.r.num, M.r.den
-    s = [s_index(M, i) for i in range(B + 1)]
+    s = list(accumulate(islice(M.delta.gaps(), B), initial=0))
     D = d ** s[B]
     if D % x.den != 0:
         return

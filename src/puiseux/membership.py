@@ -9,11 +9,12 @@ element's denominator divides a power of d(r).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .errors import DomainError
 from .factorization import Factorization, _search, _shortest, min_normal_form
-from .monoid import ExpMonoid, s_index
+from .monoid import ExpMonoid
 from .ratio import Ratio
 
 
@@ -35,8 +36,8 @@ def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
     d = M.r.den
     limit = M.delta.max_exponent_index
     top = 512 if limit is None else limit
-    for m in range(top + 1):
-        if pow(d, s_index(M, m), q.den) == 0:
+    for m, s in zip(range(top + 1), accumulate(M.delta.gaps(), initial=0)):
+        if pow(d, s, q.den) == 0:
             return min(m + 3, top)
     return top
 
@@ -50,7 +51,7 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
         return MembershipResult(
             "not-member", reason=f"a prime of d(x)={q.den} does not divide d(r)={M.r.den}")
 
-    finite = M.delta.is_finite
+    finite = M.delta.tail is None
     if M.r >= Ratio(1) or finite:
         # complete enumeration: for r > 1 atoms eventually exceed q, for a
         # finite window the support is bounded outright
@@ -59,9 +60,8 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
         elif M.r == Ratio(1):
             bound = 0
         else:
-            bound = 0
-            while M.r ** s_index(M, bound) <= q:
-                bound += 1
+            s = accumulate(M.delta.gaps(), initial=0)
+            bound = next(i for i, e in enumerate(s) if M.r ** e > q)
         best = _shortest(q, M, bound)
         if best is not None:
             return MembershipResult("member", Factorization(M, best))

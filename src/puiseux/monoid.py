@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import astuple, dataclass
+from itertools import count, islice, pairwise
 from math import comb
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import DomainError, IndexRangeError, ParseError
 from .ratio import Ratio, _printable
@@ -42,9 +43,7 @@ def descending_run(M: "ExpMonoid", k: int, scan: int) -> Optional[Tuple[int, lis
     """
     n, d = M.r.num, M.r.den
     run: list = []
-    upper = M.delta.delta(0)  # delta_{j+1} is read once, then carried to j+1
-    for j in range(scan):
-        lower, upper = upper, M.delta.delta(j + 1)
+    for j, (lower, upper) in enumerate(pairwise(islice(M.delta.gaps(), scan + 1))):
         c = d ** lower - n ** upper
         if c > 0:
             run.append(c)
@@ -56,7 +55,7 @@ def descending_run(M: "ExpMonoid", k: int, scan: int) -> Optional[Tuple[int, lis
 
 
 def _shortfall_instance(M: "ExpMonoid", m: int) -> str:
-    dm, dm1 = M.delta.delta(m), M.delta.delta(m + 1)
+    dm, dm1 = islice(M.delta.gaps(m), 2)
     return f"d^delta_{m}={_power(M.r.den, dm)} > n^delta_{m + 1}={_power(M.r.num, dm1)}"
 
 
@@ -193,10 +192,6 @@ class Polynomial(Tail):
             newton.append(diff[0])
         object.__setattr__(self, "_newton", tuple(newton))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def delta(self, k: int) -> int:
         return _horner(self.coeffs, k)
 
@@ -208,7 +203,7 @@ class Polynomial(Tail):
         return Polynomial(_shift(self.coeffs, j)) if j else self
 
     def accp_rule(self, M):
-        if self.degree == 0:
+        if len(self.coeffs) == 1:
             return Constant(self.coeffs[0]).accp_rule(M)
         found = descending_run(M, 1, SCAN_LIMIT)
         if found is None:  # the gap ratio tends to 1, but slowly when d is close to n
@@ -407,13 +402,9 @@ class DeltaSpec:
             raise DomainError("prefix gaps must be >= 1")
 
     @property
-    def is_finite(self) -> bool:
-        return self.tail is None
-
-    @property
     def max_exponent_index(self) -> Optional[int]:
         """Largest valid index into s, or None when unbounded."""
-        return len(self.prefix) if self.is_finite else None
+        return len(self.prefix) if self.tail is None else None
 
     def delta(self, n: int) -> int:
         if n < 0:
@@ -424,6 +415,16 @@ class DeltaSpec:
             raise IndexRangeError(
                 f"gap index {n} beyond finite window of {len(self.prefix)} gaps")
         return self.tail.delta(n - len(self.prefix))
+
+    def gaps(self, start: int = 0) -> Iterator[int]:
+        """delta_start, delta_start+1, ... in order; delta serves sparse reads.
+        Past a finite window the next read raises what delta raises there."""
+        if start < 0:
+            raise IndexRangeError("negative gap index")
+        yield from self.prefix[start:]
+        if self.tail is None:
+            self.delta(max(start, len(self.prefix)))  # raises: the window ends
+        yield from map(self.tail.delta, count(max(start - len(self.prefix), 0)))
 
     def drop(self, i: int) -> "DeltaSpec":
         """Spec for the exponent set with the first i gaps removed."""

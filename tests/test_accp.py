@@ -9,15 +9,38 @@ import puiseux
 from puiseux.accp import (check_necessary, classify, construct_counterexample,
                           series_partial_sums, witness_chain)
 from puiseux.errors import ChainError, DomainError
-from puiseux.factorization import Factorization, evaluate
+from puiseux.factorization import Factorization, evaluate, max_length_sweep
 from puiseux.membership import default_support_bound, is_member
-from puiseux.monoid import (DeltaSpec, ExpMonoid, Recurrence, classify_atomicity,
-                            descending_run, parse_monoid, s_index, truncate)
+from puiseux.monoid import (SCAN_LIMIT, TAILS, DeltaSpec, ExpMonoid, Recurrence,
+                            classify_atomicity, descending_run, parse_monoid, s_index,
+                            truncate)
 from puiseux.ratio import ZERO, Ratio
 
 
 def M(text):
     return parse_monoid(text)
+
+
+def _gap_reads(monkeypatch, walk):
+    """walk()'s result and its gap reads through DeltaSpec.delta and Tail.delta."""
+    reads = {"spec": 0, "tail": 0}
+    for key, owner in (("spec", DeltaSpec), *(("tail", cls) for cls in TAILS.values())):
+        def counted(self, j, original=owner.delta, key=key):
+            reads[key] += 1
+            return original(self, j)
+        monkeypatch.setattr(owner, "delta", counted)
+    return walk(), reads
+
+
+@pytest.mark.parametrize("spec, walk, reads", [
+    ("r=2/3; delta=const(1)", lambda m: descending_run(m, 50, SCAN_LIMIT), 51),
+    ("r=2/3; delta=prefix(2,1);periodic(1,5,2)", lambda m: series_partial_sums(m, 50), 48),
+    ("r=2/3; delta=geom(1,2)",
+     lambda m: max_length_sweep(Factorization(m, ((0, 10 ** 6),))), 7),
+], ids=["descending_run", "series_partial_sums", "max_length_sweep"])
+def test_walks_read_each_gap_once_and_never_through_delta(monkeypatch, spec, walk, reads):
+    _, counts = _gap_reads(monkeypatch, lambda: walk(M(spec)))
+    assert counts == {"spec": 0, "tail": reads}
 
 
 class TestClassify:
@@ -166,14 +189,11 @@ class TestWitnessChain:
             witness_chain(m, 1)
 
     def test_each_gap_is_read_a_bounded_number_of_times(self, monkeypatch):
-        calls = []
-        original = DeltaSpec.delta
-        monkeypatch.setattr(DeltaSpec, "delta",
-                            lambda self, j: calls.append(j) or original(self, j))
         k = 50
-        chain = witness_chain(M("r=2/3; delta=const(1)"), k)
-        assert len(chain.diffs) == k
-        assert len(calls) <= 2 * k + 2
+        walk, reads = _gap_reads(monkeypatch, lambda: witness_chain(M("r=2/3; delta=const(1)"), k))
+        assert len(walk.diffs) == k
+        # k + 1 gaps for the run, k + 1 more for the links, none through delta
+        assert reads == {"spec": 0, "tail": 2 * k + 2}
 
     def test_links_are_checked_on_carried_powers(self, monkeypatch):
         # s_index once, for the anchor; no link is built by make or evaluated

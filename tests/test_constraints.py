@@ -9,7 +9,10 @@ constructor ``Ratio._reduced`` is named in ``ratio.py`` alone, so each value
 built without a gcd sits beside the argument that it is coprime.
 ``Factorization.make``, which checks input from outside the library, is
 called from ``cli.py`` alone. A ``DomainError`` becomes a ``ParseError``
-in one except clause of each parser, and nowhere else.
+in one except clause of each parser, and nowhere else. A gap is read by a
+``.delta.delta(...)`` call only in ``oracle.py`` and in the two sparse
+readers ``min_normal_form`` and ``rewrite_down_step``; every in-order walk
+over the gaps reads ``DeltaSpec.gaps``.
 """
 
 import ast
@@ -82,6 +85,22 @@ def test_only_the_cli_validates_factorizations():
                                             getattr(owner, "attr", None))):
                 callers.append(f"{path.name}:{node.lineno}")
     assert {caller.split(":")[0] for caller in callers} == {"cli.py"}, callers
+
+
+def test_gaps_are_walked_in_order_and_read_one_by_one_only_where_sparse():
+    # the frozen oracle and the two downward passes over the levels that hold
+    # a coefficient read single gaps; any other reader walks DeltaSpec.gaps
+    readers = set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if (isinstance(func, ast.Attribute) and func.attr == "delta"
+                        and getattr(func.value, "attr", None) == "delta"):
+                    where = getattr(top, "name", "<module>")
+                    readers.add(path.name if path.name == "oracle.py" else f"{path.name}:{where}")
+    assert readers <= {"oracle.py", "factorization.py:min_normal_form",
+                       "factorization.py:rewrite_down_step"}, readers
 
 
 # each parser turns a DomainError into a ParseError in one except clause

@@ -13,7 +13,7 @@ from puiseux.factorization import (Factorization, LengthSet, MaxLengthOutcome, e
                                    min_normal_form, rewrite_down_step,
                                    unique_factorization_check)
 from puiseux.membership import MembershipResult, default_support_bound, is_member
-from puiseux.monoid import DeltaSpec, ExpMonoid, parse_monoid, s_index
+from puiseux.monoid import DeltaSpec, ExpMonoid, Geometric, parse_monoid, s_index
 from puiseux.oracle import oracle_enumerate, oracle_lengths
 from puiseux.ratio import ZERO, Ratio
 
@@ -494,7 +494,7 @@ def _ref_is_member(q, M, support_bound=None):
     if _foreign_prime(q.den, M.r.den):
         return MembershipResult(
             "not-member", reason=f"a prime of d(x)={q.den} does not divide d(r)={M.r.den}")
-    finite = M.delta.is_finite
+    finite = M.delta.tail is None
     if M.r >= Ratio(1) or finite:
         if finite:
             bound = M.delta.max_exponent_index
@@ -694,12 +694,12 @@ def test_shortfall_answers_without_sweeping(monkeypatch):
     # r=2/5 with geom(1,2): 5 >= 2^2, so every carry survives; a sweep to
     # level 64 would form 5^(2^63), so the gaps past level 1 are cut off
     M = parse_monoid("r=2/5; delta=geom(1,2)")
-    original = DeltaSpec.delta
+    original = Geometric.delta  # the sweep walks the gaps, reading the tail
 
     def delta(self, k):
         if k > 1:
             raise RuntimeError(f"the sweep reached gap {k}")
         return original(self, k)
 
-    monkeypatch.setattr(DeltaSpec, "delta", delta)
+    monkeypatch.setattr(Geometric, "delta", delta)
     assert max_length_sweep(F(M, {0: 100})) == MaxLengthOutcome(None, 64)

@@ -77,7 +77,7 @@ def test_evaluate_matches_fraction(z):
 @example((parse_monoid("r=2/3; delta=periodic(2,3)"), 30), 3)  # 2^2 - 1 = 3
 def test_series_partial_sums_match_fraction(family, terms):
     M, top = family
-    terms = min(terms, top) if M.delta.is_finite else min(terms, top + 1)
+    terms = min(terms, top) if M.delta.tail is None else min(terms, top + 1)
     assume(terms >= 1)
     s = _exponents(M, terms - 1)
     want, total = [], Fraction(0)
