@@ -30,19 +30,37 @@ class MembershipResult:
         return self.status == "member"
 
 
-def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
-    """m + 3 for the least m with d(q) | d(r)^{s_m}, capped at index 512 or
-    the window's end; the 3 covers a witness a few levels above that m."""
-    d = M.r.den
-    limit = M.delta.max_exponent_index
-    top = 512 if limit is None else limit
-    for m, s in zip(range(top + 1), accumulate(M.delta.gaps(), initial=0)):
-        if pow(d, s, q.den) == 0:
-            return min(m + 3, top)
+def _complete_index(q: Ratio, M: ExpMonoid, top: int) -> int:
+    """The least m < top with d(q) | d(r)^{s_m}, or top when there is none."""
+    for m, s in zip(range(top), accumulate(M.delta.gaps(), initial=0)):
+        if pow(M.r.den, s, q.den) == 0:
+            return m
     return top
 
 
+def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
+    """m + 3 for the least m with d(q) | d(r)^{s_m}, capped at index 512 or
+    the window's end. The search of is_member stops at m itself, which is
+    complete; the 3 only sets the bound that an unresolved answer reports."""
+    limit = M.delta.max_exponent_index
+    top = 512 if limit is None else limit
+    return min(_complete_index(q, M, top) + 3, top)
+
+
 def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> MembershipResult:
+    """Whether q is in M, with a witness of least length when it is.
+
+    For r < 1 and an infinite tail the answer is that of the search with
+    support in [0, B], B = support_bound or default_support_bound, but the
+    search runs at m = _complete_index(q, M, B). If q has a factorization in
+    [0, B], its minimum normal form has a top index t <= B (down-steps only
+    lower indices) and c_i < d^{delta_{i-1}} for i >= 1. Every term is a
+    fraction over d^{s_t}; the top term's reduced denominator is d^{s_t} /
+    gcd(c_t, d^{s_t}) > d^{s_{t-1}}, as n and d are coprime, while the lower
+    terms sum to a fraction over d^{s_{t-1}}. So t is the least j with
+    d(q) | d^{s_j}, m = t, and [0, m] holds a witness exactly when [0, B]
+    does; both witnesses have the one minimum normal form that is returned.
+    """
     if support_bound is not None and support_bound < 0:
         raise DomainError("support bound must be >= 0")
     # no prime occurs in d(x) more often than its bit length, so d(x) divides
@@ -70,7 +88,7 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
 
     bound = support_bound if support_bound is not None else default_support_bound(q, M)
     # one witness suffices: its normal form is the global minimum anyway
-    first = next(_search(q, M, bound), None)
+    first = next(_search(q, M, _complete_index(q, M, bound)), None)
     if first is not None:
         return MembershipResult("member", min_normal_form(Factorization(M, first)))
     return MembershipResult("unresolved", bound=bound)

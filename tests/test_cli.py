@@ -324,6 +324,22 @@ def test_endless_carries_answer_at_once(argv, result):
     assert result.items() <= doc["result"].items()
 
 
+@pytest.mark.parametrize("x, result", [
+    ("1", {"status": "member", "witness": [[0, 1]]}),
+    ("5/9", {"bound": 30, "status": "unresolved"}),
+], ids=["member", "unresolved"])
+def test_a_large_support_bound_searches_to_the_complete_index(x, result):
+    # s_30 = 2^30 - 1 on geom(1,2): a search at the bound forms 3^(2^30 - 1);
+    # x = 1 is complete at index 0, x = 5/9 at index 2
+    argv = ("member", "--monoid", "r=2/3; delta=geom(1,2)", "--x", x)
+    proc = _run_capped("-m", "puiseux.cli", *argv, "--bound", "30")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"] == {"membership": result}
+    if x == "1":  # the same answer as under the default bound
+        assert json.loads(_run_capped("-m", "puiseux.cli", *argv).stdout)["result"] == \
+            {"membership": result}
+
+
 def test_support_bound_of_a_foreign_prime_answers_at_once():
     # 7 never divides a power of 3: the scan runs to its cap at index 512,
     # where d^{s_m} in full would be 3^(2^512 - 1)

@@ -1,9 +1,13 @@
-import pytest
+from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from puiseux import membership
 from puiseux.errors import DomainError
-from puiseux.factorization import evaluate
-from puiseux.membership import default_support_bound, divides, is_member
-from puiseux.monoid import parse_monoid
+from puiseux.factorization import Factorization, _search, evaluate, min_normal_form
+from puiseux.membership import MembershipResult, default_support_bound, divides, is_member
+from puiseux.monoid import parse_monoid, s_index
 from puiseux.ratio import Ratio
 
 CONST = parse_monoid("r=2/3; delta=const(1)")
@@ -100,3 +104,58 @@ class TestDivides:
 def test_default_bound_tracks_denominator():
     assert default_support_bound(Ratio(5, 1), CONST) == 3   # m=0 plus slack
     assert default_support_bound(Ratio(1, 9), CONST) == 5   # m=2 plus slack
+
+
+# ---------------------------------------------------------------------------
+# The search stops at the least complete index
+# ---------------------------------------------------------------------------
+
+# r < 1 with an infinite tail, antimatter included: the bounded-search branch
+SEARCHED = [parse_monoid(text) for text in (
+    "r=2/3; delta=const(1)", "r=2/3; delta=geom(1,2)", "r=2/3; delta=poly(1,1)",
+    "r=3/4; delta=periodic(1,2)", "r=3/4; delta=prefix(2,1);const(1)",
+    "r=2/5; delta=prefix(1);periodic(2,3)", "r=2/3; delta=recurrence(2,3,2)",
+    "r=1/3; delta=const(1)")]
+
+
+def _least_complete(q, M):
+    """Reference: the least m with d(q) | d(r)^{s_m}, d^{s_m} formed in full."""
+    m = 0
+    while M.r.den ** s_index(M, m) % q.den:
+        m += 1
+    return m
+
+
+@st.composite
+def searched_queries(draw):
+    """(q, M, B): a few atoms at indices up to B + 2, plus an optional offset
+    that may leave the monoid; d(q) always divides a power of d(r)."""
+    M = draw(st.sampled_from(SEARCHED))
+    B = draw(st.integers(0, 5))
+    support = draw(st.dictionaries(st.integers(0, B + 2), st.integers(1, 4), max_size=3))
+    offset = Ratio(draw(st.integers(0, 2)), M.r.den ** draw(st.integers(0, 4)))
+    return evaluate(Factorization(M, tuple(sorted(support.items())))) + offset, M, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(searched_queries())
+def test_the_search_at_the_complete_index_answers_as_the_search_at_the_bound(query):
+    q, M, B = query
+    first = next(_search(q, M, B), None)
+    if first is None:
+        searched = MembershipResult("unresolved", bound=B)
+    else:
+        searched = MembershipResult("member", min_normal_form(Factorization(M, first)))
+    assert is_member(q, M, B) == searched
+
+
+@settings(max_examples=200, deadline=None)
+@given(searched_queries(), st.sampled_from([None, 0, 1, 2, 5, 9, 30]))
+def test_the_search_never_passes_the_complete_index(query, bound):
+    q, M, _ = query
+    depths = []
+    with patch.object(membership, "_search",
+                      lambda x, M, max_index: depths.append(max_index) or _search(x, M, max_index)):
+        is_member(q, M, bound)
+    assert len(depths) == 1
+    assert depths[0] <= _least_complete(q, M)

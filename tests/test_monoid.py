@@ -1,3 +1,4 @@
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -160,8 +161,10 @@ class TestTailRules:
         (lambda: DeltaSpec((1, 2)).delta(2), IndexRangeError,
          "gap index 2 beyond finite window of 2 gaps"),
         (lambda: DeltaSpec((1,)).drop(-1), IndexRangeError, "negative truncation index"),
+        (lambda: next(DeltaSpec((1,), Constant(1)).gaps(-1)), IndexRangeError,
+         "negative gap index"),
     ], ids=["empty-polynomial", "recurrence-order", "recurrence-seed", "non-integer",
-            "negative-gap", "gap-past-window", "negative-drop"])
+            "negative-gap", "gap-past-window", "negative-drop", "negative-walk"])
     def test_a_bad_rule_or_index_raises(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             call()
@@ -453,6 +456,30 @@ RUN_TAILS = st.one_of(
     st.tuples(st.builds(Geometric, st.integers(1, 3), st.integers(2, 3)), st.just(7)),
     st.tuples(st.tuples(st.integers(2, 5), st.integers(1, 3), st.integers(1, 4))
               .map(lambda t: Recurrence(t[0], t[0] + t[1], t[2])), st.just(7)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=4), RUN_TAILS, st.data())
+def test_gaps_walk_what_delta_reads(prefix, tail_scan, data):
+    # start falls inside the prefix, at its end or past it; prefix may be empty
+    tail, longest = tail_scan
+    spec = DeltaSpec(tuple(prefix), tail)
+    start = data.draw(st.integers(0, len(prefix) + longest // 2))
+    length = data.draw(st.integers(0, longest // 2 + 1))
+    assert (list(islice(spec.gaps(start), length))
+            == [spec.delta(i) for i in range(start, start + length)])
+
+
+@given(st.lists(st.integers(1, 6), max_size=5), st.integers(0, 7))
+def test_gaps_past_a_finite_window_raise_what_delta_raises(prefix, start):
+    spec = DeltaSpec(tuple(prefix))
+    walk = spec.gaps(start)
+    assert list(islice(walk, max(len(prefix) - start, 0))) == list(prefix[start:])
+    with pytest.raises(IndexRangeError) as walked:
+        next(walk)
+    with pytest.raises(IndexRangeError) as read:
+        spec.delta(max(start, len(prefix)))
+    assert str(walked.value) == str(read.value)
 
 
 @settings(max_examples=300, deadline=None)
