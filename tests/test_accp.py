@@ -190,8 +190,8 @@ class TestWitnessChain:
 
     def test_each_gap_is_read_a_bounded_number_of_times(self, monkeypatch):
         k = 50
-        walk, reads = _gap_reads(monkeypatch, lambda: witness_chain(M("r=2/3; delta=const(1)"), k))
-        assert len(walk.diffs) == k
+        chain, reads = _gap_reads(monkeypatch, lambda: witness_chain(M("r=2/3; delta=const(1)"), k))
+        assert len(chain.diffs) == k
         # k + 1 gaps for the run, k + 1 more for the links, none through delta
         assert reads == {"spec": 0, "tail": 2 * k + 2}
 
