@@ -179,10 +179,17 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     decreases, so the sweep runs to its end and the bound is ignored. On a
     finite window the top level keeps all it receives, so it terminates too.
     """
-    M = z.monoid
-    _require_contracting(M, "the max-length sweep")
+    _require_contracting(z.monoid, "the max-length sweep")
     if level_bound < 1:
         raise DomainError("level bound must be >= 1")
+    return _sweep(z, level_bound)
+
+
+def _sweep(z: Factorization, level_bound: int) -> MaxLengthOutcome:
+    """The one carry sweep, for any base. When it ends, c_i < n^{delta_i} at
+    every level below the top: for r < 1 that is the maximum-length form,
+    for r > 1, where an up-step shortens, the minimum-length one."""
+    M = z.monoid
     value = evaluate(z)
     coeffs = z.as_dict()
     n, d = M.r.num, M.r.den
@@ -298,19 +305,12 @@ def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
             yield node
 
 
-def _leaf(head: tuple, B: int, c: int, q: int) -> Tuple[Tuple[int, int], ...]:
-    """The result of a run with c atoms at level B-1 and q at level B."""
-    if c:
-        head += ((B - 1, c),)
-    return head + ((B, q),) if q else head
-
-
 def _expand(node: tuple) -> Iterator[Tuple[Tuple[int, int], ...]]:
     """The results of a run in ascending order: c rising, then c = 0."""
     head, B, c, q, k, m, e = node
     zero = None
     if c == 0:
-        zero = _leaf(head, B, 0, q)
+        zero = head + ((B, q),) if q else head
         c, q, k = m, q - e, k - 1
     i = B - 1
     for _ in range(k):
@@ -331,24 +331,6 @@ def _search(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[Tuple[Tuple[int,
     off without a division, come out sorted.
     """
     return chain.from_iterable(map(_expand, _runs(x, M, max_index)))
-
-
-def _shortest(x: Ratio, M: ExpMonoid, max_index: int) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """The least factorization by (length, tuple), one candidate per run.
-
-    Along a run the length moves by m - e per step, so the shortest result
-    is at the end where c is least (r > 1) or greatest (r < 1); when m = e
-    all lengths tie and the first result wins.
-    """
-    best = None
-    for node in _runs(x, M, max_index):
-        head, B, c, q, k, m, e = node
-        j = 0 if m > e else k - 1
-        z = next(_expand(node)) if m == e else _leaf(head, B, c + j * m, q - j * e)
-        key = (sum(v for _, v in z), z)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
 
 
 def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int) -> List[Factorization]:

@@ -13,7 +13,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .errors import DomainError
-from .factorization import Factorization, _search, _shortest, min_normal_form
+from .factorization import Factorization, _search, _sweep, min_normal_form
 from .monoid import ExpMonoid
 from .ratio import Ratio
 
@@ -50,16 +50,29 @@ def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
 def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> MembershipResult:
     """Whether q is in M, with a witness of least length when it is.
 
-    For r < 1 and an infinite tail the answer is that of the search with
-    support in [0, B], B = support_bound or default_support_bound, but the
-    search runs at m = _complete_index(q, M, B). If q has a factorization in
-    [0, B], its minimum normal form has a top index t <= B (down-steps only
-    lower indices) and c_i < d^{delta_{i-1}} for i >= 1. Every term is a
-    fraction over d^{s_t}; the top term's reduced denominator is d^{s_t} /
-    gcd(c_t, d^{s_t}) > d^{s_{t-1}}, as n and d are coprime, while the lower
-    terms sum to a fraction over d^{s_{t-1}}. So t is the least j with
-    d(q) | d^{s_j}, m = t, and [0, m] holds a witness exactly when [0, B]
-    does; both witnesses have the one minimum normal form that is returned.
+    One search finds the first factorization, and one pass brings it to the
+    least-length form. For r >= 1 the search is complete at the window's
+    end, at 0 for r = 1 (every atom is 1), or at the first n with r^{s_n} >
+    q (atoms from there on exceed q). For r < 1 it runs at m =
+    _complete_index(q, M, B), B the window's end or, for an infinite tail,
+    support_bound or default_support_bound, and answers as the search with
+    support in [0, B] would.
+
+    r < 1: if q has a factorization in [0, B], its minimum normal form has a
+    top index t <= B (down-steps only lower indices) and c_i <
+    d^{delta_{i-1}} for i >= 1. Every term is a fraction over d^{s_t}; the
+    top term's reduced denominator is d^{s_t} / gcd(c_t, d^{s_t}) >
+    d^{s_{t-1}}, as n and d are coprime, while the lower terms sum to a
+    fraction over d^{s_{t-1}}. So t is the least j with d(q) | d^{s_j}, m =
+    t, and [0, m] holds a witness exactly when [0, B] does; both witnesses
+    have the one minimum normal form that is returned.
+
+    r > 1: an up-step, n^{delta_i} atoms at level i for d^{delta_i} at level
+    i+1, shortens a factorization by n^{delta_i} - d^{delta_i} > 0, so the
+    least length is that of the form with c_i < n^{delta_i} at every level
+    below the top, which the residue argument of `_runs` makes unique; the
+    carry sweep ends there. For r = 1 every factorization has length q and
+    the first is returned.
     """
     if support_bound is not None and support_bound < 0:
         raise DomainError("support bound must be >= 0")
@@ -69,29 +82,30 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
         return MembershipResult(
             "not-member", reason=f"a prime of d(x)={q.den} does not divide d(r)={M.r.den}")
 
-    finite = M.delta.tail is None
-    if M.r >= Ratio(1) or finite:
-        # complete enumeration: for r > 1 atoms eventually exceed q, for a
-        # finite window the support is bounded outright
-        if finite:
-            bound = M.delta.max_exponent_index
-        elif M.r == Ratio(1):
-            bound = 0
-        else:
-            s = accumulate(M.delta.gaps(), initial=0)
-            bound = next(i for i, e in enumerate(s) if M.r ** e > q)
-        best = _shortest(q, M, bound)
-        if best is not None:
-            return MembershipResult("member", Factorization(M, best))
+    finite, contracting = M.delta.tail is None, M.r < Ratio(1)
+    if finite:
+        bound = M.delta.max_exponent_index
+    elif contracting:
+        bound = support_bound if support_bound is not None else default_support_bound(q, M)
+    elif M.r == Ratio(1):
+        bound = 0
+    else:
+        s = accumulate(M.delta.gaps(), initial=0)
+        bound = next(i for i, e in enumerate(s) if M.r ** e > q)
+    first = next(_search(q, M, _complete_index(q, M, bound) if contracting else bound), None)
+    if first is None:
+        if contracting and not finite:
+            return MembershipResult("unresolved", bound=bound)
         return MembershipResult(
             "not-member", reason=f"exhausted complete search up to support {bound}")
-
-    bound = support_bound if support_bound is not None else default_support_bound(q, M)
-    # one witness suffices: its normal form is the global minimum anyway
-    first = next(_search(q, M, _complete_index(q, M, bound)), None)
-    if first is not None:
-        return MembershipResult("member", min_normal_form(Factorization(M, first)))
-    return MembershipResult("unresolved", bound=bound)
+    z = Factorization(M, first)
+    if contracting:
+        z = min_normal_form(z)
+    elif M.r != Ratio(1):
+        # past the prefix a mixed tail gives the sweep no certificate, so it
+        # needs the complete bound, which its levels never pass
+        z = _sweep(z, bound).found
+    return MembershipResult("member", z)
 
 
 def divides(x: Ratio, y: Ratio, M: ExpMonoid) -> MembershipResult:

@@ -340,6 +340,17 @@ def test_a_large_support_bound_searches_to_the_complete_index(x, result):
             {"membership": result}
 
 
+def test_an_expanding_member_takes_one_search_result_and_one_sweep():
+    # the complete search, on [0, 5] as (3/2)^{s_5} = (3/2)^31 > 10^4, has
+    # millions of runs; the first result, carried upward, is the shortest
+    argv = ("member", "--monoid", "r=3/2; delta=geom(1,2)", "--x", "10000")
+    proc = _run_capped("-m", "puiseux.cli", *argv)
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]["membership"]
+    assert result["status"] == "member"
+    assert sum(c for _, c in result["witness"]) == 627
+
+
 def test_support_bound_of_a_foreign_prime_answers_at_once():
     # 7 never divides a power of 3: the scan runs to its cap at index 512,
     # where d^{s_m} in full would be 3^(2^512 - 1)

@@ -12,16 +12,19 @@ called from ``cli.py`` alone. A ``DomainError`` becomes a ``ParseError``
 in one except clause of each parser, and nowhere else. A gap is read by a
 ``.delta.delta(...)`` call only in ``oracle.py`` and in the two sparse
 readers ``min_normal_form`` and ``rewrite_down_step``; every in-order walk
-over the gaps reads ``DeltaSpec.gaps``.
+over the gaps reads ``DeltaSpec.gaps``. Every third-party module that a test
+imports is named in the ``test`` extra of ``pyproject.toml``.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "puiseux"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "puiseux"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -101,6 +104,23 @@ def test_gaps_are_walked_in_order_and_read_one_by_one_only_where_sparse():
                     readers.add(path.name if path.name == "oracle.py" else f"{path.name}:{where}")
     assert readers <= {"oracle.py", "factorization.py:min_normal_form",
                        "factorization.py:rewrite_down_step"}, readers
+
+
+def test_every_third_party_test_import_is_in_the_test_extra():
+    tomllib = pytest.importorskip("tomllib")
+    extra = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"][
+        "optional-dependencies"]["test"]
+    named = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+             for req in extra}
+    local = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"puiseux"}
+    imported = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for root in _imported_roots(node):
+                if root not in sys.stdlib_module_names and root not in local:
+                    imported.setdefault(root, path.name)
+    missing = {root: name for root, name in imported.items() if root.lower() not in named}
+    assert not missing, f"imported by a test but not in the test extra: {missing}"
 
 
 # each parser turns a DomainError into a ParseError in one except clause

@@ -562,6 +562,64 @@ def test_one_search_matches_the_materialising_versions(query):
                 == _outcome(_ref_length_set, x, M, B, witness))
 
 
+# r > 1: each tail family with and without a prefix, and finite windows
+EXPANDING = [parse_monoid(text) for text in (
+    "r=3/2; delta=const(1)", "r=5/3; delta=geom(1,2)", "r=3/2; delta=periodic(1,2)",
+    "r=4/3; delta=poly(1,1)", "r=5/2; delta=recurrence(2,3,2)",
+    "r=3/2; delta=prefix(2,1);const(2)", "r=5/3; delta=prefix(1);geom(2,2)",
+    "r=7/4; delta=prefix(3);periodic(2,1)", "r=3/2; delta=prefix(1,2);poly(2,1)",
+    "r=2/1; delta=prefix(1);recurrence(3,5,1)",
+    "r=3/2; delta=prefix(1,1,2);finite", "r=2/1; delta=prefix(2,1);finite")]
+
+
+def _complete_bound(x, M):
+    """Reference: the window's end, or the first n with r^{s_n} > x."""
+    if M.delta.tail is None:
+        return M.delta.max_exponent_index
+    n = 0
+    while M.r ** s_index(M, n) <= x:
+        n += 1
+    return n
+
+
+@st.composite
+def expanding_queries(draw):
+    """(x, M): a few atoms inside the window, plus an offset that may leave M."""
+    M = draw(st.sampled_from(EXPANDING))
+    window = M.delta.max_exponent_index
+    top = 3 if window is None else window
+    support = draw(st.dictionaries(st.integers(0, top), st.integers(1, 4), max_size=3))
+    offset = draw(st.sampled_from([ZERO, ZERO, Ratio(1), Ratio(1, M.r.den)]))
+    return evaluate(F(M, support)) + offset, M
+
+
+@settings(max_examples=200, deadline=None)
+@given(expanding_queries())
+def test_expanding_witnesses_are_the_least_complete_factorization(query):
+    # up-steps shorten when r > 1, so the least length is unique and the
+    # carry sweep from the first search result reaches it
+    x, M = query
+    bound = _complete_bound(x, M)
+    zs = _ref_enumerate_all(x, M, bound)
+    res = is_member(x, M)
+    if not zs:
+        assert res == MembershipResult(
+            "not-member", reason=f"exhausted complete search up to support {bound}")
+        return
+    assert res.status == "member"
+    assert res.witness == min(zs, key=lambda z: (z.length, z.coeffs))
+
+
+def test_expanding_sweep_reaches_the_complete_bound():
+    # periodic(1,2) on r = 101/100 gives the sweep no certificate, and x =
+    # 1 + r^{s_66} is complete only at index 88: a sweep cut at its default
+    # level 64 would find nothing
+    M = parse_monoid("r=101/100; delta=periodic(1,2)")
+    x = Ratio(1) + M.r ** s_index(M, 66)
+    assert _complete_bound(x, M) == 88
+    assert is_member(x, M).witness.as_pairs() == [[0, 1], [66, 1]]
+
+
 def test_the_search_makes_no_factorization_per_result(monkeypatch):
     tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix
     x, least = evaluate(tail_query), min_normal_form(tail_query).length

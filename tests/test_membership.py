@@ -1,13 +1,14 @@
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from puiseux import membership
 from puiseux.errors import DomainError
 from puiseux.factorization import Factorization, _search, evaluate, min_normal_form
 from puiseux.membership import MembershipResult, default_support_bound, divides, is_member
 from puiseux.monoid import parse_monoid, s_index
+from puiseux.oracle import oracle_enumerate
 from puiseux.ratio import Ratio
 
 CONST = parse_monoid("r=2/3; delta=const(1)")
@@ -15,9 +16,10 @@ CONST = parse_monoid("r=2/3; delta=const(1)")
 
 class TestIsMember:
     def test_zero(self):
-        res = is_member(Ratio(0), CONST)
-        assert res.is_member
-        assert res.witness.coeffs == ()
+        for M in (CONST, parse_monoid("r=3/2; delta=const(1)")):
+            res = is_member(Ratio(0), M)
+            assert res.is_member
+            assert res.witness.coeffs == ()
 
     def test_denominator_obstruction(self):
         res = is_member(Ratio(1, 5), CONST)
@@ -159,3 +161,43 @@ def test_the_search_never_passes_the_complete_index(query, bound):
         is_member(q, M, bound)
     assert len(depths) == 1
     assert depths[0] <= _least_complete(q, M)
+
+
+# ---------------------------------------------------------------------------
+# Against the frozen oracle: at the least complete index the oracle finds a
+# factorization exactly when is_member answers member
+# ---------------------------------------------------------------------------
+
+ORACLE_NODES = 100_000
+
+
+def _oracle_volume(q, M, m):
+    """An upper bound on the oracle's search nodes on [0, m]: the partial
+    vectors at level i lie in a simplex whose volume, widened by one unit per
+    axis, bounds their number."""
+    n, d = M.r.num, M.r.den
+    s = [s_index(M, i) for i in range(m + 1)]
+    D = d ** s[m]
+    T = q.num * (D // q.den)
+    w = [n ** s[i] * d ** (s[m] - s[i]) for i in range(m + 1)]
+    work, W, prod, fact = 0, 0, 1, 1
+    for i in range(m + 1):
+        W, prod, fact = W + w[i], prod * w[i], fact * (i + 1)
+        work += (T + W) ** (i + 1) // (fact * prod) + 1
+    return work
+
+
+@settings(max_examples=200, deadline=None)
+@given(searched_queries())
+def test_membership_agrees_with_the_oracle_at_the_complete_index(query):
+    q, M, _ = query
+    m = _least_complete(q, M)
+    assume(_oracle_volume(q, M, m) <= ORACLE_NODES)
+    vectors = oracle_enumerate(q, M, m)
+    res = is_member(q, M)
+    assert res.is_member == bool(vectors)
+    if vectors:
+        assert res.witness.length == min(sum(v) for v in vectors)
+        assert evaluate(res.witness) == q
+    else:
+        assert res.status == "unresolved"
