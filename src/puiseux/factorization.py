@@ -1,8 +1,8 @@
 """Factorizations as finite-support coefficient vectors over a monoid's atoms.
 
-Includes the down-rewriting identity, the unique minimum-length normal form,
-the deterministic carry sweep that detects the (at most one) maximum-length
-factorization, bounded exact enumeration, and length sets.
+Includes the down-rewriting identity, the minimum normal form, the carry
+sweep to the (at most one) maximum-length factorization, the one walk to the
+least-length form, bounded exact enumeration, and length sets.
 """
 
 from __future__ import annotations
@@ -182,13 +182,6 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     _require_contracting(z.monoid, "the max-length sweep")
     if level_bound < 1:
         raise DomainError("level bound must be >= 1")
-    return _sweep(z, level_bound)
-
-
-def _sweep(z: Factorization, level_bound: int) -> MaxLengthOutcome:
-    """The one carry sweep, for any base. When it ends, c_i < n^{delta_i} at
-    every level below the top: for r < 1 that is the maximum-length form,
-    for r > 1, where an up-step shortens, the minimum-length one."""
     M = z.monoid
     value = evaluate(z)
     coeffs = z.as_dict()
@@ -218,6 +211,44 @@ def _sweep(z: Factorization, level_bound: int) -> MaxLengthOutcome:
         carry = q * d ** delta_i if q else 0
         i += 1
     return MaxLengthOutcome(_checked(M, out, value, "the max-length sweep"), i)
+
+
+def _least_form(x: Ratio, M: ExpMonoid, B: int) -> Optional[Dict[int, int]]:
+    """The coefficients of the least-length factorization of x with support
+    in [0, B], B inside the window, or None when x has none there.
+
+    One walk, by the residue argument of `_runs`: each level takes the least
+    coefficient that can complete. For r >= 1 it walks up from level 0 with
+    (a, b) = (n, d), leaving c_i < n^{delta_i} below B; for r < 1 down from
+    B with (a, b) = (d, n) over the gaps reversed, leaving c_i <
+    d^{delta_{i-1}} above 0. In units of 1/d^{s_B} a level weighs a^u
+    b^{s_B-u}, u the gaps walked before it summed, and rem, what it and the
+    levels after it make up, is kept divided by a^u: c = rem / b^{s_B-u} mod
+    a^{gap}, and the last level takes what is left.
+    """
+    n, d = M.r.num, M.r.den
+    gaps = list(islice(M.delta.gaps(), B))
+    total = sum(gaps)
+    D = d ** total
+    if D % x.den:
+        return None
+    rem = x.num * (D // x.den)
+    a, b, levels = n, d, range(B + 1)
+    if n < d:
+        a, b, levels, gaps = d, n, levels[::-1], gaps[::-1]
+    weight = b ** total  # b^{s_B-u}
+    out = {}
+    for i, gap in zip(levels, gaps):
+        mod = a ** gap
+        c = rem * pow(weight, -1, mod) % mod
+        rem -= c * weight
+        if rem < 0:  # the least c outweighs what is left
+            return None
+        out[i] = c
+        rem //= mod
+        weight //= b ** gap
+    out[levels[-1]] = rem
+    return out
 
 
 def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:

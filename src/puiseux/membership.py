@@ -1,9 +1,20 @@
 """Membership and divisibility queries.
 
-Membership is fully decided for r > 1 and for finite exponent windows; for
-r < 1 a bounded search either produces an exact witness or reports the bound
-it exhausted. Denominator obstructions give definitive negatives: every
-element's denominator divides a power of d(r).
+One walk over the levels, `factorization._least_form`, reads off a member's
+least-length factorization with no search. Every factorization with support
+in [0, B] reaches the walk's form by steps that keep its value, stay inside
+[0, B] and shorten it: for r > 1 up-steps, n^{delta_i} atoms at level i for
+d^{delta_i} at i+1, which end at c_i < n^{delta_i} below B; for r < 1
+down-steps, which end at c_i < d^{delta_{i-1}} above 0, the minimum normal
+form. The residue argument of `_runs` fixes each such c_i modulo its step,
+so the form is unique, and the walk, which takes the least residue at each
+level, completes exactly when x has a factorization in [0, B]. For r = 1
+the form is x atoms at level 0.
+
+Membership is decided for r >= 1 and for finite windows; for r < 1 with an
+infinite tail the walk gives a witness or the bound it used is reported.
+Denominator obstructions give definitive negatives: every element's
+denominator divides a power of d(r).
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .errors import DomainError
-from .factorization import Factorization, _search, _sweep, min_normal_form
+from .factorization import Factorization, _checked, _least_form
 from .monoid import ExpMonoid
 from .ratio import Ratio
 
@@ -40,7 +51,7 @@ def _complete_index(q: Ratio, M: ExpMonoid, top: int) -> int:
 
 def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
     """m + 3 for the least m with d(q) | d(r)^{s_m}, capped at index 512 or
-    the window's end. The search of is_member stops at m itself, which is
+    the window's end. The walk of is_member stops at m itself, which is
     complete; the 3 only sets the bound that an unresolved answer reports."""
     limit = M.delta.max_exponent_index
     top = 512 if limit is None else limit
@@ -50,29 +61,19 @@ def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
 def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> MembershipResult:
     """Whether q is in M, with a witness of least length when it is.
 
-    One search finds the first factorization, and one pass brings it to the
-    least-length form. For r >= 1 the search is complete at the window's
-    end, at 0 for r = 1 (every atom is 1), or at the first n with r^{s_n} >
-    q (atoms from there on exceed q). For r < 1 it runs at m =
-    _complete_index(q, M, B), B the window's end or, for an infinite tail,
-    support_bound or default_support_bound, and answers as the search with
-    support in [0, B] would.
+    One walk with support in [0, B] decides it. For r > 1, B is the window's
+    end or the first n with r^{s_n} > q, past which atoms exceed q; for r = 1
+    it is 0. For r < 1, B = _complete_index(q, M, top), top the window's end,
+    support_bound or index 512, and the answer is the one for [0, top]; an
+    unresolved answer reports support_bound or default_support_bound.
 
-    r < 1: if q has a factorization in [0, B], its minimum normal form has a
-    top index t <= B (down-steps only lower indices) and c_i <
+    r < 1: if q has a factorization in [0, top], its minimum normal form has
+    a top index t <= top (down-steps only lower indices) and c_i <
     d^{delta_{i-1}} for i >= 1. Every term is a fraction over d^{s_t}; the
     top term's reduced denominator is d^{s_t} / gcd(c_t, d^{s_t}) >
     d^{s_{t-1}}, as n and d are coprime, while the lower terms sum to a
-    fraction over d^{s_{t-1}}. So t is the least j with d(q) | d^{s_j}, m =
-    t, and [0, m] holds a witness exactly when [0, B] does; both witnesses
-    have the one minimum normal form that is returned.
-
-    r > 1: an up-step, n^{delta_i} atoms at level i for d^{delta_i} at level
-    i+1, shortens a factorization by n^{delta_i} - d^{delta_i} > 0, so the
-    least length is that of the form with c_i < n^{delta_i} at every level
-    below the top, which the residue argument of `_runs` makes unique; the
-    carry sweep ends there. For r = 1 every factorization has length q and
-    the first is returned.
+    fraction over d^{s_{t-1}}. So t is the least j with d(q) | d^{s_j}, t =
+    B, and [0, B] holds a witness exactly when [0, top] does.
     """
     if support_bound is not None and support_bound < 0:
         raise DomainError("support bound must be >= 0")
@@ -82,30 +83,23 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
         return MembershipResult(
             "not-member", reason=f"a prime of d(x)={q.den} does not divide d(r)={M.r.den}")
 
-    finite, contracting = M.delta.tail is None, M.r < Ratio(1)
-    if finite:
-        bound = M.delta.max_exponent_index
-    elif contracting:
-        bound = support_bound if support_bound is not None else default_support_bound(q, M)
-    elif M.r == Ratio(1):
-        bound = 0
+    n, d, window = M.r.num, M.r.den, M.delta.max_exponent_index
+    if n < d:
+        top = window if window is not None else support_bound
+        B = _complete_index(q, M, 512 if top is None else top)
+        bound = min(B + 3, 512) if top is None else top
+    elif window is not None or n == d:
+        B = bound = 0 if n == d else window
     else:
         s = accumulate(M.delta.gaps(), initial=0)
-        bound = next(i for i, e in enumerate(s) if M.r ** e > q)
-    first = next(_search(q, M, _complete_index(q, M, bound) if contracting else bound), None)
-    if first is None:
-        if contracting and not finite:
+        B = bound = next(i for i, e in enumerate(s) if n ** e * q.den > q.num * d ** e)
+    coeffs = _least_form(q, M, B)
+    if coeffs is None:
+        if n < d and window is None:
             return MembershipResult("unresolved", bound=bound)
         return MembershipResult(
             "not-member", reason=f"exhausted complete search up to support {bound}")
-    z = Factorization(M, first)
-    if contracting:
-        z = min_normal_form(z)
-    elif M.r != Ratio(1):
-        # past the prefix a mixed tail gives the sweep no certificate, so it
-        # needs the complete bound, which its levels never pass
-        z = _sweep(z, bound).found
-    return MembershipResult("member", z)
+    return MembershipResult("member", _checked(M, coeffs, q, "the least form"))
 
 
 def divides(x: Ratio, y: Ratio, M: ExpMonoid) -> MembershipResult:

@@ -340,15 +340,30 @@ def test_a_large_support_bound_searches_to_the_complete_index(x, result):
             {"membership": result}
 
 
-def test_an_expanding_member_takes_one_search_result_and_one_sweep():
+def test_an_expanding_member_is_read_off_by_one_walk():
     # the complete search, on [0, 5] as (3/2)^{s_5} = (3/2)^31 > 10^4, has
-    # millions of runs; the first result, carried upward, is the shortest
+    # millions of runs; the walk fixes one coefficient per level
     argv = ("member", "--monoid", "r=3/2; delta=geom(1,2)", "--x", "10000")
     proc = _run_capped("-m", "puiseux.cli", *argv)
     assert proc.returncode == 0
     result = json.loads(proc.stdout)["result"]["membership"]
     assert result["status"] == "member"
     assert sum(c for _, c in result["witness"]) == 627
+
+
+@pytest.mark.parametrize("spec, x, result", [
+    ("r=3/2; delta=geom(1,2)", "617675543767595/2147483648",
+     {"status": "member", "witness": [[0, 1], [5, 1]]}),
+    ("r=5/3; delta=poly(1,1)", "136337823005/14348907",
+     {"reason": "exhausted complete search up to support 6", "status": "not-member"}),
+], ids=["member-behind-dead-subtrees", "not-member"])
+def test_an_expanding_query_takes_one_walk(spec, x, result):
+    # x = 1 + r^{s_5}: a search that tries each nonzero level-1 coefficient
+    # before zero meets a dead subtree under each; a non-member has no result
+    # to stop the search early
+    proc = _run_capped("-m", "puiseux.cli", "member", "--monoid", spec, "--x", x)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"] == {"membership": result}
 
 
 def test_support_bound_of_a_foreign_prime_answers_at_once():

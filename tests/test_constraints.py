@@ -12,8 +12,10 @@ called from ``cli.py`` alone. A ``DomainError`` becomes a ``ParseError``
 in one except clause of each parser, and nowhere else. A gap is read by a
 ``.delta.delta(...)`` call only in ``oracle.py`` and in the two sparse
 readers ``min_normal_form`` and ``rewrite_down_step``; every in-order walk
-over the gaps reads ``DeltaSpec.gaps``. Every third-party module that a test
-imports is named in the ``test`` extra of ``pyproject.toml``.
+over the gaps reads ``DeltaSpec.gaps``. ``membership.py`` imports neither
+the search nor a pass that rewrites a factorization. Every third-party
+module that a test imports is named in the ``test`` extra of
+``pyproject.toml``.
 """
 
 import ast
@@ -104,6 +106,15 @@ def test_gaps_are_walked_in_order_and_read_one_by_one_only_where_sparse():
                     readers.add(path.name if path.name == "oracle.py" else f"{path.name}:{where}")
     assert readers <= {"oracle.py", "factorization.py:min_normal_form",
                        "factorization.py:rewrite_down_step"}, readers
+
+
+def test_membership_has_no_second_path():
+    # is_member reads its witness off one walk; the search, the carry sweep
+    # and the normal-form pass stay out of membership.py
+    tree = ast.parse((PACKAGE / "membership.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"_search", "_runs", "_sweep", "min_normal_form"}, imported
 
 
 def test_every_third_party_test_import_is_in_the_test_extra():

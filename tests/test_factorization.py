@@ -597,7 +597,7 @@ def expanding_queries(draw):
 @given(expanding_queries())
 def test_expanding_witnesses_are_the_least_complete_factorization(query):
     # up-steps shorten when r > 1, so the least length is unique and the
-    # carry sweep from the first search result reaches it
+    # walk reads it off
     x, M = query
     bound = _complete_bound(x, M)
     zs = _ref_enumerate_all(x, M, bound)
@@ -611,9 +611,8 @@ def test_expanding_witnesses_are_the_least_complete_factorization(query):
 
 
 def test_expanding_sweep_reaches_the_complete_bound():
-    # periodic(1,2) on r = 101/100 gives the sweep no certificate, and x =
-    # 1 + r^{s_66} is complete only at index 88: a sweep cut at its default
-    # level 64 would find nothing
+    # x = 1 + r^{s_66} on periodic(1,2), r = 101/100, is complete only at
+    # index 88, past the default level bound 64 of the carry sweep
     M = parse_monoid("r=101/100; delta=periodic(1,2)")
     x = Ratio(1) + M.r ** s_index(M, 66)
     assert _complete_bound(x, M) == 88

@@ -3,13 +3,15 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from puiseux import membership
+from puiseux import factorization, membership
 from puiseux.errors import DomainError
 from puiseux.factorization import Factorization, _search, evaluate, min_normal_form
 from puiseux.membership import MembershipResult, default_support_bound, divides, is_member
 from puiseux.monoid import parse_monoid, s_index
 from puiseux.oracle import oracle_enumerate
 from puiseux.ratio import Ratio
+
+from test_factorization import expanding_queries
 
 CONST = parse_monoid("r=2/3; delta=const(1)")
 
@@ -68,6 +70,15 @@ class TestIsMember:
         flat = parse_monoid("r=1/1; delta=const(1)")
         assert is_member(Ratio(3), flat).is_member
         assert is_member(Ratio(1, 2), flat).status == "not-member"
+        # every atom is 1, so x atoms at level 0 on a finite window too
+        window = parse_monoid("r=1/1; delta=prefix(1,2); finite")
+        assert is_member(Ratio(3), window).witness.as_pairs() == [[0, 3]]
+
+    def test_a_least_complete_index_of_512_is_walked_there(self):
+        # the default bound is capped at index 512, where r^{512} is complete
+        x = CONST.r ** 512
+        assert is_member(x, CONST).witness.as_pairs() == [[512, 1]]
+        assert is_member(x * CONST.r, CONST) == MembershipResult("unresolved", bound=512)
 
     def test_finite_window_decides(self):
         fin = parse_monoid("r=2/3; delta=prefix(1,2); finite")
@@ -154,13 +165,32 @@ def test_the_search_at_the_complete_index_answers_as_the_search_at_the_bound(que
 @settings(max_examples=200, deadline=None)
 @given(searched_queries(), st.sampled_from([None, 0, 1, 2, 5, 9, 30]))
 def test_the_search_never_passes_the_complete_index(query, bound):
+    # one walk, never deeper than m, and one walk of the gaps to find m
     q, M, _ = query
-    depths = []
-    with patch.object(membership, "_search",
-                      lambda x, M, max_index: depths.append(max_index) or _search(x, M, max_index)):
+    depths, scans = [], []
+    walk, scan = membership._least_form, membership._complete_index
+    with patch.object(membership, "_least_form",
+                      lambda x, M, B: depths.append(B) or walk(x, M, B)), \
+            patch.object(membership, "_complete_index",
+                         lambda *args: scans.append(args) or scan(*args)):
         is_member(q, M, bound)
     assert len(depths) == 1
     assert depths[0] <= _least_complete(q, M)
+    assert len(scans) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(searched_queries().map(lambda query: query[:2]), expanding_queries()))
+def test_membership_never_enters_the_search(query):
+    q, M = query
+
+    def banned(*args):
+        raise AssertionError("is_member entered _runs")
+
+    with patch.object(factorization, "_runs", banned):
+        res = is_member(q, M)
+    if res.witness is not None:
+        assert evaluate(res.witness) == q
 
 
 # ---------------------------------------------------------------------------
