@@ -12,7 +12,6 @@ first-class verdict for anything the exact rules cannot settle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, List, Tuple
 
@@ -20,21 +19,26 @@ from .errors import ChainError, DomainError
 from .factorization import Factorization
 from .monoid import (SCAN_LIMIT, AtomicityVerdict, DeltaSpec, ExpMonoid, Recurrence,
                      classify_atomicity, descending_run, s_index)
-from .ratio import Ratio
+from .ratio import Ratio, _Value, _set
 
 
-@dataclass(frozen=True)
-class Classification:
-    atomicity: AtomicityVerdict
-    accp: str                # "yes" | "no" | "unknown" | "n/a"
-    evidence: Dict[str, str] = field(default_factory=dict)
+class Classification(_Value):
+    __slots__ = ("atomicity", "accp", "evidence")
+
+    def __init__(self, atomicity: AtomicityVerdict, accp: str, evidence: Dict[str, str]):
+        _set(self, "atomicity", atomicity)
+        _set(self, "accp", accp)  # "yes" | "no" | "unknown" | "n/a"
+        _set(self, "evidence", evidence)
 
 
-@dataclass(frozen=True)
-class WitnessChain:
-    start: int
-    elements: Tuple[Ratio, ...]          # x_start > x_start+1 > ...
-    diffs: Tuple[Factorization, ...]     # x_m = x_{m+1} + value(diffs[m])
+class WitnessChain(_Value):
+    __slots__ = ("start", "elements", "diffs")
+
+    def __init__(self, start: int, elements: Tuple[Ratio, ...],
+                 diffs: Tuple[Factorization, ...]):
+        _set(self, "start", start)
+        _set(self, "elements", elements)  # x_start > x_start+1 > ...
+        _set(self, "diffs", diffs)        # x_m = x_{m+1} + value(diffs[m])
 
 
 def classify(M: ExpMonoid) -> Classification:

@@ -7,24 +7,23 @@ least-length form, bounded exact enumeration, and length sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
 from .monoid import ExpMonoid, s_index
-from .ratio import Ratio
+from .ratio import Ratio, _Value, _set
 
 
-class Factorization:
+class Factorization(_Value):
     """The sum of c atoms r^{s_i} over the sorted (index i, coeff c >= 1)
     pairs of coeffs.
 
-    An immutable slotted value, with the equality, hash and repr of a frozen
-    dataclass of the fields (monoid, coeffs); copies and pickles rebuild it
-    through the constructor. Enumeration builds one per result, so __init__
-    stores the fields through the slot descriptors' __set__, the cheapest
-    store that the blocking __setattr__ leaves open.
+    An immutable value of the fields (monoid, coeffs) on the shared base
+    ``_Value``, which gives its equality, hash, repr, copies and pickles.
+    Enumeration builds one per result, so __init__ stores the fields through
+    the slot descriptors' __set__, the cheapest store that the blocking
+    __setattr__ leaves open.
     """
 
     __slots__ = ("monoid", "coeffs")
@@ -32,26 +31,6 @@ class Factorization:
     def __init__(self, monoid: ExpMonoid, coeffs: Tuple[Tuple[int, int], ...]):
         _set_monoid(self, monoid)
         _set_coeffs(self, coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Factorization is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Factorization is immutable")
-
-    def __reduce__(self):
-        return Factorization, (self.monoid, self.coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.monoid == other.monoid
-
-    def __hash__(self):
-        return hash((self.monoid, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Factorization(monoid={self.monoid!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def make(cls, monoid: ExpMonoid, coeffs) -> "Factorization":
@@ -88,10 +67,12 @@ class Factorization:
 _set_monoid, _set_coeffs = Factorization.monoid.__set__, Factorization.coeffs.__set__
 
 
-@dataclass(frozen=True)
-class MaxLengthOutcome:
-    found: Optional[Factorization]
-    levels_explored: int
+class MaxLengthOutcome(_Value):
+    __slots__ = ("found", "levels_explored")
+
+    def __init__(self, found: Optional[Factorization], levels_explored: int):
+        _set(self, "found", found)
+        _set(self, "levels_explored", levels_explored)
 
     @property
     def terminated(self) -> bool:
@@ -379,11 +360,13 @@ def unique_factorization_check(z: Factorization) -> bool:
     return all(c < z.monoid.r.num for _, c in z.coeffs)
 
 
-@dataclass(frozen=True)
-class LengthSet:
-    lengths: Tuple[int, ...]
-    min_exact: bool
-    max_exact: bool
+class LengthSet(_Value):
+    __slots__ = ("lengths", "min_exact", "max_exact")
+
+    def __init__(self, lengths: Tuple[int, ...], min_exact: bool, max_exact: bool):
+        _set(self, "lengths", lengths)
+        _set(self, "min_exact", min_exact)
+        _set(self, "max_exact", max_exact)
 
 
 def length_set(x: Ratio, M: ExpMonoid, max_index: int,

@@ -19,22 +19,24 @@ denominator divides a power of d(r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
 from .errors import DomainError
 from .factorization import Factorization, _checked, _least_form
 from .monoid import ExpMonoid
-from .ratio import Ratio
+from .ratio import Ratio, _Value, _set
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    status: str                      # "member" | "not-member" | "unresolved"
-    witness: Optional[Factorization] = None
-    reason: Optional[str] = None
-    bound: Optional[int] = None
+class MembershipResult(_Value):
+    __slots__ = ("status", "witness", "reason", "bound")
+
+    def __init__(self, status: str, witness: Optional[Factorization] = None,
+                 reason: Optional[str] = None, bound: Optional[int] = None):
+        _set(self, "status", status)  # "member" | "not-member" | "unresolved"
+        _set(self, "witness", witness)
+        _set(self, "reason", reason)
+        _set(self, "bound", bound)
 
     @property
     def is_member(self) -> bool:

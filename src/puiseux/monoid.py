@@ -10,13 +10,12 @@ materialized list.
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass
 from itertools import count, islice, pairwise
 from math import comb
 from typing import Iterator, Optional, Tuple
 
 from .errors import DomainError, IndexRangeError, ParseError
-from .ratio import Ratio, _printable
+from .ratio import Ratio, _Value, _printable, _set, max_power_dividing
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +58,17 @@ def _shortfall_instance(M: "ExpMonoid", m: int) -> str:
     return f"d^delta_{m}={_power(M.r.den, dm)} > n^delta_{m + 1}={_power(M.r.num, dm1)}"
 
 
-class Tail:
+def _log_pair(x: int, y: int) -> Optional[Tuple[int, int]]:
+    """The coprime (i, j) with x = g^i and y = g^j for an integer g >= 2, or None."""
+    v, u = sorted((x, y))
+    while v > 1 and u % v == 0:  # Euclid on the exponents: g^i / g^j = g^(i-j)
+        v, u = sorted((u // v, v))
+    if v > 1 or min(x, y) < 2:  # v = 1 means g^i / g^i was reached, u = g
+        return None
+    return max_power_dividing(u, x), max_power_dividing(u, y)
+
+
+class Tail(_Value):
     """A gap-rule family: the gaps past the explicit prefix.
 
     Each family sets its grammar ``name`` and its ``arity`` (None for one or
@@ -69,10 +78,12 @@ class Tail:
     and this tail.
     """
 
+    __slots__ = ()
+
     @property
     def args(self) -> tuple:
         """The integers of the grammar form name(args)."""
-        values = astuple(self)
+        values = self._astuple()
         return values if self.arity else values[0]
 
     def descent(self, n: int, d: int) -> Optional[bool]:
@@ -86,14 +97,14 @@ class Tail:
         return d <= n, f"n(r)*1={n} (delta_n/s_n -> 0)"
 
 
-@dataclass(frozen=True)
 class Constant(Tail):
+    __slots__ = ("value",)
     name, arity = "const", 1
-    value: int
 
-    def __post_init__(self):
-        if self.value < 1:
+    def __init__(self, value: int):
+        if value < 1:
             raise DomainError("constant gap must be >= 1")
+        _set(self, "value", value)
 
     def delta(self, k: int) -> int:
         return self.value
@@ -156,7 +167,6 @@ def _monotone_breaks(coeffs: tuple, lo: int, hi: int) -> list:
     return points
 
 
-@dataclass(frozen=True)
 class Polynomial(Tail):
     """delta at tail position k is p(k) with integer coefficients.
 
@@ -168,14 +178,14 @@ class Polynomial(Tail):
     them.
     """
 
+    __slots__ = ("coeffs", "_newton")  # low-order first; _newton serves total
     name, arity = "poly", None
-    coeffs: tuple  # low-order first
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple):
+        coeffs = tuple(int(c) for c in coeffs)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", coeffs)
         if not coeffs:
             raise DomainError("empty polynomial")
         if coeffs[-1] < 1:
@@ -190,7 +200,7 @@ class Polynomial(Tail):
         while len(diff) > 1:
             diff = _difference(diff)
             newton.append(diff[0])
-        object.__setattr__(self, "_newton", tuple(newton))
+        _set(self, "_newton", tuple(newton))
 
     def delta(self, k: int) -> int:
         return _horner(self.coeffs, k)
@@ -211,19 +221,19 @@ class Polynomial(Tail):
         return "no", "polynomial-gaps", _shortfall_instance(M, found[0])
 
 
-@dataclass(frozen=True)
 class Geometric(Tail):
     """delta at tail position k is scale * ratio**k."""
 
+    __slots__ = ("scale", "ratio")
     name, arity = "geom", 2
-    scale: int
-    ratio: int
 
-    def __post_init__(self):
-        if self.scale < 1:
+    def __init__(self, scale: int, ratio: int):
+        if scale < 1:
             raise DomainError("geometric scale must be >= 1")
-        if self.ratio < 2:
+        if ratio < 2:
             raise DomainError("geometric ratio must be an integer >= 2")
+        _set(self, "scale", scale)
+        _set(self, "ratio", ratio)
 
     def delta(self, k: int) -> int:
         return self.scale * self.ratio ** k
@@ -251,16 +261,15 @@ class Geometric(Tail):
         return d <= n ** c, f"n(r)^{c}={_power(n, c)} (delta_n/s_n -> {c - 1})"
 
 
-@dataclass(frozen=True)
 class Periodic(Tail):
+    __slots__ = ("pattern",)
     name, arity = "periodic", None
-    pattern: tuple
 
-    def __post_init__(self):
-        pattern = tuple(int(p) for p in self.pattern)
-        object.__setattr__(self, "pattern", pattern)
+    def __init__(self, pattern: tuple):
+        pattern = tuple(int(p) for p in pattern)
         if not pattern or any(p < 1 for p in pattern):
             raise DomainError("periodic pattern entries must be >= 1")
+        _set(self, "pattern", pattern)
 
     def delta(self, k: int) -> int:
         return self.pattern[k % len(self.pattern)]
@@ -282,7 +291,6 @@ class Periodic(Tail):
         return "no", "bounded-delta", f"delta_n <= {max(self.pattern)} eventually"
 
 
-@dataclass(frozen=True)
 class Recurrence(Tail):
     """Gap rule delta_{k+1} = max{m : a^m < b^{delta_k}} seeded at `seed`.
 
@@ -291,19 +299,24 @@ class Recurrence(Tail):
     a**delta_{k+1} at every step.
     """
 
+    __slots__ = ("a", "b", "seed", "_memo")  # _memo: the gaps so far and their sums
     name, arity = "recurrence", 3
-    a: int
-    b: int
-    seed: int
 
-    def __post_init__(self):
-        if not (1 < self.a < self.b):
+    def __init__(self, a: int, b: int, seed: int):
+        if not (1 < a < b):
             raise DomainError("recurrence needs 1 < a < b")
-        if self.seed < 1:
+        if seed < 1:
             raise DomainError("recurrence seed must be >= 1")
-        # gaps computed so far and their prefix sums; not a field, so
-        # equality, hashing and args see only (a, b, seed)
-        object.__setattr__(self, "_memo", ([self.seed], [0, self.seed]))
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "seed", seed)
+        _set(self, "_memo", ([seed], [0, seed]))
+
+    def __reduce__(self):  # a filled memo travels with copies and pickles
+        return Recurrence, self._astuple(), self._memo
+
+    def __setstate__(self, memo):
+        _set(self, "_memo", memo)
 
     def step(self, d: int) -> int:
         # the step m has a^m < b^d <= a^(m+1); bisect on a bracket
@@ -350,7 +363,7 @@ class Recurrence(Tail):
                 gaps.append(self.step(gaps[-1]))
                 sums.append(sums[-1] + gaps[-1])
             # one store of fresh lists: a reader never sees a half-built memo
-            object.__setattr__(self, "_memo", (gaps, sums))
+            _set(self, "_memo", (gaps, sums))
         return gaps, sums
 
     def delta(self, k: int) -> int:
@@ -363,10 +376,14 @@ class Recurrence(Tail):
         return Recurrence(self.a, self.b, self.delta(j))
 
     def descent(self, n: int, d: int) -> Optional[bool]:
-        # b^delta_k > a^delta_{k+1} holds at every step. When (a, b) = g*(n, d)
-        # for an integer g >= 1, log_a b <= log_n d, so d^delta_k >
-        # n^delta_{k+1} holds too; for any other (a, b) no rule is known
-        return True if self.a % n == 0 and self.a // n * d == self.b else None
+        # b^delta_k > a^delta_{k+1} holds at every step. It gives d^delta_k >
+        # n^delta_{k+1} when (a, b) = g*(n, d), g >= 1, as log_a b <= log_n d,
+        # and when a^q = n^p and b^q = d^p, p, q >= 1, raised to the power p/q.
+        # For any other (a, b) no rule is known
+        if self.a % n == 0 and self.a // n * d == self.b:
+            return True
+        logs = _log_pair(self.a, n)
+        return True if logs and logs == _log_pair(self.b, d) else None
 
     def accp_rule(self, M):
         if not self.descent(M.r.num, M.r.den):
@@ -384,22 +401,21 @@ class Recurrence(Tail):
 TAILS = {cls.name: cls for cls in (Constant, Polynomial, Geometric, Periodic, Recurrence)}
 
 
-@dataclass(frozen=True)
-class DeltaSpec:
+class DeltaSpec(_Value):
     """Finite explicit prefix of gaps plus an optional symbolic tail.
 
     ``tail is None`` means the exponent set is the finite one determined by
     the prefix: s_0 .. s_{len(prefix)}.
     """
 
-    prefix: tuple = ()
-    tail: Optional[Tail] = None
+    __slots__ = ("prefix", "tail")
 
-    def __post_init__(self):
-        prefix = tuple(int(d) for d in self.prefix)
-        object.__setattr__(self, "prefix", prefix)
+    def __init__(self, prefix: tuple = (), tail: Optional[Tail] = None):
+        prefix = tuple(int(d) for d in prefix)
         if any(d < 1 for d in prefix):
             raise DomainError("prefix gaps must be >= 1")
+        _set(self, "prefix", prefix)
+        _set(self, "tail", tail)
 
     @property
     def max_exponent_index(self) -> Optional[int]:
@@ -442,20 +458,22 @@ class DeltaSpec:
 # The monoid itself
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpMonoid:
-    r: Ratio
-    delta: DeltaSpec
+class ExpMonoid(_Value):
+    __slots__ = ("r", "delta")
 
-    def __post_init__(self):
-        if self.r.num == 0:
+    def __init__(self, r: Ratio, delta: DeltaSpec):
+        if r.num == 0:
             raise DomainError("base must be positive")
+        _set(self, "r", r)
+        _set(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class AtomicityVerdict:
-    kind: str        # "iso-naturals" | "antimatter" | "atomic"
-    atoms: str       # human-readable description of the atom set
+class AtomicityVerdict(_Value):
+    __slots__ = ("kind", "atoms")
+
+    def __init__(self, kind: str, atoms: str):
+        _set(self, "kind", kind)    # "iso-naturals" | "antimatter" | "atomic"
+        _set(self, "atoms", atoms)  # human-readable description of the atom set
 
 
 def s_index(M: ExpMonoid, n: int) -> int:

@@ -21,7 +21,47 @@ def _printable(value: int) -> str:
                           f"limit of {sys.get_int_max_str_digits()} digits") from exc
 
 
-class Ratio:
+class _Value:
+    """An immutable value that acts as a frozen dataclass of the names in its
+    ``__slots__``, less those that start with "_", which hold caches. Values
+    of one class are equal when their fields are, hash as the field tuple,
+    print as Name(field=value, ...), and copy and pickle through the
+    constructor. A subclass's own __init__ stores its fields, through _set.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(s for s in cls.__dict__.get("__slots__", ()) if s[0] != "_")
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):  # as __delattr__ too, with no value
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+
+_set = object.__setattr__
+
+
+class Ratio(_Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
@@ -32,15 +72,15 @@ class Ratio:
         g = gcd(num, den)  # gcd(0, den) = den makes zero 0/1
         num //= g
         den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @staticmethod
     def _reduced(num: int, den: int) -> "Ratio":
         """num/den for coprime num >= 0 and den >= 1, without a gcd."""
         out = object.__new__(Ratio)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+        _set(out, "num", num)
+        _set(out, "den", den)
         return out
 
     @staticmethod
@@ -50,15 +90,6 @@ class Ratio:
         if gcd(num, d) == 1:
             return Ratio._reduced(num, den)
         return Ratio(num, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ratio is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Ratio is immutable")
-
-    def __reduce__(self):
-        return Ratio, (self.num, self.den)
 
     # -- construction / formatting -------------------------------------
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
@@ -19,17 +18,20 @@ from typing import Dict, List, Optional, Tuple, Union
 from .errors import DomainError, ParseError
 from .membership import MembershipResult, is_member
 from .monoid import Constant, DeltaSpec, ExpMonoid, _power
-from .ratio import Ratio, max_power_dividing
+from .ratio import Ratio, _Value, _set, max_power_dividing
 
 
 # ---------------------------------------------------------------------------
 # Exponent sets: numerical monoids and prefix-cofinite sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumericalMonoidSpec:
+class NumericalMonoidSpec(_Value):
     """The submonoid of N_0 generated by `generators`, of any gcd."""
-    generators: Tuple[int, ...]
+
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: Tuple[int, ...]):
+        _set(self, "generators", generators)
 
     @classmethod
     def make(cls, gens) -> "NumericalMonoidSpec":
@@ -120,11 +122,14 @@ def frobenius_bruteforce(N: NumericalMonoidSpec) -> int:
     return max(gaps)
 
 
-@dataclass(frozen=True)
-class PrefixCofinite:
+class PrefixCofinite(_Value):
     """N = P union {n : n >= threshold} with P a subset of [0, threshold)."""
-    prefix: Tuple[int, ...]
-    threshold: int
+
+    __slots__ = ("prefix", "threshold")
+
+    def __init__(self, prefix: Tuple[int, ...], threshold: int):
+        _set(self, "prefix", prefix)
+        _set(self, "threshold", threshold)
 
     @classmethod
     def make(cls, prefix, threshold) -> "PrefixCofinite":
@@ -244,12 +249,14 @@ def mult_divides(r: Ratio, n: int, x: Ratio, N: ExponentSetSpec) -> MembershipRe
     return is_member(y_shifted, M)
 
 
-@dataclass(frozen=True)
-class MultVerdict:
-    accp: str
-    bfp: str
-    ffp: str
-    evidence: Dict[str, str]
+class MultVerdict(_Value):
+    __slots__ = ("accp", "bfp", "ffp", "evidence")
+
+    def __init__(self, accp: str, bfp: str, ffp: str, evidence: Dict[str, str]):
+        _set(self, "accp", accp)
+        _set(self, "bfp", bfp)
+        _set(self, "ffp", ffp)
+        _set(self, "evidence", evidence)
 
 
 def classify_mult(r: Ratio) -> MultVerdict:

@@ -57,6 +57,8 @@ class TestClassify:
         ("r=2/9; delta=geom(1,2)", "no", "gap-shortfall"),
         ("r=2/3; delta=recurrence(2,3,2)", "no", "gap-shortfall"),
         ("r=2/3; delta=recurrence(4,6,2)", "no", "gap-shortfall"),
+        # log_2 3 = log_4 9: each step 3^delta_k > 2^delta_k+1, squared
+        ("r=4/9; delta=recurrence(2,3,2)", "no", "gap-shortfall"),
         # 2^delta_1 = 2^4 exceeds 3^delta_0 = 3^2: no shortfall to certify
         ("r=2/3; delta=recurrence(2,5,2)", "unknown", "no-closed-form"),
     ])
@@ -146,6 +148,13 @@ class TestWitnessChain:
             assert chain.elements[i] == chain.elements[i + 1] + v
         # with d^delta - n^delta = 1 every difference is a single atom
         assert all(y.length == 1 for y in chain.diffs)
+
+    def test_equal_logs_give_a_chain(self):
+        # r=4/9; recurrence(2,3,2): certified by log_2 3 = log_4 9
+        chain = witness_chain(M("r=4/9; delta=recurrence(2,3,2)"), 3)
+        assert chain.start == 0 and len(chain.diffs) == 3
+        for i, y in enumerate(chain.diffs):
+            assert chain.elements[i] == chain.elements[i + 1] + evaluate(y)
 
     def test_link_check_raises_without_assert(self, monkeypatch):
         # a zero coefficient must trip the explicit link check, which unlike

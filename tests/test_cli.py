@@ -306,6 +306,16 @@ def _run_capped(*args):
                           preexec_fn=_cap_memory)
 
 
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # both would cost start-up time in every CLI process; a module that the
+    # interpreter loaded before the import does not count
+    code = ("import sys; before = set(sys.modules); import puiseux.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = _run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv, result", [
     (("max-length", "--monoid", "r=2/5; delta=geom(1,2)", "--z", "[[0,100]]"),
      {"levels_explored": 64, "status": "no-termination-within-bound"}),
@@ -313,7 +323,9 @@ def _run_capped(*args):
      {"levels_explored": 64, "status": "no-termination-within-bound"}),
     (("lengths", "--monoid", "r=2/3; delta=recurrence(2,3,2)", "--x", "100",
       "--max-index", "2"), {"min_exact": True, "max_exact": False}),
-], ids=["geom-2/5", "recurrence-max-length", "recurrence-lengths"])
+    (("max-length", "--monoid", "r=4/9; delta=recurrence(2,3,2)", "--z", "[[0,100]]"),
+     {"levels_explored": 64, "status": "no-termination-within-bound"}),
+], ids=["geom-2/5", "recurrence-max-length", "recurrence-lengths", "equal-logs-max-length"])
 def test_endless_carries_answer_at_once(argv, result):
     # carries that can never die: the sweep used to form powers of gigabits
     # before it reached level 64

@@ -13,8 +13,9 @@ in one except clause of each parser, and nowhere else. A gap is read by a
 ``.delta.delta(...)`` call only in ``oracle.py`` and in the two sparse
 readers ``min_normal_form`` and ``rewrite_down_step``; every in-order walk
 over the gaps reads ``DeltaSpec.gaps``. ``membership.py`` imports neither
-the search nor a pass that rewrites a factorization. Every third-party
-module that a test imports is named in the ``test`` extra of
+the search nor a pass that rewrites a factorization. No module imports
+``dataclasses``, whose decorators would compile code at every start. Every
+third-party module that a test imports is named in the ``test`` extra of
 ``pyproject.toml``.
 """
 
@@ -115,6 +116,14 @@ def test_membership_has_no_second_path():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not imported & {"_search", "_runs", "_sweep", "min_normal_form"}, imported
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # value classes sit on the slotted base in ratio.py, which compiles nothing
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if "dataclasses" in _imported_roots(node)]
+    assert not lines, f"{path.name}: import of dataclasses at line(s) {lines}"
 
 
 def test_every_third_party_test_import_is_in_the_test_extra():

@@ -7,15 +7,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from puiseux import factorization as fz
+from puiseux.accp import Classification, WitnessChain, classify, witness_chain
 from puiseux.errors import DomainError, StepError
 from puiseux.factorization import (Factorization, LengthSet, MaxLengthOutcome, enumerate_all,
                                    evaluate, length_set, max_length_sweep,
                                    min_normal_form, rewrite_down_step,
                                    unique_factorization_check)
 from puiseux.membership import MembershipResult, default_support_bound, is_member
-from puiseux.monoid import DeltaSpec, ExpMonoid, Geometric, parse_monoid, s_index
+from puiseux.monoid import (AtomicityVerdict, Constant, DeltaSpec, ExpMonoid, Geometric,
+                            Periodic, Polynomial, Recurrence, classify_atomicity,
+                            parse_monoid, s_index)
 from puiseux.oracle import oracle_enumerate, oracle_lengths
 from puiseux.ratio import ZERO, Ratio
+from puiseux.semiring import (MultVerdict, NumericalMonoidSpec, PrefixCofinite,
+                              classify_mult, parse_exponent_set)
 
 CONST = parse_monoid("r=2/3; delta=const(1)")
 GEOM = parse_monoid("r=2/3; delta=geom(1,2)")
@@ -119,6 +124,85 @@ def test_copy_deepcopy_and_pickle_round_trip(value):
             tail = value.delta.tail
             if hasattr(tail, "_memo"):  # a filled memo travels with the copy
                 assert twin.delta.tail._memo == tail._memo
+
+
+_MONOID_TEXT = "ExpMonoid(r=Ratio(2, 3), delta=DeltaSpec(prefix=(), tail=Constant(value=1)))"
+
+# one value of every spec and result class with its repr, pinned to the
+# Name(field=value, ...) text of a frozen dataclass
+VALUES = {
+    Constant: (Constant(1), "Constant(value=1)"),
+    Polynomial: (Polynomial((1, 0, 1)), "Polynomial(coeffs=(1, 0, 1))"),
+    Geometric: (Geometric(1, 2), "Geometric(scale=1, ratio=2)"),
+    Periodic: (Periodic((1, 2)), "Periodic(pattern=(1, 2))"),
+    Recurrence: (Recurrence(2, 3, 2), "Recurrence(a=2, b=3, seed=2)"),
+    DeltaSpec: (parse_monoid("r=2/3; delta=prefix(2);poly(1,1)").delta,
+                "DeltaSpec(prefix=(2,), tail=Polynomial(coeffs=(1, 1)))"),
+    ExpMonoid: (CONST, _MONOID_TEXT),
+    AtomicityVerdict: (classify_atomicity(CONST),
+                       "AtomicityVerdict(kind='atomic', atoms='{r^s_n : n >= 0}')"),
+    MaxLengthOutcome: (max_length_sweep(F(CONST, {0: 5})),
+                       "MaxLengthOutcome(found=None, levels_explored=64)"),
+    LengthSet: (length_set(Ratio(2), CONST, 3),
+                "LengthSet(lengths=(2, 3, 4, 5), min_exact=True, max_exact=False)"),
+    MembershipResult: (is_member(Ratio(4, 3), CONST, 4), (
+        f"MembershipResult(status='member', witness=Factorization(monoid={_MONOID_TEXT}, "
+        "coeffs=((1, 2),)), reason=None, bound=None)")),
+    Classification: (classify(CONST), (
+        "Classification(atomicity=AtomicityVerdict(kind='atomic', atoms='{r^s_n : n >= 0}'), "
+        "accp='no', evidence={'rule': 'bounded-delta', 'instance': 'delta_n=1 eventually'})")),
+    WitnessChain: (witness_chain(CONST, 1), (
+        "WitnessChain(start=0, elements=(Ratio(2, 1), Ratio(4, 3)), diffs=(Factorization("
+        f"monoid={_MONOID_TEXT}, coeffs=((1, 1),)),))")),
+    NumericalMonoidSpec: (NumericalMonoidSpec.make((5, 3)),
+                          "NumericalMonoidSpec(generators=(3, 5))"),
+    PrefixCofinite: (parse_exponent_set("prefix(0,1);tail>=5"),
+                     "PrefixCofinite(prefix=(0, 1), threshold=5)"),
+    MultVerdict: (classify_mult(Ratio(2, 3)), (
+        "MultVerdict(accp='yes', bfp='unknown', ffp='unknown', evidence={'rule': "
+        "'prime-power-denominator', 'instance': 'd(r)=3=3^1'})")),
+    Factorization: (F(CONST, {0: 1, 2: 3}),
+                    f"Factorization(monoid={_MONOID_TEXT}, coeffs=((0, 1), (2, 3)))"),
+}
+
+
+@pytest.mark.parametrize("value, text", VALUES.values(), ids=[c.__name__ for c in VALUES])
+def test_every_value_class_keeps_the_frozen_dataclass_contract(value, text):
+    assert repr(value) == text
+    assert not hasattr(value, "__dict__")
+    first = text[text.index("(") + 1:text.index("=")]  # the first field's name
+    for name in (first, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+    twins = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+    for twin in twins:
+        assert type(twin) is type(value) and twin == value and repr(twin) == text
+    if isinstance(value, (Classification, MultVerdict)):
+        with pytest.raises(TypeError):  # the evidence dict is unhashable
+            hash(value)
+    else:
+        assert {hash(twin) for twin in twins} == {hash(value)}
+
+
+def test_equality_needs_one_class_and_the_hash_is_the_field_tuple():
+    assert Periodic((1, 2)) != Polynomial((1, 2))
+    assert Constant(1) != (1,) and (1,) != Constant(1)
+    assert Constant(1) == Constant(1) and Constant(1) != Constant(2)
+    assert hash(Constant(1)) == hash((1,))
+    assert hash(Geometric(1, 2)) == hash((1, 2))
+    z = F(CONST, {0: 1})
+    assert hash(z) == hash((CONST, ((0, 1),)))
+
+
+def test_caches_stay_out_of_equality_hash_and_repr():
+    fresh, used = Recurrence(2, 3, 1), Recurrence(2, 3, 1)
+    used.delta(12)
+    assert len(used._memo[0]) > len(fresh._memo[0])
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert Polynomial((1, 1)) == Polynomial((1, 1, 0)) and Polynomial((1, 1))._newton == (1, 1)
 
 
 class TestRewriteDownStep:

@@ -527,6 +527,9 @@ def tails_and_bases(draw):
 # a*d == b*n without (a, b) = g*(n, d): d^delta_k < n^delta_{k+1} at every k < 12
 @example((Recurrence(2, 3, 2), 12, 18))
 @example((Recurrence(2, 4, 2), 9, 18))
+# equal logs: 4^3 = 8^2 and 9^3 = 27^2; 8^1 = 2^3 and 27^1 = 3^3
+@example((Recurrence(4, 9, 2), 8, 27))
+@example((Recurrence(8, 27, 1), 2, 3))
 def test_shortfall_is_a_certificate(case):
     tail, n, d = case
     descent = tail.descent(n, d)
