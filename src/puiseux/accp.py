@@ -13,13 +13,15 @@ first-class verdict for anything the exact rules cannot settle.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .errors import ChainError, DomainError
-from .factorization import Factorization
 from .monoid import (SCAN_LIMIT, AtomicityVerdict, DeltaSpec, ExpMonoid, Recurrence,
                      classify_atomicity, descending_run, s_index)
 from .ratio import Ratio, _Value, _set
+
+if TYPE_CHECKING:
+    from .factorization import Factorization
 
 
 class Classification(_Value):
@@ -111,6 +113,7 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
     over d^{s_{m+1}} by one multiply-add on powers carried from index to index:
         n^{s_{m+1}} d^{delta_m} = n^{s_{m+2}} + c_m n^{s_{m+1}}.
     """
+    from .factorization import Factorization  # here alone: classify needs no factorizations
     if k < 1:
         raise DomainError("chain length must be >= 1")
     if classify(M).accp != "no":

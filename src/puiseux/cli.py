@@ -11,13 +11,14 @@ import argparse
 import json
 import sys
 
-from . import accp, factorization as fz, membership, oracle, semiring
 from .errors import DomainError, ParseError, PuiseuxError
-from .monoid import ExpMonoid, monoid_from_json, parse_monoid
 from .ratio import Ratio
 
+# each handler imports its layer when it runs: a process loads one subcommand's modules
 
-def _load_monoid(args) -> ExpMonoid:
+
+def _load_monoid(args):
+    from .monoid import monoid_from_json, parse_monoid
     if args.spec_file:
         with open(args.spec_file) as fh:
             try:
@@ -30,7 +31,8 @@ def _load_monoid(args) -> ExpMonoid:
     raise ParseError("a monoid is required: pass --monoid or --spec-file")
 
 
-def _parse_factorization(M: ExpMonoid, text: str) -> fz.Factorization:
+def _parse_factorization(M, text: str):
+    from .factorization import Factorization
     try:
         pairs = [(i, c) for i, c in json.loads(text)]
         # JSON integers only: no float to truncate, no boolean or string
@@ -38,10 +40,10 @@ def _parse_factorization(M: ExpMonoid, text: str) -> fz.Factorization:
             raise TypeError("entries must be integers")
     except (ValueError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed factorization {text!r}: {exc}") from exc
-    return fz.Factorization.make(M, pairs)
+    return Factorization.make(M, pairs)
 
 
-def _membership_json(res: membership.MembershipResult) -> dict:
+def _membership_json(res) -> dict:
     out = {"status": res.status}
     if res.witness is not None:
         out["witness"] = res.witness.as_pairs()
@@ -57,6 +59,7 @@ def _membership_json(res: membership.MembershipResult) -> dict:
 # --x, both loaded by main, or None where the subcommand has no such option.
 
 def _cmd_classify(args, M, x) -> dict:
+    from . import accp
     c = accp.classify(M)
     return {"atomicity": c.atomicity.kind, "atoms": c.atomicity.atoms,
             "accp": c.accp, "bfp": c.accp, "ffp": c.accp,
@@ -64,6 +67,7 @@ def _cmd_classify(args, M, x) -> dict:
 
 
 def _cmd_normal_form(args, M, x) -> dict:
+    from . import factorization as fz
     z = _parse_factorization(M, args.z)
     nf = fz.min_normal_form(z)
     return {"normal_form": nf.as_pairs(), "length": nf.length,
@@ -71,6 +75,7 @@ def _cmd_normal_form(args, M, x) -> dict:
 
 
 def _cmd_max_length(args, M, x) -> dict:
+    from . import factorization as fz
     z = _parse_factorization(M, args.z)
     outcome = fz.max_length_sweep(z, args.bound)
     if outcome.terminated:
@@ -81,6 +86,7 @@ def _cmd_max_length(args, M, x) -> dict:
 
 
 def _cmd_enumerate(args, M, x) -> dict:
+    from . import factorization as fz
     zs = fz.enumerate_all(x, M, args.max_index)
     return {"count": len(zs),
             "factorizations": [z.as_pairs() for z in zs],
@@ -88,10 +94,12 @@ def _cmd_enumerate(args, M, x) -> dict:
 
 
 def _cmd_member(args, M, x) -> dict:
+    from . import membership
     return {"membership": _membership_json(membership.is_member(x, M, args.bound))}
 
 
 def _cmd_lengths(args, M, x) -> dict:
+    from . import factorization as fz, membership
     res = membership.is_member(x, M, args.bound)
     if res.status == "not-member":
         raise DomainError(f"not a member: {res.reason}")
@@ -103,6 +111,7 @@ def _cmd_lengths(args, M, x) -> dict:
 
 
 def _cmd_chain(args, M, x) -> dict:
+    from . import accp
     chain = accp.witness_chain(M, args.k)
     return {"start": chain.start,
             "elements": [str(e) for e in chain.elements],
@@ -110,6 +119,8 @@ def _cmd_chain(args, M, x) -> dict:
 
 
 def _cmd_counterexample(args, M, x) -> dict:
+    from . import accp
+    from .monoid import ExpMonoid
     spec, report = accp.construct_counterexample(args.a, args.b, args.k)
     M = ExpMonoid(Ratio(args.a, args.b), spec)
     out = dict(report)
@@ -120,12 +131,14 @@ def _cmd_counterexample(args, M, x) -> dict:
 
 
 def _cmd_semiring(args, M, x) -> dict:
+    from . import semiring
     r = Ratio.parse(args.r)
     N = semiring.parse_exponent_set(args.N)
     return semiring.is_semiring(r, N)
 
 
 def _cmd_mult_classify(args, M, x) -> dict:
+    from . import semiring
     r = Ratio.parse(args.r)
     if args.N:  # the verdict depends on r alone; a malformed set is still an error
         semiring.parse_exponent_set(args.N)
@@ -134,6 +147,7 @@ def _cmd_mult_classify(args, M, x) -> dict:
 
 
 def _cmd_oracle(args, M, x) -> dict:
+    from . import oracle
     vectors = oracle.oracle_enumerate(x, M, args.max_index)
     return {"count": len(vectors),
             "vectors": [list(v) for v in vectors],

@@ -375,15 +375,21 @@ class Recurrence(Tail):
     def shifted(self, j: int) -> "Recurrence":
         return Recurrence(self.a, self.b, self.delta(j))
 
+    def stalls(self) -> bool:
+        """Every gap is the seed: delta_1 = delta_0, and (b/a)^delta rises with delta."""
+        return self.delta(1) == self.seed
+
     def descent(self, n: int, d: int) -> Optional[bool]:
         # b^delta_k > a^delta_{k+1} holds at every step. It gives d^delta_k >
         # n^delta_{k+1} when (a, b) = g*(n, d), g >= 1, as log_a b <= log_n d,
         # and when a^q = n^p and b^q = d^p, p, q >= 1, raised to the power p/q.
-        # For any other (a, b) no rule is known
+        # Constant gaps, on a stall, need d >= n. For any other (a, b) no rule is known
         if self.a % n == 0 and self.a // n * d == self.b:
             return True
         logs = _log_pair(self.a, n)
-        return True if logs and logs == _log_pair(self.b, d) else None
+        if logs and logs == _log_pair(self.b, d):
+            return True
+        return d >= n if self.stalls() else None
 
     def accp_rule(self, M):
         if not self.descent(M.r.num, M.r.den):
@@ -391,10 +397,13 @@ class Recurrence(Tail):
         return "no", "gap-shortfall", _shortfall_instance(M, len(M.delta.prefix))
 
     def necessary_bound(self, n: int, d: int) -> Tuple[object, str]:
-        if (self.a, self.b) != (n, d):
+        if self.stalls():  # constant gaps: delta_n/s_n -> 0
+            return super().necessary_bound(n, d)
+        logs = _log_pair(self.a, n)  # (1, 1) on (a, b) = (n, d)
+        if not logs or logs != _log_pair(self.b, d):
             return "unknown", "no closed form for this rule"
-        # gap ratios approach log_n(d) from below, so the limsup factor is
-        # n^{log_n(d) - 1} and the bound holds with equality: n * n^{R-1} = d
+        # gap ratios approach log_a(b) = log_n(d) from below, so the limsup factor
+        # is n^{log_n(d) - 1} and the bound holds with equality: n * n^{R-1} = d
         return True, f"n(r)^log_n(d)={d} (equality: ratio limit attains the bound)"
 
 

@@ -61,6 +61,9 @@ class TestClassify:
         ("r=4/9; delta=recurrence(2,3,2)", "no", "gap-shortfall"),
         # 2^delta_1 = 2^4 exceeds 3^delta_0 = 3^2: no shortfall to certify
         ("r=2/3; delta=recurrence(2,5,2)", "unknown", "no-closed-form"),
+        # 3^3 >= 5^2 stalls the recurrence at its seed: every gap is 2, a constant tail
+        ("r=2/3; delta=recurrence(3,5,2)", "no", "gap-shortfall"),
+        ("r=2/3; delta=recurrence(2,3,1)", "no", "gap-shortfall"),
     ])
     def test_decision_tree(self, text, accp, rule):
         c = classify(M(text))
@@ -113,6 +116,31 @@ class TestCheckNecessary:
     def test_recurrence_off_the_base_is_unknown(self):
         out = check_necessary(M("r=2/3; delta=recurrence(2,5,2)"))
         assert (out["bound_holds"], out["rhs"]) == ("unknown", "no closed form for this rule")
+
+    @pytest.mark.parametrize("text, holds, rhs", [
+        # a stalled recurrence keeps every gap at its seed: delta_n/s_n -> 0
+        ("r=2/3; delta=recurrence(2,3,1)", False, "n(r)*1=2 (delta_n/s_n -> 0)"),
+        ("r=2/3; delta=recurrence(4,6,2)", False, "n(r)*1=2 (delta_n/s_n -> 0)"),
+        ("r=2/3; delta=recurrence(3,5,2)", False, "n(r)*1=2 (delta_n/s_n -> 0)"),
+        # log_2 3 = log_4 9: the gap ratios approach log_4 9 from below
+        ("r=4/9; delta=recurrence(2,3,2)", True,
+         "n(r)^log_n(d)=9 (equality: ratio limit attains the bound)"),
+        ("r=2/3; delta=recurrence(2,3,2)", True,
+         "n(r)^log_n(d)=3 (equality: ratio limit attains the bound)"),
+    ])
+    def test_recurrence_bound(self, text, holds, rhs):
+        out = check_necessary(M(text))
+        assert (out["bound_holds"], out["rhs"]) == (holds, rhs)
+        if holds is False:
+            assert classify(M(text)).accp == "no"
+
+    @pytest.mark.parametrize("a, b, k, holds", [
+        (3, 5, 3, False),  # seed 2 stalls: 3^3 >= 5^2, every gap is 2
+        (2, 3, 6, True),
+    ])
+    def test_counterexample_bound(self, a, b, k, holds):
+        spec, _ = construct_counterexample(a, b, k)
+        assert check_necessary(ExpMonoid(Ratio(a, b), spec))["bound_holds"] is holds
 
     def test_not_applicable(self):
         for text in ("r=3/2; delta=const(1)", "r=3; delta=const(1)",

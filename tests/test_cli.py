@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import puiseux
 from puiseux.accp import classify, construct_counterexample
 from puiseux.cli import _parse_factorization, main
 from puiseux.errors import DomainError, ParseError
@@ -314,6 +317,96 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
     proc = _run_capped("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- lazy loading: a process loads the modules of its subcommand alone -------
+
+def _loaded(code):
+    """The puiseux submodules loaded after code runs in a fresh interpreter."""
+    proc = _run_capped("-c", code + "\nimport json, sys; print(json.dumps(sorted("
+                       "m[8:] for m in sys.modules if m.startswith('puiseux.'))))")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+FRONT_END = {"cli", "errors", "ratio"}
+SUBCOMMAND_MODULES = {
+    "classify": {"accp", "monoid"},
+    "counterexample": {"accp", "monoid"},
+    "enumerate": {"factorization", "monoid"},
+    "normal-form": {"factorization", "monoid"},
+    "max-length": {"factorization", "monoid"},
+    "member": {"membership", "factorization", "monoid"},
+    "lengths": {"membership", "factorization", "monoid"},
+    "chain": {"accp", "factorization", "monoid"},
+    "oracle": {"oracle", "monoid"},
+    # the semiring layer imports the monoid layer at its top
+    "semiring": {"semiring", "membership", "factorization", "monoid"},
+    "mult-classify": {"semiring", "membership", "factorization", "monoid"},
+}
+
+
+def _readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return [shlex.split(line[len("$ puiseux "):])
+            for line in readme.read_text().splitlines() if line.startswith("$ puiseux ")]
+
+
+def test_importing_the_package_loads_no_module():
+    assert _loaded("import puiseux") == set()
+    assert _loaded("import puiseux.cli") == FRONT_END
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def test_a_subcommand_loads_its_own_layer_alone(argv):
+    code = ("import contextlib, io\nfrom puiseux.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0")
+    assert _loaded(code) == FRONT_END | SUBCOMMAND_MODULES[argv[0]]
+
+
+# -- the package namespace ---------------------------------------------------
+
+LAYERS = "accp errors factorization membership monoid oracle ratio semiring".split()
+EXPORTS = """
+    AtomicityVerdict ChainError Classification Constant DeltaSpec DomainError ExpMonoid
+    Factorization Geometric IndexRangeError LengthSet MaxLengthOutcome MembershipResult
+    MultVerdict NumericalMonoidSpec ParseError Periodic Polynomial PrefixCofinite PuiseuxError
+    Ratio Recurrence StepError WitnessChain apery_set atom check_necessary classify
+    classify_atomicity classify_mult construct_counterexample divides enumerate_all evaluate
+    format_monoid frobenius frobenius_bruteforce is_member is_semiring length_set
+    max_length_sweep max_power_dividing min_normal_form mult_divides mult_divisor_bound
+    nm_membership oracle_enumerate oracle_lengths parse_exponent_set parse_monoid
+    rewrite_down_step s_index series_partial_sums truncate unique_factorization_check
+    witness_chain""".split()
+
+
+def test_star_import_binds_the_exports_and_the_layers():
+    scope = {}
+    exec("from puiseux import *", scope)
+    assert len(EXPORTS) == 56
+    assert set(scope) - {"__builtins__"} == set(EXPORTS) | set(LAYERS)
+    assert sorted(puiseux.__all__) == sorted(EXPORTS + LAYERS)
+
+
+def test_each_export_is_the_object_of_its_home_module():
+    for name in EXPORTS:
+        value = getattr(puiseux, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+    for name in LAYERS:
+        assert getattr(puiseux, name) is importlib.import_module(f"puiseux.{name}")
+
+
+def test_the_namespace_lists_its_lazy_names_and_refuses_others():
+    assert {"__all__", *puiseux.__all__} <= set(dir(puiseux))
+    assert puiseux.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        puiseux.no_such_name
+
+
+def test_a_layer_resolves_after_a_bare_import():
+    proc = _run_capped("-c", "import puiseux; print(puiseux.monoid.__name__, "
+                             "puiseux.parse_monoid is puiseux.monoid.parse_monoid)")
+    assert (proc.returncode, proc.stdout) == (0, "puiseux.monoid True\n"), proc.stderr
 
 
 @pytest.mark.parametrize("argv, result", [

@@ -14,9 +14,10 @@ in one except clause of each parser, and nowhere else. A gap is read by a
 readers ``min_normal_form`` and ``rewrite_down_step``; every in-order walk
 over the gaps reads ``DeltaSpec.gaps``. ``membership.py`` imports neither
 the search nor a pass that rewrites a factorization. No module imports
-``dataclasses``, whose decorators would compile code at every start. Every
-third-party module that a test imports is named in the ``test`` extra of
-``pyproject.toml``.
+``dataclasses``, whose decorators would compile code at every start, and
+``__init__.py`` has no relative import at its top, so importing the package
+loads no module. Every third-party module that a test imports is named in
+the ``test`` extra of ``pyproject.toml``.
 """
 
 import ast
@@ -124,6 +125,15 @@ def test_no_module_imports_dataclasses(path):
     lines = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if "dataclasses" in _imported_roots(node)]
     assert not lines, f"{path.name}: import of dataclasses at line(s) {lines}"
+
+
+def test_the_package_namespace_imports_no_module_at_its_top():
+    # __init__.py resolves each name on first use; one relative import at its
+    # top would load that module, and all it imports, in every process
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    lines = [node.lineno for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert not lines, f"__init__.py: relative import at line(s) {lines}"
 
 
 def test_every_third_party_test_import_is_in_the_test_extra():

@@ -362,6 +362,16 @@ def test_recurrence_step_when_b_to_the_d_is_a_power_of_a(a, b, d, expected):
     assert Recurrence(a, b, 1).step(d) == expected
 
 
+@given(st.integers(2, 12).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 40))),
+       st.integers(1, 12))
+def test_a_recurrence_that_stalls_keeps_its_seed(ab, seed):
+    # (b/a)^delta rises with delta: a recurrence that grows once never stalls
+    rec = Recurrence(*ab, seed)
+    gaps = [rec.delta(k) for k in range(8)]
+    assert rec.stalls() == (gaps == [seed] * 8)
+    assert rec.stalls() or gaps == sorted(set(gaps))
+
+
 @pytest.mark.parametrize("text", [
     "r=2/3; delta=prefix(4,1,7); const(3)",
     "r=2/3; delta=prefix(2); poly(5,-4,1)",
