@@ -13,34 +13,22 @@ first-class verdict for anything the exact rules cannot settle.
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ChainError, DomainError
-from .monoid import (SCAN_LIMIT, AtomicityVerdict, DeltaSpec, ExpMonoid, Recurrence,
-                     classify_atomicity, descending_run, s_index)
-from .ratio import Ratio, _Value, _set
-
-if TYPE_CHECKING:
-    from .factorization import Factorization
+from .monoid import (SCAN_LIMIT, DeltaSpec, ExpMonoid, Recurrence, classify_atomicity,
+                     descending_run, s_index)
+from .ratio import Ratio, _Value
 
 
 class Classification(_Value):
+    # accp: "yes" | "no" | "unknown" | "n/a"
     __slots__ = ("atomicity", "accp", "evidence")
-
-    def __init__(self, atomicity: AtomicityVerdict, accp: str, evidence: Dict[str, str]):
-        _set(self, "atomicity", atomicity)
-        _set(self, "accp", accp)  # "yes" | "no" | "unknown" | "n/a"
-        _set(self, "evidence", evidence)
 
 
 class WitnessChain(_Value):
+    # elements: x_start > x_start+1 > ...; diffs: x_m = x_{m+1} + value(diffs[m])
     __slots__ = ("start", "elements", "diffs")
-
-    def __init__(self, start: int, elements: Tuple[Ratio, ...],
-                 diffs: Tuple[Factorization, ...]):
-        _set(self, "start", start)
-        _set(self, "elements", elements)  # x_start > x_start+1 > ...
-        _set(self, "diffs", diffs)        # x_m = x_{m+1} + value(diffs[m])
 
 
 def classify(M: ExpMonoid) -> Classification:

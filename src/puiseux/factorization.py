@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
 from .monoid import ExpMonoid, s_index
-from .ratio import Ratio, _Value, _set
+from .ratio import Ratio, _Value
 
 
 class Factorization(_Value):
@@ -69,10 +69,6 @@ _set_monoid, _set_coeffs = Factorization.monoid.__set__, Factorization.coeffs.__
 
 class MaxLengthOutcome(_Value):
     __slots__ = ("found", "levels_explored")
-
-    def __init__(self, found: Optional[Factorization], levels_explored: int):
-        _set(self, "found", found)
-        _set(self, "levels_explored", levels_explored)
 
     @property
     def terminated(self) -> bool:
@@ -333,25 +329,15 @@ def _expand(node: tuple) -> Iterator[Tuple[Tuple[int, int], ...]]:
         yield zero
 
 
-def _search(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Each factorization of x with support in [0, max_index] as the sorted
-    tuple of its (index, coeff >= 1) pairs, in ascending tuple order.
-
-    Every level tries its positive coefficients in rising order and zero
-    last: a result with c atoms at level i comes before one that skips level
-    i, whose next pair has a larger index. So the runs of `_runs`, each read
-    off without a division, come out sorted.
-    """
-    return chain.from_iterable(map(_expand, _runs(x, M, max_index)))
-
-
 def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int) -> List[Factorization]:
-    """All factorizations of x with support in [0, max_index], canonically
-    sorted: the search yields them in ascending order of their (index,
-    coeff) pairs, each level trying zero last, so no sort follows. For r > 1
-    a max_index at the first n with r^{s_n} > x makes the list the complete
-    factorization set of x."""
-    return [Factorization(M, p) for p in _search(x, M, max_index)]
+    """All factorizations of x with support in [0, max_index], in ascending
+    order of their (index, coeff >= 1) pairs with no sort: every level of
+    `_runs` tries its positive coefficients in rising order and zero last,
+    so a result with c atoms at level i comes before one that skips level i,
+    whose next pair has a larger index. For r > 1 a max_index at the first
+    n with r^{s_n} > x makes the list the complete factorization set of x."""
+    found = chain.from_iterable(map(_expand, _runs(x, M, max_index)))
+    return [Factorization(M, p) for p in found]
 
 
 def unique_factorization_check(z: Factorization) -> bool:
@@ -362,11 +348,6 @@ def unique_factorization_check(z: Factorization) -> bool:
 
 class LengthSet(_Value):
     __slots__ = ("lengths", "min_exact", "max_exact")
-
-    def __init__(self, lengths: Tuple[int, ...], min_exact: bool, max_exact: bool):
-        _set(self, "lengths", lengths)
-        _set(self, "min_exact", min_exact)
-        _set(self, "max_exact", max_exact)
 
 
 def length_set(x: Ratio, M: ExpMonoid, max_index: int,
@@ -385,19 +366,16 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
     The lengths are read per run of the search, never per factorization:
     along a run they form an arithmetic progression with step
     n^{delta_{B-1}} - d^{delta_{B-1}}. Without a witness, r < 1 sweeps from
-    the least factorization, the first result of the first run.
+    the least-length form in [0, B], B = max_index cut to the window, read
+    off by the one walk of `_least_form`.
     """
     window = M.delta.max_exponent_index
+    B = max_index if window is None else min(max_index, window)
     found = set()
-    first = None
-    for node in _runs(x, M, max_index):
-        head, _, c, q, k, m, e = node
-        if first is None:
-            first = node
+    for head, _, c, q, k, m, e in _runs(x, M, max_index):
         low, step = sum(v for _, v in head) + c + q, m - e
         found.update(range(low, low + k * step, step) if step else (low,))
-    if first is None and witness is None:
-        B = max_index if window is None else min(max_index, window)
+    if not found and witness is None:
         raise DomainError(f"no factorization with support in [0, {B}]")
     lengths = tuple(sorted(found))
     if not lengths:
@@ -406,6 +384,6 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
         complete = (M.r == Ratio(1) or (window is not None and max_index >= window)
                     or M.r ** s_index(M, max_index + 1) > x)
         return LengthSet(lengths, complete, complete)
-    w = witness if witness is not None else Factorization(M, next(_expand(first)))
+    w = witness if witness is not None else _checked(M, _least_form(x, M, B), x, "the least form")
     sweep = max_length_sweep(w)
     return LengthSet(lengths, True, sweep.terminated and sweep.found.length == lengths[-1])

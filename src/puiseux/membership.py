@@ -51,15 +51,6 @@ def _complete_index(q: Ratio, M: ExpMonoid, top: int) -> int:
     return top
 
 
-def default_support_bound(q: Ratio, M: ExpMonoid) -> int:
-    """m + 3 for the least m with d(q) | d(r)^{s_m}, capped at index 512 or
-    the window's end. The walk of is_member stops at m itself, which is
-    complete; the 3 only sets the bound that an unresolved answer reports."""
-    limit = M.delta.max_exponent_index
-    top = 512 if limit is None else limit
-    return min(_complete_index(q, M, top) + 3, top)
-
-
 def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> MembershipResult:
     """Whether q is in M, with a witness of least length when it is.
 
@@ -67,7 +58,7 @@ def is_member(q: Ratio, M: ExpMonoid, support_bound: Optional[int] = None) -> Me
     end or the first n with r^{s_n} > q, past which atoms exceed q; for r = 1
     it is 0. For r < 1, B = _complete_index(q, M, top), top the window's end,
     support_bound or index 512, and the answer is the one for [0, top]; an
-    unresolved answer reports support_bound or default_support_bound.
+    unresolved answer reports support_bound, or else min(B + 3, 512).
 
     r < 1: if q has a factorization in [0, top], its minimum normal form has
     a top index t <= top (down-steps only lower indices) and c_i <

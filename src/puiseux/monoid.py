@@ -478,11 +478,9 @@ class ExpMonoid(_Value):
 
 
 class AtomicityVerdict(_Value):
+    # kind: "iso-naturals" | "antimatter" | "atomic";
+    # atoms: human-readable description of the atom set
     __slots__ = ("kind", "atoms")
-
-    def __init__(self, kind: str, atoms: str):
-        _set(self, "kind", kind)    # "iso-naturals" | "antimatter" | "atomic"
-        _set(self, "atoms", atoms)  # human-readable description of the atom set
 
 
 def s_index(M: ExpMonoid, n: int) -> int:

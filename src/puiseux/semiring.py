@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .errors import DomainError, ParseError
 from .membership import MembershipResult, is_member
 from .monoid import Constant, DeltaSpec, ExpMonoid, _power
-from .ratio import Ratio, _Value, _set, max_power_dividing
+from .ratio import Ratio, _Value, max_power_dividing
 
 
 # ---------------------------------------------------------------------------
@@ -29,9 +29,6 @@ class NumericalMonoidSpec(_Value):
     """The submonoid of N_0 generated by `generators`, of any gcd."""
 
     __slots__ = ("generators",)
-
-    def __init__(self, generators: Tuple[int, ...]):
-        _set(self, "generators", generators)
 
     @classmethod
     def make(cls, gens) -> "NumericalMonoidSpec":
@@ -126,10 +123,6 @@ class PrefixCofinite(_Value):
     """N = P union {n : n >= threshold} with P a subset of [0, threshold)."""
 
     __slots__ = ("prefix", "threshold")
-
-    def __init__(self, prefix: Tuple[int, ...], threshold: int):
-        _set(self, "prefix", prefix)
-        _set(self, "threshold", threshold)
 
     @classmethod
     def make(cls, prefix, threshold) -> "PrefixCofinite":
@@ -251,12 +244,6 @@ def mult_divides(r: Ratio, n: int, x: Ratio, N: ExponentSetSpec) -> MembershipRe
 
 class MultVerdict(_Value):
     __slots__ = ("accp", "bfp", "ffp", "evidence")
-
-    def __init__(self, accp: str, bfp: str, ffp: str, evidence: Dict[str, str]):
-        _set(self, "accp", accp)
-        _set(self, "bfp", bfp)
-        _set(self, "ffp", ffp)
-        _set(self, "evidence", evidence)
 
 
 def classify_mult(r: Ratio) -> MultVerdict:

@@ -10,7 +10,7 @@ from puiseux.accp import (check_necessary, classify, construct_counterexample,
                           series_partial_sums, witness_chain)
 from puiseux.errors import ChainError, DomainError
 from puiseux.factorization import Factorization, evaluate, max_length_sweep
-from puiseux.membership import default_support_bound, is_member
+from puiseux.membership import is_member
 from puiseux.monoid import (SCAN_LIMIT, TAILS, DeltaSpec, ExpMonoid, Recurrence,
                             classify_atomicity, descending_run, parse_monoid, s_index,
                             truncate)
@@ -370,8 +370,7 @@ def empirical_probe(M: ExpMonoid, x: Factorization, depth: int) -> Dict[str, obj
     memo: Dict[Tuple[Ratio, int], List[Ratio]] = {}
 
     def member(v: Ratio) -> bool:
-        bound = min(default_support_bound(v, M), top)
-        return is_member(v, M, bound).is_member
+        return is_member(v, M, top).is_member
 
     def longest(v: Ratio, budget: int) -> List[Ratio]:
         if budget == 0:

@@ -475,7 +475,7 @@ def test_support_bound_of_a_foreign_prime_answers_at_once():
     # 7 never divides a power of 3: the scan runs to its cap at index 512,
     # where d^{s_m} in full would be 3^(2^512 - 1)
     proc = _run_capped("-c", "from puiseux import Ratio, parse_monoid\n"
-                             "from puiseux.membership import default_support_bound\n"
+                             "from puiseux.membership import _complete_index\n"
                              "M = parse_monoid('r=2/3; delta=geom(1,2)')\n"
-                             "print(default_support_bound(Ratio(1, 7), M))")
+                             "print(_complete_index(Ratio(1, 7), M, 512))")
     assert (proc.returncode, proc.stdout) == (0, "512\n")

@@ -16,8 +16,9 @@ over the gaps reads ``DeltaSpec.gaps``. ``membership.py`` imports neither
 the search nor a pass that rewrites a factorization. No module imports
 ``dataclasses``, whose decorators would compile code at every start, and
 ``__init__.py`` has no relative import at its top, so importing the package
-loads no module. Every third-party module that a test imports is named in
-the ``test`` extra of ``pyproject.toml``.
+loads no module. No module binds a name by import, at its top or under a
+module-level ``if``, that it never reads. Every third-party module that a
+test imports is named in the ``test`` extra of ``pyproject.toml``.
 """
 
 import ast
@@ -116,7 +117,7 @@ def test_membership_has_no_second_path():
     tree = ast.parse((PACKAGE / "membership.py").read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert not imported & {"_search", "_runs", "_sweep", "min_normal_form"}, imported
+    assert not imported & {"_runs", "_expand", "_sweep", "min_normal_form"}, imported
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -125,6 +126,27 @@ def test_no_module_imports_dataclasses(path):
     lines = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if "dataclasses" in _imported_roots(node)]
     assert not lines, f"{path.name}: import of dataclasses at line(s) {lines}"
+
+
+def _import_bindings(body):
+    """(name, line) for each name that an import among these statements, or
+    in the branches of an if among them, binds; __future__ imports bind none."""
+    for node in body:
+        if isinstance(node, ast.If):
+            yield from _import_bindings(node.body + node.orelse)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = [(name, line) for name, line in _import_bindings(tree.body) if name not in read]
+    assert not unused, unused
 
 
 def test_the_package_namespace_imports_no_module_at_its_top():

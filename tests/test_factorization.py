@@ -13,7 +13,7 @@ from puiseux.factorization import (Factorization, LengthSet, MaxLengthOutcome, e
                                    evaluate, length_set, max_length_sweep,
                                    min_normal_form, rewrite_down_step,
                                    unique_factorization_check)
-from puiseux.membership import MembershipResult, default_support_bound, is_member
+from puiseux.membership import MembershipResult, _complete_index, is_member
 from puiseux.monoid import (AtomicityVerdict, Constant, DeltaSpec, ExpMonoid, Geometric,
                             Periodic, Polynomial, Recurrence, classify_atomicity,
                             parse_monoid, s_index)
@@ -84,9 +84,10 @@ class TestValue:
 
     def test_enumeration_wraps_the_search_results(self):
         x = Ratio(2056, 243)  # the tail query of factor-mix
-        found = list(fz._search(x, CONST, 5))
-        assert len(found) == 1712
-        assert [z.coeffs for z in enumerate_all(x, CONST, 5)] == found
+        zs = enumerate_all(x, CONST, 5)
+        found = [z.coeffs for z in zs]
+        assert len(found) == 1712 and found == sorted(set(found))
+        assert all(type(z) is Factorization and evaluate(z) == x for z in zs)
 
 
 def _filled_recurrence():
@@ -166,6 +167,11 @@ VALUES = {
 }
 
 
+# the classes whose fields only the base constructor stores, in order
+BASE_BUILT = (AtomicityVerdict, MaxLengthOutcome, LengthSet, Classification, WitnessChain,
+              NumericalMonoidSpec, PrefixCofinite, MultVerdict)
+
+
 @pytest.mark.parametrize("value, text", VALUES.values(), ids=[c.__name__ for c in VALUES])
 def test_every_value_class_keeps_the_frozen_dataclass_contract(value, text):
     assert repr(value) == text
@@ -180,6 +186,11 @@ def test_every_value_class_keeps_the_frozen_dataclass_contract(value, text):
     twins = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
     for twin in twins:
         assert type(twin) is type(value) and twin == value and repr(twin) == text
+    if isinstance(value, BASE_BUILT):  # one field too few or too many
+        fields = value._astuple()
+        for wrong in (fields[:-1], fields + (None,)):
+            with pytest.raises(TypeError, match=type(value).__name__):
+                type(value)(*wrong)
     if isinstance(value, (Classification, MultVerdict)):
         with pytest.raises(TypeError):  # the evidence dict is unhashable
             hash(value)
@@ -593,7 +604,7 @@ def _ref_is_member(q, M, support_bound=None):
             return MembershipResult("member", min(zs, key=lambda z: z.length))
         return MembershipResult(
             "not-member", reason=f"exhausted complete search up to support {bound}")
-    bound = support_bound if support_bound is not None else default_support_bound(q, M)
+    bound = support_bound if support_bound is not None else _ref_support_bound(q, M)
     zs = _ref_enumerate_all(q, M, bound, limit=1)
     if zs:
         return MembershipResult("member", min_normal_form(zs[0]))
@@ -721,7 +732,7 @@ def test_the_search_makes_no_factorization_per_result(monkeypatch):
 @given(search_queries())
 def test_the_search_ascends_and_length_sets_match_the_expansion(query):
     x, M, B = query
-    found = list(fz._search(x, M, B))
+    found = [z.coeffs for z in enumerate_all(x, M, B)]
     assert all(a < b for a, b in zip(found, found[1:]))
     ls = _outcome(length_set, x, M, B)
     assert ls == _outcome(_ref_length_set, x, M, B)
@@ -732,24 +743,27 @@ def test_the_search_ascends_and_length_sets_match_the_expansion(query):
 def test_length_sets_read_runs_and_enumeration_needs_no_sort(monkeypatch):
     tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix
     x, witness = evaluate(tail_query), min_normal_form(tail_query)
-    runs, expand, nodes, expanded = fz._runs, fz._expand, [], []
+    runs, least, nodes, walks = fz._runs, fz._least_form, [], []
     monkeypatch.setattr(fz, "_runs", lambda *args: (
         nodes.append(node) or node for node in runs(*args)))
-    monkeypatch.setattr(fz, "_expand", lambda node: expanded.append(node) or expand(node))
+    monkeypatch.setattr(fz, "_least_form", lambda *args: walks.append(args) or least(*args))
 
     def banned(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(fz, "_search", banned)
-    assert length_set(x, CONST, 5, witness).lengths[0] == witness.length
+    monkeypatch.setattr(fz, "_expand", banned)
+    with_witness = length_set(x, CONST, 5, witness)
+    assert with_witness.lengths[0] == witness.length
     assert (len(nodes), sum(node[4] for node in nodes)) == (307, 1712)  # runs, results
-    assert expanded == []
+    assert walks == []
     nodes.clear()
-    length_set(x, CONST, 5)  # without a witness the sweep starts from the first result
-    assert len(nodes) == 307 and expanded == nodes[:1]
+    # without a witness the sweep starts from the one walk's least form
+    assert length_set(x, CONST, 5) == with_witness
+    assert len(nodes) == 307 and walks == [(x, CONST, 5)]
     monkeypatch.undo()
     monkeypatch.setattr(fz, "sorted", banned, raising=False)
-    assert [z.coeffs for z in enumerate_all(x, CONST, 5)] == sorted(fz._search(x, CONST, 5))
+    found = [z.coeffs for z in enumerate_all(x, CONST, 5)]
+    assert len(found) == 1712 and found == sorted(set(found))
 
 
 # ---------------------------------------------------------------------------
@@ -777,15 +791,20 @@ def test_the_denominator_rule_matches_the_gcd_loop(dens):
     assert foreign == _foreign_prime(q_den, r_den)
 
 
-def _ref_support_bound(q, M):
-    """Reference: the scan that forms d^{s_m} in full."""
-    d = M.r.den
+def _ref_complete_index(q, M, top):
+    """Reference: the scan that forms d^{s_m} in full, for the least m < top
+    with d(q) | d(r)^{s_m}, or top when there is none."""
+    return next((m for m in range(top) if M.r.den ** s_index(M, m) % q.den == 0), top)
+
+
+def _top(M):
     limit = M.delta.max_exponent_index
-    top = 512 if limit is None else limit
-    for m in range(top + 1):
-        if (d ** s_index(M, m)) % q.den == 0:
-            return min(m + 3, top)
-    return top
+    return 512 if limit is None else limit
+
+
+def _ref_support_bound(q, M):
+    """Reference: the bound an unresolved answer reports, m + 3 capped at the top."""
+    return min(_ref_complete_index(q, M, _top(M)) + 3, _top(M))
 
 
 # families whose s_m stays small enough for the full scan up to index 512
@@ -800,7 +819,7 @@ def test_support_bound_matches_the_full_power_scan(M, e, t, cofactor):
     # a foreign cofactor sends the scan to its cap, so only slow families get one
     assume(cofactor == 1 or M in SLOW)
     q = Ratio(1, gcd(M.r.den ** e, t) * cofactor)
-    assert default_support_bound(q, M) == _ref_support_bound(q, M)
+    assert _complete_index(q, M, _top(M)) == _ref_complete_index(q, M, _top(M))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from puiseux import factorization, membership
 from puiseux.errors import DomainError
-from puiseux.factorization import Factorization, _search, evaluate, min_normal_form
-from puiseux.membership import MembershipResult, default_support_bound, divides, is_member
+from puiseux.factorization import Factorization, enumerate_all, evaluate, min_normal_form
+from puiseux.membership import MembershipResult, _complete_index, divides, is_member
 from puiseux.monoid import parse_monoid, s_index
 from puiseux.oracle import oracle_enumerate
 from puiseux.ratio import Ratio
@@ -56,7 +56,7 @@ class TestIsMember:
         for q in (Ratio(1, 5), Ratio(3, 7), Ratio(2, 15)):
             base = is_member(q, CONST)
             assert base.status == "not-member"
-            bumped = is_member(q, CONST, default_support_bound(q, CONST) + 4)
+            bumped = is_member(q, CONST, _complete_index(q, CONST, 512) + 7)
             assert bumped.status == "not-member"
 
     def test_expanding_base_always_decides(self):
@@ -115,8 +115,9 @@ class TestDivides:
 
 
 def test_default_bound_tracks_denominator():
-    assert default_support_bound(Ratio(5, 1), CONST) == 3   # m=0 plus slack
-    assert default_support_bound(Ratio(1, 9), CONST) == 5   # m=2 plus slack
+    assert _complete_index(Ratio(5, 1), CONST, 512) == 0
+    assert _complete_index(Ratio(1, 9), CONST, 512) == 2
+    assert is_member(Ratio(1, 9), CONST).bound == 5   # m=2 plus slack
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +155,11 @@ def searched_queries(draw):
 @given(searched_queries())
 def test_the_search_at_the_complete_index_answers_as_the_search_at_the_bound(query):
     q, M, B = query
-    first = next(_search(q, M, B), None)
-    if first is None:
+    found = enumerate_all(q, M, B)
+    if not found:
         searched = MembershipResult("unresolved", bound=B)
     else:
-        searched = MembershipResult("member", min_normal_form(Factorization(M, first)))
+        searched = MembershipResult("member", min_normal_form(found[0]))
     assert is_member(q, M, B) == searched
 
 
