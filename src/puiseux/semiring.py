@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import heapq
 import re
+from bisect import bisect_right
 from functools import reduce
-from math import gcd
+from math import gcd, isqrt
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DomainError, ParseError
@@ -45,6 +46,7 @@ class NumericalMonoidSpec(_Value):
         """Least member of each residue class mod the least generator m; a
         class with no member (gcd > 1) is absent."""
         m = min(self.generators)
+        steps = [g for g in self.generators if g % m]  # a multiple of m keeps the class
         # Dijkstra over the residues mod m: an edge of weight g joins w to w + g
         smallest: Dict[int, int] = {0: 0}
         heap = [0]
@@ -52,21 +54,21 @@ class NumericalMonoidSpec(_Value):
             w = heapq.heappop(heap)
             if w > smallest[w % m]:
                 continue
-            for g in self.generators:
+            for g in steps:
                 v = w + g
                 if v < smallest.get(v % m, v + 1):
                     smallest[v % m] = v
                     heapq.heappush(heap, v)
         return smallest
 
-    def members(self, up_to: int) -> List[int]:
-        m = min(self.generators)
+    def window(self) -> Tuple[List[int], int]:
+        """(members up to conductor + 2 step, step), with step = gcd(N) and
+        the conductor max(least) - m + step, from which N holds every
+        multiple of step."""
+        m, step = min(self.generators), self.gcd
         least = self.least()
-        return [x for x in range(up_to + 1) if x >= least.get(x % m, x + 1)]
-
-    def tail(self) -> Tuple[int, int]:
-        """(conductor, step): from the conductor on, N holds the multiples of step."""
-        return max(self.least().values()) - min(self.generators) + self.gcd, self.gcd
+        top = max(least.values()) - m + 3 * step
+        return [x for x in range(top + 1) if x >= least.get(x % m, x + 1)], step
 
     def closure(self) -> Tuple[bool, str]:
         # any submonoid of N_0 containing 0 is isomorphic to a numerical monoid
@@ -126,22 +128,21 @@ class PrefixCofinite(_Value):
 
     @classmethod
     def make(cls, prefix, threshold) -> "PrefixCofinite":
-        prefix = tuple(sorted(set(int(p) for p in prefix)))
+        prefix, threshold = tuple(sorted(set(int(p) for p in prefix))), int(threshold)
+        if threshold < 0:
+            raise DomainError("the threshold must be nonnegative")
         if any(p < 0 for p in prefix):
             raise DomainError("prefix elements must be nonnegative")
         if any(p >= threshold for p in prefix):
             raise DomainError("prefix elements must lie below the threshold")
-        return cls(prefix, int(threshold))
+        return cls(prefix, threshold)
 
     def contains(self, x: int) -> bool:
         return x >= self.threshold or x in self.prefix
 
-    def members(self, up_to: int) -> List[int]:
-        return [x for x in range(up_to + 1) if self.contains(x)]
-
-    def tail(self) -> Tuple[int, int]:
-        """(conductor, step): N holds every integer from the threshold on."""
-        return self.threshold, 1
+    def window(self) -> Tuple[List[int], int]:
+        """(members up to threshold + 2, 1): N holds every integer from the threshold on."""
+        return [*self.prefix, *range(self.threshold, self.threshold + 3)], 1
 
     def closure(self) -> Tuple[bool, str]:
         """0 in N and additive closure; a sum at or past the threshold is in
@@ -187,17 +188,14 @@ def exponent_monoid(r: Ratio, N: ExponentSetSpec) -> Tuple[ExpMonoid, int]:
     min(N) > 0 the monoid is r^{min} times the shifted monoid; the shift is
     returned so callers can divide it out.
     """
-    conductor, step = N.tail()
-    members = N.members(conductor + 2 * step)
-    base = members[0]
-    shifted = [x - base for x in members]
-    gaps = tuple(b - a for a, b in zip(shifted, shifted[1:]))
+    members, step = N.window()
+    gaps = tuple(b - a for a, b in zip(members, members[1:]))
     # drop the stabilized run of `step` gaps into the constant tail
     cut = len(gaps)
     while cut > 0 and gaps[cut - 1] == step:
         cut -= 1
     spec = DeltaSpec(gaps[:cut], Constant(step))
-    return ExpMonoid(r, spec), base
+    return ExpMonoid(r, spec), members[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +250,11 @@ def classify_mult(r: Ratio) -> MultVerdict:
     Delegation makes the monoid restricted to any exponent set agree with
     the full cyclic one, so no exponent set is taken. The prime-power-
     denominator rule certifies the ACCP alone; BFP/FFP stay unknown there.
-    d(r) = q^k with k maximal is a prime power exactly when q is prime,
-    which the Miller-Rabin test below decides for q < psi_13; past it, with
-    no witness, the verdict is unknown and names the bound.
+    d(r) = q^k with k maximal is a prime power exactly when q is prime.
+    Miller-Rabin on the first k prime bases decides primality below psi_k
+    (Jaeschke, Math. Comp. 1993; Sorenson and Webster, Math. Comp. 2017),
+    which settles q < psi_13; past it, with no witness, the verdict is
+    unknown and names the bound.
     """
     n, d = r.num, r.den
     if n == 0:
@@ -304,31 +304,45 @@ def _iroot(m: int, k: int) -> int:
 
 def _perfect_power(d: int) -> Tuple[int, int]:
     """(q, k) with d = q^k and k maximal, for d >= 2. d is an e-th power exactly
-    when e divides k, so every prime e-th root is taken out, as often as it goes."""
+    when e divides k, so every prime e-th root is taken out, as often as it goes.
+    If a prime p <= 41 divides d, then e also divides v = v_p(q), so only the
+    primes dividing v are tried; otherwise q >= 43, and 2^(5e) < 43^e <= q
+    bounds e by bit_length // 5."""
+    p = next((b for b in _BASES if d % b == 0), 0)
     q, k, e = d, 1, 2
-    while e <= q.bit_length():
-        root = _iroot(q, e)
-        if root ** e == q:
-            q, k = root, k * e
-        else:
-            e = next(f for f in range(e + 1, 2 * e + 1) if _is_prime(f))  # Bertrand
+    v = max_power_dividing(p, d) if p else 0
+    while e <= (v or q.bit_length() // 5):
+        if v % e == 0 and _is_prime(e):
+            root = isqrt(q) if e == 2 else _iroot(q, e)
+            if root ** e == q:
+                q, k, v = root, k * e, v // e
+                continue
+        e += 1
     return q, k
 
 
-# Miller-Rabin on these 13 bases decides primality below psi_13 (Sorenson and
-# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+# psi_k is the least odd composite that passes Miller-Rabin on the first k
+# prime bases (OEIS A014233), so those k bases decide primality below it.
+# psi_1..psi_8: Jaeschke, "On strong pseudoprimes to several bases", Math. Comp.
+# 1993; psi_9..psi_11: Jiang and Deng, Math. Comp. 2014; psi_12, psi_13:
+# Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 2017.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+_PSI_13 = _PSI[-1]
 
 
 def _is_prime(n: int) -> Optional[bool]:
-    """Is n >= 2 prime: None when n >= psi_13 and no base is a witness."""
+    """Is n >= 2 prime: Miller-Rabin on the first k bases for the least k with
+    n < psi_k, or on all 13 for n >= psi_13, where with no witness it is None."""
     for b in _BASES:
         if n % b == 0:
             return n == b
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = t * 2^s with t odd
     t = (n - 1) >> s
-    for b in _BASES:
+    for b in _BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(b, t, n)
         if x == 1 or x == n - 1:
             continue

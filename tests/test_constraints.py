@@ -17,8 +17,9 @@ the search nor a pass that rewrites a factorization. No module imports
 ``dataclasses``, whose decorators would compile code at every start, and
 ``__init__.py`` has no relative import at its top, so importing the package
 loads no module. No module binds a name by import, at its top or under a
-module-level ``if``, that it never reads. Every third-party module that a
-test imports is named in the ``test`` extra of ``pyproject.toml``.
+module-level ``if``, that it never reads. ``semiring.py`` takes no memo
+from ``functools``. Every third-party module that a test imports is named
+in the ``test`` extra of ``pyproject.toml``.
 """
 
 import ast
@@ -147,6 +148,19 @@ def test_no_module_imports_a_name_it_never_reads(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = [(name, line) for name, line in _import_bindings(tree.body) if name not in read]
     assert not unused, unused
+
+
+def test_the_semiring_layer_keeps_no_memo():
+    # no memo may outlive a call: the bench asks one exponent set again and
+    # again, so a cache would time the repetition, not the work
+    tree = ast.parse((PACKAGE / "semiring.py").read_text())
+    memos = {"cache", "lru_cache", "cached_property"}
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 and any(alias.name in memos for alias in node.names))
+             or (isinstance(node, ast.Attribute) and node.attr in memos
+                 and isinstance(node.value, ast.Name) and node.value.id == "functools")]
+    assert not found, f"semiring.py: functools memo at line(s) {found}"
 
 
 def test_the_package_namespace_imports_no_module_at_its_top():

@@ -2,7 +2,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from puiseux.errors import DomainError, ParseError
 from puiseux.ratio import ONE, ZERO, Ratio, max_power_dividing
@@ -41,6 +41,17 @@ def test_max_power_dividing():
     assert max_power_dividing(2, 4) == 2
     assert max_power_dividing(3, 7) == 0
     assert max_power_dividing(2, 96) == 5
+
+
+@settings(deadline=None)
+@given(st.integers(2, 50), st.integers(0, 2000), st.integers(1, 10 ** 6))
+def test_max_power_dividing_agrees_with_one_division_at_a_time(b, k, c):
+    m = rest = b ** k * c
+    want = 0
+    while rest % b == 0:
+        rest //= b
+        want += 1
+    assert max_power_dividing(b, m) == want
 
 
 def test_serialization_round_trip():

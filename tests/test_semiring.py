@@ -4,13 +4,14 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from puiseux import semiring
 from puiseux.errors import DomainError, ParseError
 from puiseux.factorization import Factorization, evaluate
 from puiseux.membership import is_member
 from puiseux.monoid import Constant, s_index
 from puiseux.ratio import Ratio
-from puiseux.semiring import (NATURALS, NumericalMonoidSpec, PrefixCofinite,
-                              _iroot, _perfect_power, _reachable, apery_set,
+from puiseux.semiring import (_PSI, NATURALS, NumericalMonoidSpec, PrefixCofinite,
+                              _iroot, _is_prime, _perfect_power, _reachable, apery_set,
                               classify_mult, exponent_monoid, frobenius,
                               frobenius_bruteforce, is_semiring, mult_divides,
                               mult_divisor_bound, nm_membership,
@@ -19,6 +20,14 @@ from puiseux.semiring import (NATURALS, NumericalMonoidSpec, PrefixCofinite,
 
 def NM(*gens):
     return NumericalMonoidSpec.make(gens)
+
+
+def members(N, up_to):
+    """N's members up to up_to, by the sieve or by the set's own test."""
+    if isinstance(N, PrefixCofinite):
+        return [x for x in range(up_to + 1) if N.contains(x)]
+    reach = _reachable(N.generators, up_to)
+    return [x for x in range(up_to + 1) if reach[x]]
 
 
 GENERATORS = st.lists(st.integers(1, 40), min_size=1, max_size=4)
@@ -85,7 +94,20 @@ class TestNumericalMonoids:
         reach = _reachable(gens, 300)
         N = NM(*gens)
         assert [nm_membership(N, x) for x in range(-3, 301)] == [False] * 3 + reach
-        assert N.members(300) == [x for x in range(301) if reach[x]]
+
+    @settings(max_examples=200)
+    @given(GENERATORS)
+    def test_window_ends_two_steps_past_the_conductor(self, gens):
+        N = NM(*gens)
+        window, step = N.window()
+        conductor = window[-3]
+        reach = _reachable(gens, window[-1] + 200)
+        assert step == gcd(*gens)
+        assert window == [x for x in range(window[-1] + 1) if reach[x]]
+        assert window[-3:] == [conductor, conductor + step, conductor + 2 * step]
+        # every multiple of step from the conductor on is a member, and the one before is not
+        assert all(reach[x] for x in range(conductor, len(reach), step))
+        assert conductor == 0 or not reach[conductor - step]
 
     def test_membership_with_a_common_factor(self):
         assert [x for x in range(20) if nm_membership(NM(4, 6), x)] == [0, *range(4, 20, 2)]
@@ -106,6 +128,11 @@ class TestExponentSets:
     def test_negative_prefix_rejected(self):
         with pytest.raises(DomainError, match="^prefix elements must be nonnegative$"):
             PrefixCofinite.make((-1, 2), 5)
+
+    def test_negative_threshold_rejected(self):
+        # prefix();tail>=-3 would not parse back, and its window would be empty
+        with pytest.raises(DomainError, match="^the threshold must be nonnegative$"):
+            PrefixCofinite.make((), -3)
 
     def test_format_round_trip(self):
         for text in ("gens(2,3)", "prefix(0,1);tail>=5", "prefix();tail>=0"):
@@ -135,7 +162,7 @@ class TestExponentSets:
         exponents = []
         while not exponents or exponents[-1] <= window:
             exponents.append(base + s_index(M, len(exponents)))
-        assert exponents[:-1] == N.members(window)
+        assert exponents[:-1] == members(N, window)
 
     @pytest.mark.parametrize("bad", ["gens()", "prefix(7);tail>=5",
                                      "gens(2,3);tail>=5", "everything"])
@@ -170,6 +197,26 @@ class TestExponentSets:
         M, base = exponent_monoid(Ratio(2, 3), PrefixCofinite((), 3))
         assert base == 3
         assert [s_index(M, n) for n in range(3)] == [0, 1, 2]
+
+    def test_one_residue_search_per_generator_form_call(self, monkeypatch):
+        # no memo outlives a call: each call searches once, and a repeated
+        # call on the same N searches again
+        calls = []
+        least = NumericalMonoidSpec.least
+
+        def counted(self):
+            calls.append(self.generators)
+            return least(self)
+
+        monkeypatch.setattr(NumericalMonoidSpec, "least", counted)
+        N = NM(3, 5, 7)
+        exponent_monoid(Ratio(2, 3), N)
+        assert calls == [(3, 5, 7)]
+        mult_divides(Ratio(2, 3), 1, Ratio(4, 9), N)
+        assert len(calls) == 2
+        apery_set(N)
+        apery_set(N)
+        assert len(calls) == 4
 
 
 class TestIsSemiring:
@@ -364,6 +411,70 @@ class TestMultPrimality:
     def test_perfect_power_is_maximal(self, b, k):
         want = sympy.perfect_power(b ** k) or (b ** k, 1)
         assert _perfect_power(b ** k) == tuple(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10 ** 4), st.integers(1, 12),
+           st.sampled_from([1, 43, 1_000_003]))
+    def test_perfect_power_of_a_product(self, b, k, c):
+        # b may or may not have a prime <= 41; c = 43 or a larger prime
+        # takes the root bound of the valuation-free branch
+        d = b ** k * c
+        assert _perfect_power(d) == tuple(sympy.perfect_power(d) or (d, 1))
+
+    def test_perfect_power_at_the_43_bound(self):
+        # 43^e has 5e < bit_length, so e is the largest exponent tried
+        for e in range(1, 41):
+            for d, want in ((43 ** e, (43, e)), (43 ** e * 47 ** e, (43 * 47, e)),
+                            (2 ** e * 43 ** e, (86, e)),
+                            (43 ** e * 1_000_003, (43 ** e * 1_000_003, 1))):
+                assert _perfect_power(d) == want
+                assert want == tuple(sympy.perfect_power(d) or (d, 1))
+
+    @pytest.mark.parametrize("d,want,roots", [
+        (7 ** 4733, (7, 4733), [4733]),          # v_7 = 4733 is prime: one root
+        (3 ** 9100, (3, 9100), [2, 2, 5, 5, 7, 13]),  # 9100 = 2^2 5^2 7 13
+        (2 * 3 ** 9100, (2 * 3 ** 9100, 1), []),  # v_2 = 1: no root at all
+    ], ids=["7^4733", "3^9100", "2*3^9100"])
+    def test_roots_are_tried_only_for_primes_dividing_the_valuation(
+            self, monkeypatch, d, want, roots):
+        tried, inside = [], []
+        iroot, isqrt = semiring._iroot, semiring.isqrt
+
+        def counted_iroot(m, k):
+            if not inside:  # the root sought, not its recursion on m's top bits
+                tried.append(k)
+            inside.append(k)
+            try:
+                return iroot(m, k)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(semiring, "_iroot", counted_iroot)
+        monkeypatch.setattr(semiring, "isqrt", lambda m: tried.append(2) or isqrt(m))
+        assert _perfect_power(d) == want
+        assert sorted(tried) == roots
+
+    def test_each_psi_k_passes_its_first_k_bases_and_is_composite(self):
+        assert list(_PSI) == sorted(_PSI) and len(_PSI) == len(BASES)
+        assert _PSI[-1] == PSI_13 and _PSI[-2] == PSI_12
+        for k, psi in enumerate(_PSI, 1):
+            assert sympy.ntheory.primetest.mr(psi, BASES[:k])
+            assert not sympy.isprime(psi)
+            # below psi_13 the bases past the first k catch it
+            assert _is_prime(psi) is (None if k == len(BASES) else False)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.integers(2, 10 ** 13).map(sympy.nextprime),
+        st.tuples(st.integers(2, 10 ** 12), st.integers(2, 10 ** 12)).map(
+            lambda ab: sympy.nextprime(ab[0]) * sympy.nextprime(ab[1])),
+        st.tuples(st.sampled_from(_PSI), st.integers(-60, 60)).map(sum),
+        st.integers(2, 10 ** 30)))
+    def test_is_prime_agrees_with_sympy(self, n):
+        if n < PSI_13:
+            assert _is_prime(n) is sympy.isprime(n)
+        else:  # past psi_13 only a witness decides
+            assert _is_prime(n) in ((None,) if sympy.isprime(n) else (None, False))
 
     def test_psi_12_is_caught_by_base_41_only(self):
         assert sympy.ntheory.primetest.mr(PSI_12, BASES[:-1])
