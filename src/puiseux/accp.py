@@ -73,8 +73,10 @@ def check_necessary(M: ExpMonoid) -> Dict[str, object]:
 
 def series_partial_sums(M: ExpMonoid, terms: int) -> List[Ratio]:
     """Exact partial sums of sum_k (n^{delta_k} - 1) r^{s_k}; diagnostic only."""
-    if M.r >= Ratio(1):
+    if M.r >= 1:
         raise DomainError("series diagnostic requires r < 1")
+    if terms < 0:
+        raise DomainError("terms must be >= 0")
     n, d = M.r.num, M.r.den
     out: List[Ratio] = []
     total, n_pow, d_pow = 0, 1, 1  # the sum over d^{s_k}; n^{s_k}; d^{s_k}

@@ -1,5 +1,4 @@
 import importlib
-import math
 import pkgutil
 from typing import Dict, List, Tuple
 
@@ -165,6 +164,18 @@ class TestSeries:
         with pytest.raises(DomainError):
             series_partial_sums(M("r=3/2; delta=const(1)"), 2)
 
+    def test_a_negative_number_of_terms_is_refused(self):
+        assert series_partial_sums(M("r=2/3; delta=const(1)"), 0) == []
+        with pytest.raises(DomainError, match="^terms must be >= 0$"):
+            series_partial_sums(M("r=2/3; delta=const(1)"), -1)
+
+    def test_a_long_series_takes_no_gcd_of_two_long_integers(self, long_gcds):
+        # a sum that ends on a gap of 2 carries the factor 2^2 - 1 = 3 of d
+        monoid = M("r=2/3; delta=periodic(2,3)")
+        sums = series_partial_sums(monoid, 299)
+        assert long_gcds == []
+        assert sums[-1].den == 3 ** (s_index(monoid, 298) - 1)  # delta_298 = 2
+
 
 class TestWitnessChain:
     def test_links_verify_exactly(self):
@@ -260,22 +271,11 @@ class TestWitnessChain:
         assert classify(monoid).evidence["instance"].startswith("d^delta_124=")
         assert witness_chain(monoid, 1).start == 124
 
-    def test_a_deep_chain_takes_no_gcd_of_two_long_integers(self, monkeypatch):
+    def test_a_deep_chain_takes_no_gcd_of_two_long_integers(self, long_gcds):
         # every element and link value is reduced against d alone; one gcd
         # against 21^{s_125}, 2.8 megabits, takes seconds
-        long_calls = []
-
-        def counted(*args):
-            if sum(a.bit_length() > 64 for a in args) >= 2:
-                long_calls.append(max(a.bit_length() for a in args))
-            return math.gcd(*args)
-
-        for info in pkgutil.iter_modules(puiseux.__path__):
-            module = importlib.import_module(f"puiseux.{info.name}")
-            if getattr(module, "gcd", None) is math.gcd:
-                monkeypatch.setattr(module, "gcd", counted)
         assert witness_chain(M("r=20/21; delta=poly(1,0,1)"), 1).start == 124
-        assert long_calls == []
+        assert long_gcds == []
 
     @pytest.mark.parametrize("link", range(4))
     @pytest.mark.parametrize("wrong", ["numerator plus one", "next link", "denominator times d"])

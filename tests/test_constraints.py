@@ -7,6 +7,8 @@ module that is neither in the standard library nor the package itself, and
 any ``assert`` statement, which ``python -O`` strips. The gcd-free
 constructor ``Ratio._reduced`` is named in ``ratio.py`` alone, so each value
 built without a gcd sits beside the argument that it is coprime.
+``evaluate``, ``series_partial_sums`` and ``witness_chain`` build every
+value over a power of d(r) by ``Ratio.over_power``, never by ``Ratio(...)``.
 ``Factorization.make``, which checks input from outside the library, is
 called from ``cli.py`` alone. A ``DomainError`` becomes a ``ParseError``
 in one except clause of each parser, and nowhere else. A gap is read by a
@@ -80,6 +82,23 @@ def test_the_gcd_free_constructor_stays_in_ratio():
             if named:
                 uses.append(f"{path.name}:{node.lineno}")
     assert not uses, f"Ratio._reduced used outside ratio.py at {uses}"
+
+
+def test_values_over_a_power_of_d_are_reduced_by_over_power():
+    # Ratio(num, d^e) would take a gcd of two long integers, over_power one
+    # of num and d
+    owners = {"factorization.py": {"evaluate"},
+              "accp.py": {"series_partial_sums", "witness_chain"}}
+    found, calls = set(), []
+    for name, functions in owners.items():
+        for top in ast.parse((PACKAGE / name).read_text()).body:
+            if isinstance(top, ast.FunctionDef) and top.name in functions:
+                found.add(top.name)
+                calls += [f"{top.name}:{node.lineno}" for node in ast.walk(top)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "Ratio"]
+    assert found == set().union(*owners.values())
+    assert not calls, f"Ratio(...) called directly at {calls}"
 
 
 def test_only_the_cli_validates_factorizations():

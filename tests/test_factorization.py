@@ -48,6 +48,14 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             F(CONST, {0: -1})
 
+    def test_a_deep_value_takes_no_gcd_of_two_long_integers(self, long_gcds):
+        # 3 r^{s_5000} = 2^s / 3^(s - 1): the 3 is divided out against d alone
+        monoid = parse_monoid("r=2/3; delta=periodic(2,3)")
+        value = evaluate(F(monoid, {5000: 3}))
+        assert long_gcds == []
+        s = s_index(monoid, 5000)
+        assert (value.num, value.den) == (2 ** s, 3 ** (s - 1))
+
 
 class TestValue:
     """A Factorization is an immutable slotted value with a frozen dataclass's

@@ -68,6 +68,8 @@ def factorizations(draw):
 @example(Factorization.make(parse_monoid("r=2/3; delta=const(1)"), {0: 3}))
 @example(Factorization.make(parse_monoid("r=2/3; delta=const(1)"), {1: 3}))
 @example(Factorization.make(parse_monoid("r=2/3; delta=const(1)"), {}))
+@example(Factorization.make(parse_monoid("r=2/3; delta=const(1)"),  # past over_power's rounds
+                           {0: 1, 30: 3 ** 40}))
 def test_evaluate_matches_fraction(z):
     assert _pair(evaluate(z)) == _pair(_value(z.monoid, z.as_dict()))
 
@@ -75,6 +77,7 @@ def test_evaluate_matches_fraction(z):
 @settings(max_examples=200, deadline=None)
 @given(monoids(contracting=True), st.integers(1, 30))
 @example((parse_monoid("r=2/3; delta=periodic(2,3)"), 30), 3)  # 2^2 - 1 = 3
+@example((parse_monoid("r=1/3; delta=const(2)"), 30), 30)  # antimatter: each sum 0 over 3^{s_k}
 def test_series_partial_sums_match_fraction(family, terms):
     M, top = family
     terms = min(terms, top) if M.delta.tail is None else min(terms, top + 1)

@@ -2,10 +2,11 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from sympy import primefactors
 
 from puiseux.errors import DomainError, ParseError
-from puiseux.ratio import ONE, ZERO, Ratio, max_power_dividing
+from puiseux.ratio import ONE, OVER_POWER_ROUNDS, ZERO, Ratio, max_power_dividing
 
 
 def test_reduction():
@@ -139,11 +140,45 @@ def test_a_foreign_operand_is_never_equal(other):
     assert Ratio(3) == 3 and 3 == Ratio(3) and Ratio(3, 2) != 1
 
 
-@given(st.integers(0, 10**6), st.integers(1, 30), st.integers(0, 12))
-def test_over_power_matches_the_reducing_constructor(num, d, e):
-    got = Ratio.over_power(num, d ** e, d)
-    want = Ratio(num, d ** e)
+@st.composite
+def over_powers(draw, prime_to_d=False):
+    """(u, q, v, d, e) for num = u * q^v over d^e, d <= 36, q = d or a prime
+    of d, with v up to 200 so that num often shares more than over_power's
+    rounds divide out; u prime to d when prime_to_d asks for it."""
+    d = draw(st.integers(1, 36))
+    q = draw(st.sampled_from([d, *primefactors(d)]))
+    u = draw(st.integers(0, 10 ** 6))
+    if prime_to_d:
+        u = u * d + 1
+    return u, q, draw(st.integers(0, 200)), d, draw(st.integers(0, 60))
+
+
+@settings(max_examples=300)
+@given(over_powers())
+@example((0, 12, 5, 12, 30))  # zero over a power of d
+@example((7, 2, 100, 12, 0))  # over d^0 = 1
+def test_over_power_matches_the_reducing_constructor(case):
+    u, q, v, d, e = case
+    got = Ratio.over_power(u * q ** v, d ** e, d)
+    want = Ratio(u * q ** v, d ** e)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=300)
+@given(over_powers(prime_to_d=True))
+@example((1, 12, OVER_POWER_ROUNDS, 12, 60))
+@example((1, 12, OVER_POWER_ROUNDS + 1, 12, 60))
+def test_over_power_calls_the_reducing_constructor_only_past_its_rounds(case):
+    # each round divides out at least one q, and exactly one d when q = d
+    u, q, v, d, e = case
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Ratio, "__init__", lambda self, *args: calls.append(args))
+        Ratio.over_power(u * q ** v, d ** e, d)
+    if v <= OVER_POWER_ROUNDS:
+        assert calls == []
+    elif q == d > 1:
+        assert len(calls) == (e > OVER_POWER_ROUNDS)
 
 
 @pytest.mark.parametrize("call,error,message", [
