@@ -73,7 +73,7 @@ def check_necessary(M: ExpMonoid) -> Dict[str, object]:
 
 def series_partial_sums(M: ExpMonoid, terms: int) -> List[Ratio]:
     """Exact partial sums of sum_k (n^{delta_k} - 1) r^{s_k}; diagnostic only."""
-    if M.r >= 1:
+    if M.r >= Ratio(1):
         raise DomainError("series diagnostic requires r < 1")
     if terms < 0:
         raise DomainError("terms must be >= 0")

@@ -95,24 +95,24 @@ class Ratio(_Value):
     @staticmethod
     def over_power(num: int, den: int, d: int) -> "Ratio":
         """num/den for num >= 0 and den = d^e, e >= 0. Every prime of den
-        divides d, so num/den is reduced exactly when g = gcd(num, gcd(den,
-        d)) is 1, which is gcd(num, d) for e >= 1. While g > 1 a round
-        divides num and den by g: a gcd and a division of a long integer by
-        a small one, linear in the size of num. A numerator that still
-        shares a prime of d after OVER_POWER_ROUNDS rounds goes to the
-        reducing constructor, whose gcd of two long integers is quadratic;
-        the cap keeps a loop of one round per common factor off such a
-        numerator (seconds on 7 * 2^39000 * 3^5000 over 2^40000, against
-        about a millisecond for the one long gcd)."""
-        g = gcd(num, d)
-        if g == 1 or den == 1:
+        divides d, so num/den is reduced exactly when gcd(num, gcd(den, d))
+        is 1. One gcd of num with d^min(e, 3) = gcd(den, d^3) and one
+        division by it take min(v_p(num), 3 v_p(d), e v_p(d)) factors of
+        each prime p of d from num and den, in time linear in the size of
+        num, since d^3 is small. That reduces c * n^s over d^s for every
+        c <= 50 at d = 3 or 4 (v_3(c) <= 3, v_2(c) <= 5). A numerator that
+        still shares a prime of d goes to the reducing constructor, whose
+        gcd of two long integers is quadratic. The exponent is capped: a
+        gcd with all of den is that long gcd, and a loop of one gcd with d
+        per common factor took seconds on 7 * 2^39000 * 3^5000 over
+        2^40000, against about a millisecond for the long gcd."""
+        g = gcd(num, min(den, d ** 3))
+        if g == 1:
             return Ratio._reduced(num, den)
-        for _ in range(OVER_POWER_ROUNDS):
-            num //= g
-            den //= g
-            g = gcd(num, gcd(den, d))
-            if g == 1:
-                return Ratio._reduced(num, den)
+        num //= g
+        den //= g
+        if gcd(num, gcd(den, d)) == 1:
+            return Ratio._reduced(num, den)
         return Ratio(num, den)
 
     # -- construction / formatting -------------------------------------
@@ -217,7 +217,6 @@ class Ratio(_Value):
 
 ZERO = Ratio(0)
 ONE = Ratio(1)
-OVER_POWER_ROUNDS = 2  # rounds of Ratio.over_power before the reducing constructor
 
 
 def max_power_dividing(b: int, m: int) -> int:

@@ -8,7 +8,11 @@ any ``assert`` statement, which ``python -O`` strips. The gcd-free
 constructor ``Ratio._reduced`` is named in ``ratio.py`` alone, so each value
 built without a gcd sits beside the argument that it is coprime.
 ``evaluate``, ``series_partial_sums`` and ``witness_chain`` build every
-value over a power of d(r) by ``Ratio.over_power``, never by ``Ratio(...)``.
+value over a power of d(r) by ``Ratio.over_power``, never by a two-argument
+``Ratio(num, den)``. That rule sees calls by name only; the Ratio arithmetic
+in those functions, which reduces by a gcd of its own, is held to no gcd of
+two long integers at run time by the ``long_gcds`` guards of
+``test_accp.py`` and ``test_factorization.py``.
 ``Factorization.make``, which checks input from outside the library, is
 called from ``cli.py`` alone. A ``DomainError`` becomes a ``ParseError``
 in one except clause of each parser, and nowhere else. A gap is read by a
@@ -86,7 +90,7 @@ def test_the_gcd_free_constructor_stays_in_ratio():
 
 def test_values_over_a_power_of_d_are_reduced_by_over_power():
     # Ratio(num, d^e) would take a gcd of two long integers, over_power one
-    # of num and d
+    # of num and d^3; Ratio(k) takes no gcd
     owners = {"factorization.py": {"evaluate"},
               "accp.py": {"series_partial_sums", "witness_chain"}}
     found, calls = set(), []
@@ -96,9 +100,9 @@ def test_values_over_a_power_of_d_are_reduced_by_over_power():
                 found.add(top.name)
                 calls += [f"{top.name}:{node.lineno}" for node in ast.walk(top)
                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                          and node.func.id == "Ratio"]
+                          and node.func.id == "Ratio" and len(node.args) == 2]
     assert found == set().union(*owners.values())
-    assert not calls, f"Ratio(...) called directly at {calls}"
+    assert not calls, f"Ratio(num, den) called directly at {calls}"
 
 
 def test_only_the_cli_validates_factorizations():

@@ -48,13 +48,19 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             F(CONST, {0: -1})
 
-    def test_a_deep_value_takes_no_gcd_of_two_long_integers(self, long_gcds):
-        # 3 r^{s_5000} = 2^s / 3^(s - 1): the 3 is divided out against d alone
-        monoid = parse_monoid("r=2/3; delta=periodic(2,3)")
-        value = evaluate(F(monoid, {5000: 3}))
+    @pytest.mark.parametrize("text,c", [
+        ("r=2/3; delta=periodic(2,3)", 3),
+        # the coefficients up to 50 with the most factors of d = 3 and d = 4
+        ("r=2/3; delta=periodic(2,3)", 27),
+        ("r=3/4; delta=prefix(2,1);const(1)", 32),
+    ])
+    def test_a_deep_value_takes_no_gcd_of_two_long_integers(self, long_gcds, text, c):
+        # c r^{s_5000} = n^s / (d^s / c): c is divided out against d alone
+        monoid = parse_monoid(text)
+        value = evaluate(F(monoid, {5000: c}))
         assert long_gcds == []
-        s = s_index(monoid, 5000)
-        assert (value.num, value.den) == (2 ** s, 3 ** (s - 1))
+        s, n, d = s_index(monoid, 5000), monoid.r.num, monoid.r.den
+        assert (value.num, value.den) == (n ** s, d ** s // c)
 
 
 class TestValue:

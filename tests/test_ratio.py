@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import primefactors
 
 from puiseux.errors import DomainError, ParseError
-from puiseux.ratio import ONE, OVER_POWER_ROUNDS, ZERO, Ratio, max_power_dividing
+from puiseux.ratio import ONE, ZERO, Ratio, max_power_dividing
 
 
 def test_reduction():
@@ -143,8 +143,9 @@ def test_a_foreign_operand_is_never_equal(other):
 @st.composite
 def over_powers(draw, prime_to_d=False):
     """(u, q, v, d, e) for num = u * q^v over d^e, d <= 36, q = d or a prime
-    of d, with v up to 200 so that num often shares more than over_power's
-    rounds divide out; u prime to d when prime_to_d asks for it."""
+    of d, with v up to 200 so that num often shares more with d^e than
+    over_power's first gcd, with d^3, takes out; u prime to d when
+    prime_to_d asks for it."""
     d = draw(st.integers(1, 36))
     q = draw(st.sampled_from([d, *primefactors(d)]))
     u = draw(st.integers(0, 10 ** 6))
@@ -166,19 +167,21 @@ def test_over_power_matches_the_reducing_constructor(case):
 
 @settings(max_examples=300)
 @given(over_powers(prime_to_d=True))
-@example((1, 12, OVER_POWER_ROUNDS, 12, 60))
-@example((1, 12, OVER_POWER_ROUNDS + 1, 12, 60))
-def test_over_power_calls_the_reducing_constructor_only_past_its_rounds(case):
-    # each round divides out at least one q, and exactly one d when q = d
+@example((1, 12, 3, 12, 60))
+@example((1, 12, 4, 12, 60))
+@example((1, 2, 6, 12, 60))   # v_2(12) = 2, so 2^6 divides 12^3
+@example((1, 2, 7, 12, 60))
+@example((1, 12, 100, 12, 3))
+def test_over_power_calls_the_reducing_constructor_only_past_d_cubed(case):
+    # the first gcd, with d^min(e, 3), takes min(v, 3 v_q(d), e v_q(d))
+    # factors q, and only a q left in both num and den needs the constructor
     u, q, v, d, e = case
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Ratio, "__init__", lambda self, *args: calls.append(args))
         Ratio.over_power(u * q ** v, d ** e, d)
-    if v <= OVER_POWER_ROUNDS:
-        assert calls == []
-    elif q == d > 1:
-        assert len(calls) == (e > OVER_POWER_ROUNDS)
+    past = d > 1 and v > 3 * max_power_dividing(q, d) and e > 3
+    assert len(calls) == past
 
 
 @pytest.mark.parametrize("call,error,message", [
