@@ -43,7 +43,7 @@ def classify(M: ExpMonoid) -> Classification:
         return Classification(atom_verdict, "yes",
                               {"rule": "finitely-generated",
                                "instance": f"|S|={M.delta.max_exponent_index + 1}"})
-    if M.r > Ratio(1):
+    if M.r.num > M.r.den:
         return Classification(atom_verdict, "yes",
                               {"rule": "r-above-one", "instance": f"r={M.r}>1"})
 
@@ -73,7 +73,7 @@ def check_necessary(M: ExpMonoid) -> Dict[str, object]:
 
 def series_partial_sums(M: ExpMonoid, terms: int) -> List[Ratio]:
     """Exact partial sums of sum_k (n^{delta_k} - 1) r^{s_k}; diagnostic only."""
-    if M.r >= Ratio(1):
+    if M.r.num >= M.r.den:
         raise DomainError("series diagnostic requires r < 1")
     if terms < 0:
         raise DomainError("terms must be >= 0")
@@ -151,8 +151,8 @@ def construct_counterexample(a: int, b: int, k: int,
     delta = [rec.delta(j) for j in range(k)]
     checks = []
     for j in range(k - 1):
-        lower = b ** delta[j] > a ** delta[j + 1]
-        upper = a ** (delta[j + 1] + 1) >= b ** delta[j]
+        b_pow, a_pow = b ** delta[j], a ** delta[j + 1]
+        lower, upper = b_pow > a_pow, a_pow * a >= b_pow
         checks.append({"step": j,
                        "descending": f"{b}^{delta[j]} > {a}^{delta[j + 1]}",
                        "descending_ok": lower,

@@ -34,13 +34,9 @@ def _load_monoid(args):
 def _parse_factorization(M, text: str):
     from .factorization import Factorization
     try:
-        pairs = [(i, c) for i, c in json.loads(text)]
-        # JSON integers only: no float to truncate, no boolean or string
-        if any(type(v) is not int for pair in pairs for v in pair):
-            raise TypeError("entries must be integers")
+        return Factorization.make(M, list(json.loads(text)))
     except (ValueError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed factorization {text!r}: {exc}") from exc
-    return Factorization.make(M, pairs)
 
 
 def _membership_json(res) -> dict:

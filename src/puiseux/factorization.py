@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
 from .monoid import ExpMonoid, s_index
-from .ratio import Ratio, _Value
+from .ratio import Ratio, _ints, _Value
 
 
 class Factorization(_Value):
@@ -38,7 +38,7 @@ class Factorization(_Value):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         cleaned = {}
         for i, c in items:
-            i, c = int(i), int(c)
+            _ints("entries", i, c)
             if c < 0 or i < 0:
                 raise DomainError("coefficients and indices must be nonnegative")
             if c:
@@ -89,7 +89,7 @@ def evaluate(z: Factorization) -> Ratio:
 
 
 def _require_contracting(M: ExpMonoid, what: str) -> None:
-    if M.r >= Ratio(1):
+    if M.r.num >= M.r.den:
         raise DomainError(f"{what} requires r < 1; use finite enumeration")
 
 
@@ -380,8 +380,8 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
     lengths = tuple(sorted(found))
     if not lengths:
         return LengthSet(lengths, False, False)
-    if M.r >= Ratio(1):
-        complete = (M.r == Ratio(1) or (window is not None and max_index >= window)
+    if M.r.num >= M.r.den:
+        complete = (M.r.num == M.r.den or (window is not None and max_index >= window)
                     or M.r ** s_index(M, max_index + 1) > x)
         return LengthSet(lengths, complete, complete)
     w = witness if witness is not None else _checked(M, _least_form(x, M, B), x, "the least form")

@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterator, Optional, Tuple
 
 from .errors import DomainError, IndexRangeError, ParseError
-from .ratio import Ratio, _Value, _printable, _set, max_power_dividing
+from .ratio import Ratio, _ints, _printable, _set, _Value, max_power_dividing
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,7 @@ class Constant(Tail):
     name, arity = "const", 1
 
     def __init__(self, value: int):
+        _ints("gap rule arguments", value)
         if value < 1:
             raise DomainError("constant gap must be >= 1")
         _set(self, "value", value)
@@ -182,7 +183,7 @@ class Polynomial(Tail):
     name, arity = "poly", None
 
     def __init__(self, coeffs: tuple):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = _ints("polynomial coefficients", *coeffs)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         _set(self, "coeffs", coeffs)
@@ -228,6 +229,7 @@ class Geometric(Tail):
     name, arity = "geom", 2
 
     def __init__(self, scale: int, ratio: int):
+        _ints("gap rule arguments", scale, ratio)
         if scale < 1:
             raise DomainError("geometric scale must be >= 1")
         if ratio < 2:
@@ -266,7 +268,7 @@ class Periodic(Tail):
     name, arity = "periodic", None
 
     def __init__(self, pattern: tuple):
-        pattern = tuple(int(p) for p in pattern)
+        pattern = _ints("periodic pattern entries", *pattern)
         if not pattern or any(p < 1 for p in pattern):
             raise DomainError("periodic pattern entries must be >= 1")
         _set(self, "pattern", pattern)
@@ -284,7 +286,7 @@ class Periodic(Tail):
 
     def descent(self, n: int, d: int) -> Optional[bool]:
         # the tail repeats one cycle of comparisons: certain when they agree
-        found = {d ** a >= n ** b for a, b in zip(self.pattern, self.shifted(1).pattern)}
+        found = {d ** a >= n ** b for a, b in pairwise(self.pattern + self.pattern[:1])}
         return found.pop() if len(found) == 1 else None
 
     def accp_rule(self, M):
@@ -299,10 +301,11 @@ class Recurrence(Tail):
     a**delta_{k+1} at every step.
     """
 
-    __slots__ = ("a", "b", "seed", "_memo")  # _memo: the gaps so far and their sums
+    __slots__ = ("a", "b", "seed", "_memo")  # _memo: the gaps so far, from delta_0
     name, arity = "recurrence", 3
 
     def __init__(self, a: int, b: int, seed: int):
+        _ints("gap rule arguments", a, b, seed)
         if not (1 < a < b):
             raise DomainError("recurrence needs 1 < a < b")
         if seed < 1:
@@ -310,13 +313,7 @@ class Recurrence(Tail):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "seed", seed)
-        _set(self, "_memo", ([seed], [0, seed]))
-
-    def __reduce__(self):  # a filled memo travels with copies and pickles
-        return Recurrence, self._astuple(), self._memo
-
-    def __setstate__(self, memo):
-        _set(self, "_memo", memo)
+        _set(self, "_memo", [seed])
 
     def step(self, d: int) -> int:
         # the step m has a^m < b^d <= a^(m+1); bisect on a bracket
@@ -354,23 +351,22 @@ class Recurrence(Tail):
                 hi = mid
         return lo
 
-    def _known(self, k: int) -> tuple:
-        """(gaps, sums) holding at least delta_0..delta_k."""
-        gaps, sums = self._memo
+    def _known(self, k: int) -> list:
+        """The gaps delta_0, delta_1, ..., at least up to delta_k."""
+        gaps = self._memo
         if k >= len(gaps):
-            gaps, sums = gaps[:], sums[:]
+            gaps = gaps[:]
             while len(gaps) <= k:
                 gaps.append(self.step(gaps[-1]))
-                sums.append(sums[-1] + gaps[-1])
-            # one store of fresh lists: a reader never sees a half-built memo
-            _set(self, "_memo", (gaps, sums))
-        return gaps, sums
+            # one store of a fresh list: a reader never sees a half-built memo
+            _set(self, "_memo", gaps)
+        return gaps
 
     def delta(self, k: int) -> int:
-        return self._known(k)[0][k]
+        return self._known(k)[k]
 
     def total(self, k: int) -> int:
-        return self._known(k - 1)[1][k]
+        return sum(self._known(k - 1)[:k])
 
     def shifted(self, j: int) -> "Recurrence":
         return Recurrence(self.a, self.b, self.delta(j))
@@ -420,7 +416,7 @@ class DeltaSpec(_Value):
     __slots__ = ("prefix", "tail")
 
     def __init__(self, prefix: tuple = (), tail: Optional[Tail] = None):
-        prefix = tuple(int(d) for d in prefix)
+        prefix = _ints("prefix gaps", *prefix)
         if any(d < 1 for d in prefix):
             raise DomainError("prefix gaps must be >= 1")
         _set(self, "prefix", prefix)

@@ -26,10 +26,12 @@ class _Value:
     ``__slots__``, less those that start with "_", which hold caches. Values
     of one class are equal when their fields are, hash as the field tuple,
     print as Name(field=value, ...), and copy and pickle through the
-    constructor, which stores the values given in field order. A class keeps
-    its own __init__, storing through _set, when it checks or defaults its
-    input, or when it is built per membership query or enumerated result:
-    there this loop costs two to three times as much as explicit stores.
+    constructor, which stores the values given in field order: a copy
+    rebuilds its caches, or fills them on first read, and never carries
+    them. A class keeps its own __init__, storing through _set, when it
+    checks or defaults its input, or when it is built per membership query
+    or enumerated result: there this loop costs two to three times as much
+    as explicit stores.
     """
 
     __slots__ = ()
@@ -68,6 +70,13 @@ class _Value:
 
 
 _set = object.__setattr__
+
+
+def _ints(what: str, *values) -> tuple:
+    """values, when each is an int and none a bool; a TypeError otherwise."""
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"{what} must be integers")
+    return values
 
 
 class Ratio(_Value):

@@ -12,14 +12,13 @@ from __future__ import annotations
 import heapq
 import re
 from bisect import bisect_right
-from functools import reduce
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DomainError, ParseError
 from .membership import MembershipResult, is_member
 from .monoid import Constant, DeltaSpec, ExpMonoid, _power
-from .ratio import Ratio, _Value, max_power_dividing
+from .ratio import Ratio, _ints, _Value, max_power_dividing
 
 
 # ---------------------------------------------------------------------------
@@ -33,14 +32,14 @@ class NumericalMonoidSpec(_Value):
 
     @classmethod
     def make(cls, gens) -> "NumericalMonoidSpec":
-        gens = tuple(sorted(set(int(g) for g in gens)))
+        gens = tuple(sorted(set(_ints("generators", *gens))))
         if not gens or gens[0] < 1:
             raise DomainError("generators must be positive integers")
         return cls(gens)
 
     @property
     def gcd(self) -> int:
-        return reduce(gcd, self.generators)
+        return gcd(*self.generators)
 
     def least(self) -> Dict[int, int]:
         """Least member of each residue class mod the least generator m; a
@@ -128,7 +127,8 @@ class PrefixCofinite(_Value):
 
     @classmethod
     def make(cls, prefix, threshold) -> "PrefixCofinite":
-        prefix, threshold = tuple(sorted(set(int(p) for p in prefix))), int(threshold)
+        *prefix, threshold = _ints("prefix elements and the threshold", *prefix, threshold)
+        prefix = tuple(sorted(set(prefix)))
         if threshold < 0:
             raise DomainError("the threshold must be nonnegative")
         if any(p < 0 for p in prefix):
@@ -215,7 +215,7 @@ def is_semiring(r: Ratio, N: ExponentSetSpec) -> Dict[str, object]:
 
 def mult_divisor_bound(r: Ratio, x: Ratio) -> int:
     """max{n : n(r)^n | n(x)}: no higher power of r divides x multiplicatively."""
-    if not (r < Ratio(1) and r.num > 1):
+    if not 1 < r.num < r.den:
         raise DomainError("not applicable: needs r < 1 < n(r)")
     if x.num == 0:
         raise DomainError("not applicable: x must be positive")
@@ -228,16 +228,14 @@ def mult_divides(r: Ratio, n: int, x: Ratio, N: ExponentSetSpec) -> MembershipRe
         raise DomainError("x must be positive")
     if n < 0:
         raise DomainError("n must be >= 0")
-    if r < Ratio(1) and r.num > 1:
-        bound = mult_divisor_bound(r, x)
+    if 1 < r.num < r.den:
+        bound = max_power_dividing(r.num, x.num)
         if n > bound:
             return MembershipResult(
                 "not-member",
                 reason=f"n={n} exceeds the multiplicative divisor bound {bound}")
-    y = x / r ** n
     M, base = exponent_monoid(r, N)
-    y_shifted = y / r ** base
-    return is_member(y_shifted, M)
+    return is_member(x / r ** (n + base), M)
 
 
 class MultVerdict(_Value):

@@ -26,6 +26,11 @@ loads no module. No module binds a name by import, at its top or under a
 module-level ``if``, that it never reads. ``semiring.py`` takes no memo
 from ``functools``. Every third-party module that a test imports is named
 in the ``test`` extra of ``pyproject.toml``.
+Only ``ratio.py`` calls ``Ratio(1)``: elsewhere r is set against 1 by its
+integers, ``r.num`` against ``r.den``, which builds no value and multiplies
+nothing. Only ``_Value`` defines a hook of the copy and pickle protocol, so
+every copy goes through a constructor, and a cache (the ``Recurrence`` gaps,
+the ``Polynomial`` Newton form) is rebuilt there, never carried over.
 """
 
 import ast
@@ -103,6 +108,31 @@ def test_values_over_a_power_of_d_are_reduced_by_over_power():
                           and node.func.id == "Ratio" and len(node.args) == 2]
     assert found == set().union(*owners.values())
     assert not calls, f"Ratio(num, den) called directly at {calls}"
+
+
+def test_r_is_set_against_1_by_its_integers():
+    calls = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "ratio.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Ratio"
+             and [getattr(arg, "value", None) for arg in node.args] == [1]]
+    assert not calls, f"Ratio(1) built at {calls}; compare r.num with r.den"
+
+
+COPY_HOOKS = {"__reduce__", "__reduce_ex__", "__getstate__", "__setstate__", "__copy__",
+              "__deepcopy__"}
+
+
+def test_only_the_value_base_defines_a_copy_hook():
+    hooks = []
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef) or (path.name, cls.name) == ("ratio.py", "_Value"):
+                continue
+            for node in cls.body:
+                names = [getattr(target, "id", None) for target in getattr(node, "targets", [])]
+                names.append(getattr(node, "name", None))
+                hooks += [f"{path.name}:{cls.name}.{name}" for name in names if name in COPY_HOOKS]
+    assert not hooks, f"copy hooks outside _Value: {hooks}"
 
 
 def test_only_the_cli_validates_factorizations():

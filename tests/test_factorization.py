@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 from math import gcd
 from unittest.mock import patch
 
@@ -107,7 +108,7 @@ class TestValue:
 def _filled_recurrence():
     M = parse_monoid("r=2/3; delta=recurrence(2,3,1)")
     s_index(M, 12)
-    assert len(M.delta.tail._memo[0]) > 1
+    assert len(M.delta.tail._memo) > 1
     return M
 
 
@@ -133,12 +134,12 @@ def test_copy_deepcopy_and_pickle_round_trip(value):
         assert value.witness is not None
     if isinstance(value, ExpMonoid):
         for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            tail = twin.delta.tail
+            if hasattr(tail, "_memo"):  # the constructor's memo, not the original's
+                assert tail._memo == [tail.seed]
             top = value.delta.max_exponent_index or 15
             assert [s_index(twin, i) for i in range(top + 1)] == [
                 s_index(value, i) for i in range(top + 1)]
-            tail = value.delta.tail
-            if hasattr(tail, "_memo"):  # a filled memo travels with the copy
-                assert twin.delta.tail._memo == tail._memo
 
 
 _MONOID_TEXT = "ExpMonoid(r=Ratio(2, 3), delta=DeltaSpec(prefix=(), tail=Constant(value=1)))"
@@ -222,10 +223,35 @@ def test_equality_needs_one_class_and_the_hash_is_the_field_tuple():
     assert hash(z) == hash((CONST, ((0, 1),)))
 
 
+# each public constructor with one argument in a place that an int fills
+NON_INTEGER_ARGUMENT = {
+    "Constant": lambda v: Constant(v),
+    "Polynomial": lambda v: Polynomial((v, 1)),
+    "Geometric": lambda v: Geometric(v, 2),
+    "Periodic": lambda v: Periodic((v, 2)),
+    "Recurrence": lambda v: Recurrence(2, 3, v),
+    "DeltaSpec": lambda v: DeltaSpec((v,)),
+    "NumericalMonoidSpec.make": lambda v: NumericalMonoidSpec.make((v, 3)),
+    "PrefixCofinite.make-prefix": lambda v: PrefixCofinite.make((v,), 3),
+    "PrefixCofinite.make-threshold": lambda v: PrefixCofinite.make((0,), v),
+    "Factorization.make-index": lambda v: Factorization.make(CONST, [(v, 2)]),
+    "Factorization.make-coeff": lambda v: Factorization.make(CONST, [(1, v)]),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(3, 2), True], ids=["float", "Fraction", "bool"])
+@pytest.mark.parametrize("build", NON_INTEGER_ARGUMENT.values(), ids=NON_INTEGER_ARGUMENT.keys())
+def test_constructors_refuse_what_is_not_an_int(build, value):
+    # a float or Fraction is neither truncated nor stored, and a bool is no integer
+    with pytest.raises(TypeError, match="must be integers$"):
+        build(value)
+    build(2)
+
+
 def test_caches_stay_out_of_equality_hash_and_repr():
     fresh, used = Recurrence(2, 3, 1), Recurrence(2, 3, 1)
     used.delta(12)
-    assert len(used._memo[0]) > len(fresh._memo[0])
+    assert len(used._memo) > len(fresh._memo)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert Polynomial((1, 1)) == Polynomial((1, 1, 0)) and Polynomial((1, 1))._newton == (1, 1)
 

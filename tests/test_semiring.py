@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -332,6 +333,61 @@ class TestMultiplicativeDivisibility:
                     res = mult_divides(r, n, x, NATURALS)
                     if res.is_member:
                         assert n <= mult_divisor_bound(r, x)
+
+
+def _knapsack_divides(r: Fraction, n: int, x: Fraction, N: PrefixCofinite) -> bool:
+    """Is x / r^n a sum of powers r^e, e in N: a coin problem over d^E, with
+    the integer d^E r^e as the coin for each e in N up to E, solved on the
+    bits of one integer. For r > 1 no power past y = x / r^n fits. For r < 1
+    and d prime, a least-length sum keeps c_t < d^(t - p) at its top
+    exponent t, with p the member of N before t (else d^(t - p) r^t trades
+    for n^(t - p) r^p, a shorter sum), so v_d(den y) > p: E = min(N), or
+    v_d(den y) - 1 plus the widest gap of N, loses no sum."""
+    y, num, d = x / r ** n, r.numerator, r.denominator
+    low = [e for e in range(N.threshold + 2) if N.contains(e)]
+    if r > 1:
+        top = max((e for e in range(64) if r ** e <= y), default=0)
+    else:  # v = -1 when den y is no power of d: then y d^E is no integer
+        v = next((k for k in range(64) if d ** k % y.denominator == 0), -1)
+        top = max(low[0], v - 1 + max(b - a for a, b in zip(low, low[1:])))
+    Y = y * d ** top
+    if Y.denominator != 1:
+        return False
+    Y, reach = int(Y), 1
+    for e in filter(N.contains, range(top + 1)):
+        shift = num ** e * d ** (top - e)  # adds 0..2^j - 1 coins after j shifts
+        while shift <= Y:
+            reach |= (reach << shift) & ((2 << Y) - 1)
+            shift *= 2
+    return bool(reach >> Y & 1)
+
+
+@pytest.mark.parametrize("N", ["prefix(1);tail>=4", "prefix(2,3);tail>=6", "prefix();tail>=2"])
+@pytest.mark.parametrize("r", [Fraction(2, 3), Fraction(2, 5), Fraction(3, 2)])
+def test_mult_divides_with_a_least_exponent_past_zero(r, N):
+    # exponent_monoid returns min(N) > 0 as a shift that mult_divides divides out
+    N = parse_exponent_set(N)
+    low = [e for e in range(N.threshold + 2) if N.contains(e)][:3]
+    xs = {r ** m * (c * r ** e + r ** f) for m in range(4) for c in (1, 2)
+          for e in low for f in low}
+    xs |= {Fraction(1), Fraction(2), 1 / r, Fraction(1, r.denominator), r ** 5}
+    R = Ratio(r.numerator, r.denominator)
+    _, base = exponent_monoid(R, N)
+    seen = set()
+    for x in sorted(xs):
+        X = Ratio(x.numerator, x.denominator)
+        top = mult_divisor_bound(R, X) if r < 1 else 3
+        for n in range(top + 2):
+            res = mult_divides(R, n, X, N)
+            expected = _knapsack_divides(r, n, x, N)
+            seen.add(res.status)
+            if res.status == "unresolved":  # left open for r < 1 on an infinite set
+                assert not expected and r < 1, (x, n)
+                continue
+            assert res.is_member == expected, (x, n)
+            if expected:
+                assert evaluate(res.witness) * R ** (n + base) == X
+    assert {"member", "not-member"} <= seen
 
 
 class TestClassifyMult:
