@@ -34,7 +34,7 @@ def _load_monoid(args):
 def _parse_factorization(M, text: str):
     from .factorization import Factorization
     try:
-        return Factorization.make(M, list(json.loads(text)))
+        return Factorization.make(M, json.loads(text))
     except (ValueError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed factorization {text!r}: {exc}") from exc
 

@@ -34,11 +34,11 @@ class Factorization(_Value):
 
     @classmethod
     def make(cls, monoid: ExpMonoid, coeffs) -> "Factorization":
-        """Check outside input, a dict or iterable of (index, coeff); zeros are dropped."""
+        """Check outside input, a dict or iterable of int (index, coeff); zeros are dropped."""
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        items = [_ints("entries", i, c) for i, c in items]  # every type before any sign
         cleaned = {}
         for i, c in items:
-            _ints("entries", i, c)
             if c < 0 or i < 0:
                 raise DomainError("coefficients and indices must be nonnegative")
             if c:

@@ -180,7 +180,8 @@ def test_spec_file_equivalent_to_inline(tmp_path, capsys):
     assert doc_file["result"] == doc_inline["result"]
 
 
-@pytest.mark.parametrize("z", ["[[1,2.9]]", "[[0.99,3]]", "[[1,true]]", '[["1",2]]'])
+@pytest.mark.parametrize("z", ["[[1,2.9]]", "[[0.99,3]]", "[[1,true]]", '[["1",2]]',
+                               "[[1,-2],[1,2.5]]"])
 def test_factorization_needs_integer_pairs(capsys, z):
     # JSON floats, booleans and strings are not truncated or coerced
     code, doc = run(capsys, "normal-form", "--monoid", "r=2/3; delta=const(1)", "--z", z)
