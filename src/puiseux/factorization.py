@@ -21,9 +21,10 @@ class Factorization(_Value):
 
     An immutable value of the fields (monoid, coeffs) on the shared base
     ``_Value``, which gives its equality, hash, repr, copies and pickles.
-    Enumeration builds one per result, so __init__ stores the fields through
-    the slot descriptors' __set__, the cheapest store that the blocking
-    __setattr__ leaves open.
+    __init__ stores the fields through the slot descriptors' __set__, the
+    cheapest store that the blocking __setattr__ leaves open. Enumeration
+    builds one per result, so `enumerate_all` makes each with object.__new__
+    and those two stores, without the __init__ call.
     """
 
     __slots__ = ("monoid", "coeffs")
@@ -313,16 +314,16 @@ def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
             yield node
 
 
-def _expand(node: tuple) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """The results of a run in ascending order: c rising, then c = 0."""
-    head, B, c, q, k, m, e = node
+def _expand(B: int, c: int, q: int, k: int, m: int, e: int) -> Iterator[tuple]:
+    """The tails of a run's results, its pairs at levels B-1 and B, in
+    ascending order: c rising, then c = 0. They do not depend on the head."""
     zero = None
     if c == 0:
-        zero = head + ((B, q),) if q else head
+        zero = ((B, q),) if q else ()
         c, q, k = m, q - e, k - 1
     i = B - 1
     for _ in range(k):
-        yield head + ((i, c), (B, q)) if q else head + ((i, c),)
+        yield ((i, c), (B, q)) if q else ((i, c),)
         c += m
         q -= e
     if zero is not None:
@@ -335,9 +336,24 @@ def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int) -> List[Factorization]
     `_runs` tries its positive coefficients in rising order and zero last,
     so a result with c atoms at level i comes before one that skips level i,
     whose next pair has a larger index. For r > 1 a max_index at the first
-    n with r^{s_n} > x makes the list the complete factorization set of x."""
-    found = chain.from_iterable(map(_expand, _runs(x, M, max_index)))
-    return [Factorization(M, p) for p in found]
+    n with r^{s_n} > x makes the list the complete factorization set of x.
+
+    A run's tail is built once per distinct (c, q), by `_expand`, and shared
+    across the heads: B, m and e are fixed for the call and k follows from c
+    and q, so each result is one head + tail concatenation."""
+    tails: Dict[Tuple[int, int], list] = {}
+    out: List[Factorization] = []
+    new, append = object.__new__, out.append
+    for head, B, c, q, k, m, e in _runs(x, M, max_index):
+        tail = tails.get((c, q))
+        if tail is None:
+            tail = tails[c, q] = list(_expand(B, c, q, k, m, e))
+        for pairs in map(head.__add__, tail):
+            z = new(Factorization)
+            _set_monoid(z, M)
+            _set_coeffs(z, pairs)
+            append(z)
+    return out
 
 
 def unique_factorization_check(z: Factorization) -> bool:

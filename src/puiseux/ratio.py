@@ -29,9 +29,10 @@ class _Value:
     constructor, which stores the values given in field order: a copy
     rebuilds its caches, or fills them on first read, and never carries
     them. A class keeps its own __init__, storing through _set, when it
-    checks or defaults its input, or when it is built per membership query
-    or enumerated result: there this loop costs two to three times as much
-    as explicit stores.
+    checks or defaults its input, or when it is built per membership query:
+    there this loop costs two to three times as much as explicit stores. A
+    Ratio known to be reduced, and a Factorization per enumerated result,
+    skip __init__ as well: object.__new__ and the stores (`Ratio._reduced`).
     """
 
     __slots__ = ()
@@ -114,7 +115,13 @@ class Ratio(_Value):
         gcd of two long integers is quadratic. The exponent is capped: a
         gcd with all of den is that long gcd, and a loop of one gcd with d
         per common factor took seconds on 7 * 2^39000 * 3^5000 over
-        2^40000, against about a millisecond for the long gcd."""
+        2^40000, against about a millisecond for the long gcd. A den of at
+        most 64 bits takes one gcd with num instead: it is linear in num, as
+        fast as the first round on a num prime to d, and skips the second
+        gcd and the constructor on one that holds d more than three times."""
+        if den.bit_length() <= 64:
+            g = gcd(num, den)
+            return Ratio._reduced(num // g, den // g)
         g = gcd(num, min(den, d ** 3))
         if g == 1:
             return Ratio._reduced(num, den)

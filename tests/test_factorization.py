@@ -768,6 +768,65 @@ def test_the_search_makes_no_factorization_per_result(monkeypatch):
     assert calls == []
 
 
+def test_the_search_builds_each_tail_once_per_call(monkeypatch):
+    tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix
+    x = evaluate(tail_query)
+    runs, expand, nodes, built, made = fz._runs, fz._expand, [], [], []
+    monkeypatch.setattr(fz, "_runs", lambda *args: (
+        nodes.append(node) or node for node in runs(*args)))
+    monkeypatch.setattr(fz, "_expand", lambda *args: built.append(args) or expand(*args))
+    make = Factorization.make.__func__
+    monkeypatch.setattr(Factorization, "make", classmethod(
+        lambda cls, M, coeffs: made.append(coeffs) or make(cls, M, coeffs)))
+    found = enumerate_all(x, CONST, 5)
+    assert (len(built), len(nodes), len(found)) == (14, 307, 1712)
+    assert len({node[2:4] for node in nodes}) == 14  # one tail per distinct (c, q)
+    assert made == []
+    # the heads share the pair tuples at levels 4 and 5 of the 14 tails
+    tails = [expand(*args) for args in built]
+    assert (len({id(p) for z in found for p in z.coeffs if p[0] >= 4})
+            == sum(len(t) for tail in tails for t in tail))
+    # the memo dies with the call: a second call builds its tails again
+    built.clear()
+    assert enumerate_all(x, CONST, 5) == found and len(built) == 14
+
+
+def _run_shapes(x, M, B):
+    """Which shapes of run `_runs` yields for (x, M, B)."""
+    heads, shapes = {}, set()
+    for head, _, c, q, k, m, e in fz._runs(x, M, B):
+        heads.setdefault((c, q), set()).add(head)
+        if q == (k - 1) * e:
+            shapes.add("ends at q = 0")
+    if any(c == 0 and len(h) > 1 for (c, _), h in heads.items()):
+        shapes.add("c = 0 key under two heads")
+    return shapes
+
+
+@pytest.mark.parametrize("text,x,B,shapes", [
+    ("r=2/3; delta=const(1)", Ratio(2), 1, {"ends at q = 0"}),  # no level below B - 1
+    ("r=2/3; delta=const(1)", Ratio(2), 0, set()),
+    ("r=2/3; delta=const(1)", Ratio(10, 3), 3, {"ends at q = 0", "c = 0 key under two heads"}),
+    ("r=2/3; delta=const(1)", Ratio(2056, 243), 5, {"c = 0 key under two heads"}),
+    ("r=2/3; delta=const(1)", ZERO, 0, {"ends at q = 0"}),
+    ("r=2/3; delta=const(1)", ZERO, 3, {"ends at q = 0"}),
+    ("r=2/3; delta=geom(1,2)", Ratio(3), 3, {"ends at q = 0", "c = 0 key under two heads"}),
+    # the window of three gaps cuts B = 5 to 3
+    ("r=2/3; delta=prefix(1,1,2);finite", Ratio(12), 5,
+     {"ends at q = 0", "c = 0 key under two heads"}),
+    ("r=3/2; delta=const(1)", Ratio(9), 3, {"ends at q = 0", "c = 0 key under two heads"}),
+    ("r=3/2; delta=const(1)", Ratio(21, 4), 3, {"ends at q = 0"}),
+], ids=["B1", "B0", "small", "tail-query", "zero-B0", "zero-B3", "geom", "window",
+        "expanding", "expanding-B3"])
+def test_shared_tails_match_the_reference_and_ascend(text, x, B, shapes):
+    M = parse_monoid(text)
+    assert _run_shapes(x, M, B) == shapes
+    found = enumerate_all(x, M, B)
+    assert found == _ref_enumerate_all(x, M, B)
+    coeffs = [z.coeffs for z in found]
+    assert all(a < b for a, b in zip(coeffs, coeffs[1:]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(search_queries())
 def test_the_search_ascends_and_length_sets_match_the_expansion(query):

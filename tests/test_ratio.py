@@ -172,15 +172,21 @@ def test_over_power_matches_the_reducing_constructor(case):
 @example((1, 2, 6, 12, 60))   # v_2(12) = 2, so 2^6 divides 12^3
 @example((1, 2, 7, 12, 60))
 @example((1, 12, 100, 12, 3))
+@example((8, 3, 30, 3, 30))   # a 48-bit den: one gcd, no constructor
+@example((1, 2, 70, 2, 63))   # 2^63 has 64 bits
+@example((1, 2, 70, 2, 64))
 def test_over_power_calls_the_reducing_constructor_only_past_d_cubed(case):
-    # the first gcd, with d^min(e, 3), takes min(v, 3 v_q(d), e v_q(d))
-    # factors q, and only a q left in both num and den needs the constructor
+    # a den of at most 64 bits takes one gcd with num and no constructor;
+    # past that, the first gcd, with d^min(e, 3), takes min(v, 3 v_q(d),
+    # e v_q(d)) factors q, and only a q left in both num and den needs the
+    # constructor
     u, q, v, d, e = case
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Ratio, "__init__", lambda self, *args: calls.append(args))
         Ratio.over_power(u * q ** v, d ** e, d)
-    past = d > 1 and v > 3 * max_power_dividing(q, d) and e > 3
+    long = (d ** e).bit_length() > 64
+    past = long and d > 1 and v > 3 * max_power_dividing(q, d) and e > 3
     assert len(calls) == past
 
 
