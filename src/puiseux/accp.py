@@ -12,7 +12,7 @@ first-class verdict for anything the exact rules cannot settle.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 from typing import Dict, List, Tuple
 
 from .errors import ChainError, DomainError
@@ -98,12 +98,16 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
                               + n^{delta_{m+1}} r^{s_{m+1}},
     which needs d^{delta_m} > n^{delta_{m+1}} at every link; the chain is
     anchored at the first index from which that holds k times in a row
-    (``descending_run``). Element m is x_m = n^{s_{m+1}} / d^{s_m}, reduced
-    as gcd(n, d) = 1; link m, coefficient c_m >= 1 at index m+1, is checked
-    over d^{s_{m+1}} by one multiply-add on powers carried from index to index:
+    (``descending_run``). Element m is x_m = n^{s_{m+1}} / d^{s_m}, read off
+    ``Ratio.power_quotients``, which carries both powers from index to index
+    and takes no gcd. Link m, coefficient c_m >= 1 at index m+1, is checked
+    against the stored elements by one multiply-add over d^{s_{m+1}}:
         n^{s_{m+1}} d^{delta_m} = n^{s_{m+2}} + c_m n^{s_{m+1}}.
+    Each link's Factorization is built as in ``enumerate_all``, with
+    object.__new__ and the two slot stores.
     """
-    from .factorization import Factorization  # here alone: classify needs no factorizations
+    # here alone: classify needs no factorizations
+    from .factorization import Factorization, _set_coeffs, _set_monoid
     if k < 1:
         raise DomainError("chain length must be >= 1")
     if classify(M).accp != "no":
@@ -114,24 +118,20 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
         raise ChainError("no constructive witness available: the descending "
                          "identity never holds on a long enough run")
     start, coeffs = found
-    n, d = M.r.num, M.r.den
-    # carry n^{s_m}, d^{s_m} and d^{delta_{m-1}} from one index to the next
-    s = s_index(M, start)
-    n_pow, d_pow, d_step = n ** s, d ** s, 1
-    elements, diffs = [], []
-    for m, delta in enumerate(islice(M.delta.gaps(start), k + 1), start):
-        n_next = n_pow * n ** delta
-        x = Ratio.over_power(n_next, d_pow, d)
-        if m > start:  # link m-1, checked over d^{s_m}
-            coeff, prev = coeffs[m - 1 - start], elements[-1]
-            if (coeff < 1 or prev.den * d_step != x.den
-                    or prev.num * d_step != x.num + coeff * n_pow):
-                raise ChainError(f"link {m - 1} of the chain does not verify")
-            diffs.append(Factorization(M, ((m, coeff),)))
-        elements.append(x)
+    gaps = list(islice(M.delta.gaps(start), k + 1))
+    s, d = s_index(M, start), M.r.den
+    elements = tuple(M.r.power_quotients(s + gaps[0], s, zip(gaps[1:], gaps)))
+    diffs, new = [], object.__new__
+    for m, prev, x, delta, coeff in zip(count(start), elements, elements[1:], gaps, coeffs):
         d_step = d ** delta
-        n_pow, d_pow = n_next, d_pow * d_step
-    return WitnessChain(start, tuple(elements), tuple(diffs))
+        if (coeff < 1 or prev.den * d_step != x.den
+                or prev.num * d_step != x.num + coeff * prev.num):
+            raise ChainError(f"link {m} of the chain does not verify")
+        y = new(Factorization)
+        _set_monoid(y, M)
+        _set_coeffs(y, ((m + 1, coeff),))
+        diffs.append(y)
+    return WitnessChain(start, elements, tuple(diffs))
 
 
 def construct_counterexample(a: int, b: int, k: int,

@@ -23,7 +23,8 @@ class Factorization(_Value):
     ``_Value``, which gives its equality, hash, repr, copies and pickles.
     __init__ stores the fields through the slot descriptors' __set__, the
     cheapest store that the blocking __setattr__ leaves open. Enumeration
-    builds one per result, so `enumerate_all` makes each with object.__new__
+    builds one per result and a witness chain one per link, so
+    `enumerate_all` and `accp.witness_chain` make each with object.__new__
     and those two stores, without the __init__ call.
     """
 

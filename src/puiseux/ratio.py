@@ -7,7 +7,9 @@ Only the nonnegative cone of Q is supported: subtraction below zero raises.
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from math import gcd
+from typing import Iterable, Iterator, Tuple
 
 from .errors import DomainError, ParseError
 
@@ -21,6 +23,15 @@ def _printable(value: int) -> str:
                           f"limit of {sys.get_int_max_str_digits()} digits") from exc
 
 
+def _literal(value: int) -> str:
+    """value as an int literal: decimal, or hex past the int -> str cap,
+    which spares power-of-two bases."""
+    try:
+        return str(value)
+    except ValueError:
+        return hex(value)
+
+
 class _Value:
     """An immutable value that acts as a frozen dataclass of the names in its
     ``__slots__``, less those that start with "_", which hold caches. Values
@@ -30,9 +41,12 @@ class _Value:
     rebuilds its caches, or fills them on first read, and never carries
     them. A class keeps its own __init__, storing through _set, when it
     checks or defaults its input, or when it is built per membership query:
-    there this loop costs two to three times as much as explicit stores. A
-    Ratio known to be reduced, and a Factorization per enumerated result,
-    skip __init__ as well: object.__new__ and the stores (`Ratio._reduced`).
+    there this loop costs two to three times as much as explicit stores.
+    Ratio and Factorization store through their slot descriptors' __set__,
+    the cheapest store, and skip __init__ where they are built in bulk:
+    object.__new__ and the two stores make a Ratio known to be reduced
+    (`Ratio._reduced`, `Ratio.power_quotients`), a Factorization per
+    enumerated result and one per witness-chain link.
     """
 
     __slots__ = ()
@@ -89,18 +103,34 @@ class Ratio(_Value):
         if num < 0 or den < 0:
             raise DomainError("negative rational: only Q>=0 is supported")
         g = gcd(num, den)  # gcd(0, den) = den makes zero 0/1
-        num //= g
-        den //= g
-        _set(self, "num", num)
-        _set(self, "den", den)
+        _set_num(self, num // g)
+        _set_den(self, den // g)
 
     @staticmethod
     def _reduced(num: int, den: int) -> "Ratio":
         """num/den for coprime num >= 0 and den >= 1, without a gcd."""
-        out = object.__new__(Ratio)
-        _set(out, "num", num)
-        _set(out, "den", den)
+        out = _new(Ratio)
+        _set_num(out, num)
+        _set_den(out, den)
         return out
+
+    def power_quotients(self, a: int, b: int,
+                        steps: Iterable[Tuple[int, int]]) -> Iterator["Ratio"]:
+        """num^a / den^b, then the same after each (i, j) of steps has raised
+        a by i and b by j, for int a, b, i, j >= 0. Each power is carried
+        from the last by one multiply, and no value takes a gcd: num and den
+        are coprime, so are any powers of them (a prime that divided num^a
+        and den^b would divide num and den), and at num = 0, den = 1."""
+        num, den, top, bottom = self.num, self.den, 1, 1
+        for i, j in chain(((a, b),), steps):
+            top *= num ** i
+            bottom *= den ** j
+            if type(top) is not int or type(bottom) is not int:  # a float or an i < 0
+                raise TypeError("exponents must be integers >= 0")
+            out = _new(Ratio)
+            _set_num(out, top)
+            _set_den(out, bottom)
+            yield out
 
     @staticmethod
     def over_power(num: int, den: int, d: int) -> "Ratio":
@@ -118,7 +148,10 @@ class Ratio(_Value):
         2^40000, against about a millisecond for the long gcd. A den of at
         most 64 bits takes one gcd with num instead: it is linear in num, as
         fast as the first round on a num prime to d, and skips the second
-        gcd and the constructor on one that holds d more than three times."""
+        gcd and the constructor on one that holds d more than three times.
+        The callers, `evaluate` and `series_partial_sums`, sum terms whose
+        numerator can share a prime with d; a quotient of powers of n and d
+        alone needs no reduction and comes from `power_quotients`."""
         if den.bit_length() <= 64:
             g = gcd(num, den)
             return Ratio._reduced(num // g, den // g)
@@ -149,7 +182,7 @@ class Ratio(_Value):
         return f"{_printable(self.num)}/{_printable(self.den)}"
 
     def __repr__(self) -> str:
-        return f"Ratio({self.num}, {self.den})"
+        return f"Ratio({_literal(self.num)}, {_literal(self.den)})"
 
     # -- comparisons ---------------------------------------------------
 
@@ -230,6 +263,9 @@ class Ratio(_Value):
     def floor(self) -> int:
         return self.num // self.den
 
+
+_new = object.__new__
+_set_num, _set_den = Ratio.num.__set__, Ratio.den.__set__
 
 ZERO = Ratio(0)
 ONE = Ratio(1)

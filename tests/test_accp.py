@@ -1,5 +1,8 @@
 import importlib
 import pkgutil
+from fractions import Fraction
+from itertools import islice
+from math import gcd
 from typing import Dict, List, Tuple
 
 import pytest
@@ -245,7 +248,7 @@ class TestWitnessChain:
 
     def test_links_are_checked_on_carried_powers(self, monkeypatch):
         # s_index once, for the anchor; no link is built by make or evaluated
-        counts = {"s_index": 0, "evaluate": 0, "make": 0}
+        counts = {"s_index": 0, "evaluate": 0, "make": 0, "over_power": 0, "Factorization": 0}
 
         def counted(name, f):
             def wrapper(*args):
@@ -261,9 +264,16 @@ class TestWitnessChain:
         make = Factorization.make.__func__
         monkeypatch.setattr(Factorization, "make",
                             classmethod(counted("make", make)))
+        # nor is any element built by over_power or link by __init__: the
+        # elements come reduced from power_quotients, the links by __new__
+        over_power = Ratio.over_power
+        monkeypatch.setattr(Ratio, "over_power", staticmethod(counted("over_power", over_power)))
+        monkeypatch.setattr(Factorization, "__init__",
+                            counted("Factorization", Factorization.__init__))
         chain = witness_chain(M("r=2/3; delta=const(1)"), 50)
         assert len(chain.diffs) == 50
-        assert counts == {"s_index": 1, "evaluate": 0, "make": 0}
+        assert counts == {"s_index": 1, "evaluate": 0, "make": 0, "over_power": 0,
+                          "Factorization": 0}
 
     def test_a_deep_link_is_found_where_the_classifier_names_it(self):
         # d = 21 is close to n = 20, so the first link lies past index 64
@@ -276,6 +286,25 @@ class TestWitnessChain:
         # against 21^{s_125}, 2.8 megabits, takes seconds
         assert witness_chain(M("r=20/21; delta=poly(1,0,1)"), 1).start == 124
         assert long_gcds == []
+
+    @pytest.mark.parametrize("text, k", [
+        ("r=2/3; delta=const(1)", 300), ("r=2/3; delta=periodic(2,3)", 300),
+        ("r=2/3; delta=poly(1,1)", 100), ("r=4/9; delta=recurrence(2,3,2)", 16),
+        ("r=3/4; delta=prefix(2,1);const(1)", 300)])
+    def test_long_chains_are_reduced_and_exact(self, text, k):
+        # Ratio.__eq__ compares fields, so an unreduced element would make it
+        # answer wrongly without any error: check gcd 1 outright
+        monoid = M(text)
+        chain = witness_chain(monoid, k)
+        n, d = monoid.r.num, monoid.r.den
+        s = [s_index(monoid, chain.start)]
+        for delta in islice(monoid.delta.gaps(chain.start), k + 1):
+            s.append(s[-1] + delta)
+        assert len(chain.elements) == k + 1
+        for m, x in enumerate(chain.elements):
+            want = Fraction(n ** s[m + 1], d ** s[m])
+            assert gcd(x.num, x.den) == 1
+            assert (x.num, x.den) == (want.numerator, want.denominator)
 
     @pytest.mark.parametrize("link", range(4))
     @pytest.mark.parametrize("wrong", ["numerator plus one", "next link", "denominator times d"])

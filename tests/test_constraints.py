@@ -5,14 +5,18 @@ Every module under ``src/puiseux`` is parsed, not imported, and its syntax
 tree is searched for a float literal, the name ``float``, any import of a
 module that is neither in the standard library nor the package itself, and
 any ``assert`` statement, which ``python -O`` strips. The gcd-free
-constructor ``Ratio._reduced`` is named in ``ratio.py`` alone, so each value
-built without a gcd sits beside the argument that it is coprime.
-``evaluate``, ``series_partial_sums`` and ``witness_chain`` build every
-value over a power of d(r) by ``Ratio.over_power``, never by a two-argument
-``Ratio(num, den)``. That rule sees calls by name only; the Ratio arithmetic
-in those functions, which reduces by a gcd of its own, is held to no gcd of
-two long integers at run time by the ``long_gcds`` guards of
-``test_accp.py`` and ``test_factorization.py``.
+constructor ``Ratio._reduced``, a call that passes the class ``Ratio``
+itself, as ``object.__new__(Ratio)`` does, and a store into a Ratio's
+fields, by ``Ratio.num.__set__``, ``Ratio.den.__set__`` or a ``"num"`` or
+``"den"`` set through ``__setattr__``, are found in ``ratio.py`` alone, so
+each value built without a gcd sits beside the argument that it is coprime.
+``evaluate`` and ``series_partial_sums`` build every value over a power of
+d(r) by ``Ratio.over_power``, and ``witness_chain`` reads its elements,
+quotients of powers of n(r) and d(r), off ``Ratio.power_quotients``; none
+calls a two-argument ``Ratio(num, den)``. That rule sees calls by name
+only; the Ratio arithmetic in those functions, which reduces by a gcd of
+its own, is held to no gcd of two long integers at run time by the
+``long_gcds`` guards of ``test_accp.py`` and ``test_factorization.py``.
 ``Factorization.make``, which checks input from outside the library, is
 called from ``cli.py`` alone. A ``DomainError`` becomes a ``ParseError``
 in one except clause of each parser, and nowhere else. A gap is read by a
@@ -79,18 +83,47 @@ def test_no_assert_statement(path):
     assert not lines, f"{path.name}: assert statement at line(s) {lines}; raise instead"
 
 
+def _builds_a_ratio_without_a_gcd(node) -> bool:
+    """node names _reduced, passes the class Ratio first to a call (as
+    object.__new__(Ratio) does, under any alias), reads a field's slot store
+    Ratio.num.__set__ or Ratio.den.__set__, or sets "num" or "den" through
+    __setattr__ or its alias _set."""
+    if isinstance(node, ast.Attribute) and node.attr == "__set__":
+        field = node.value
+        return (isinstance(field, ast.Attribute) and field.attr in ("num", "den")
+                and getattr(field.value, "id", None) == "Ratio")
+    if isinstance(node, ast.Call):
+        args = node.args
+        if args and getattr(args[0], "id", None) == "Ratio":
+            return True
+        setter = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return (setter in ("__setattr__", "_set") and len(args) > 1
+                and getattr(args[1], "value", None) in ("num", "den"))
+    return ((isinstance(node, ast.Attribute) and node.attr == "_reduced")
+            or (isinstance(node, ast.Name) and node.id == "_reduced")
+            or (isinstance(node, ast.Constant) and node.value == "_reduced"))
+
+
 def test_the_gcd_free_constructor_stays_in_ratio():
-    uses = []
-    for path in MODULES:
-        if path.name == "ratio.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            named = ((isinstance(node, ast.Attribute) and node.attr == "_reduced")
-                     or (isinstance(node, ast.Name) and node.id == "_reduced")
-                     or (isinstance(node, ast.Constant) and node.value == "_reduced"))
-            if named:
-                uses.append(f"{path.name}:{node.lineno}")
-    assert not uses, f"Ratio._reduced used outside ratio.py at {uses}"
+    uses = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "ratio.py"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if _builds_a_ratio_without_a_gcd(node)]
+    assert not uses, f"a Ratio built without a gcd outside ratio.py at {uses}"
+
+
+@pytest.mark.parametrize("source", [
+    "Ratio._reduced(1, 2)", "object.__new__(Ratio)", "new(Ratio)", "Ratio.__new__(Ratio)",
+    "Ratio.num.__set__(x, 1)", "f = Ratio.den.__set__", "_set(x, 'num', 1)",
+    "object.__setattr__(x, 'den', 2)"])
+def test_each_gcd_free_construction_is_seen(source):
+    assert any(map(_builds_a_ratio_without_a_gcd, ast.walk(ast.parse(source))))
+
+
+@pytest.mark.parametrize("source", [
+    "Ratio(1, 2)", "object.__new__(Factorization)", "isinstance(x, Ratio)",
+    "Factorization.coeffs.__set__", "_set(x, 'value', 1)", "Ratio.over_power(1, 2, 2)"])
+def test_a_reducing_construction_is_not_flagged(source):
+    assert not any(map(_builds_a_ratio_without_a_gcd, ast.walk(ast.parse(source))))
 
 
 def test_values_over_a_power_of_d_are_reduced_by_over_power():

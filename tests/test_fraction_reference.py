@@ -98,8 +98,9 @@ CHAIN_FAMILIES = ["const(1)", "const(2)", "periodic(1,2)", "poly(1,1)",
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 12).flatmap(lambda d: st.tuples(st.integers(2, d - 1), st.just(d))),
-       st.sampled_from(CHAIN_FAMILIES), st.integers(1, 5))
+       st.sampled_from(CHAIN_FAMILIES), st.integers(1, 12))
 @example((2, 9), "geom(1,2)", 3)
+@example((2, 3), "prefix(3,1); const(1)", 12)
 def test_witness_chain_matches_fraction(r, delta, k):
     n, d = r
     M = parse_monoid(f"r={n}/{d}; delta={delta}")

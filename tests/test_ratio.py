@@ -1,4 +1,5 @@
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import primefactors
 
 from puiseux.errors import DomainError, ParseError
+from puiseux.monoid import atom, parse_monoid
 from puiseux.ratio import ONE, ZERO, Ratio, max_power_dividing
 
 
@@ -62,6 +64,46 @@ def test_serialization_round_trip():
     assert Ratio.parse("7") == Ratio(7, 1)
     with pytest.raises(ParseError):
         Ratio.parse("a/b")
+
+
+@pytest.mark.parametrize("value", [
+    Ratio(2 ** 20000, 3),
+    atom(parse_monoid("r=2/3; delta=periodic(2,3)"), 5000),
+], ids=["2^20000/3", "atom-5000"])
+def test_repr_past_the_int_str_cap_is_a_hex_literal(value):
+    # repr never raises: past the cap the integer is printed in hex, which
+    # evaluates back to the same value; str still refuses
+    text = repr(value)
+    assert "0x" in text and eval(text) == value
+    with pytest.raises(DomainError, match="too large to print"):
+        str(value)
+
+
+def test_repr_below_the_int_str_cap_is_decimal():
+    big = 10 ** (sys.get_int_max_str_digits() - 1)
+    assert repr(Ratio(2, 3)) == "Ratio(2, 3)"
+    assert repr(Ratio(big, 7)) == f"Ratio({big}, 7)"
+
+
+@settings(deadline=None)
+@given(st.integers(0, 30), st.integers(1, 30), st.integers(0, 20), st.integers(0, 20),
+       st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=12))
+def test_power_quotients_match_fraction(p, q, a, b, steps):
+    r = Ratio(p, q)
+    got = list(r.power_quotients(a, b, steps))
+    assert len(got) == len(steps) + 1
+    for x, (i, j) in zip(got, [(0, 0)] + steps):
+        a, b = a + i, b + j
+        want = Fraction(r.num ** a, r.den ** b)
+        assert (x.num, x.den) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("a, b, steps", [(1.0, 0, []), (-1, 0, []), (1, 1, [(1, -1)]),
+                                         (1, 1, [(0.5, 0)])],
+                         ids=["float", "negative", "negative-step", "float-step"])
+def test_power_quotients_take_nonnegative_int_exponents(a, b, steps):
+    with pytest.raises(TypeError, match="^exponents must be integers >= 0$"):
+        list(Ratio(2, 3).power_quotients(a, b, steps))
 
 
 def test_big_powers_exact():
