@@ -7,7 +7,7 @@ least-length form, bounded exact enumeration, and length sets.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
@@ -249,6 +249,11 @@ def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
     up to R/w_{B-1} completes with q = (R - c w_{B-1})/w_B >= 0, and since
     m w_{B-1} = e w_B, q falls by e as c rises by m. The divisibility is
     checked once per run and a failure raises StepError.
+
+    The walk is depth first over one flat stack of (level i, remainder R,
+    head) nodes, with no recursion: a node at B-1 gives its run, and a node
+    below pushes its children in reverse, so that they pop with the
+    coefficient rising and zero last.
     """
     if max_index < 0:
         raise DomainError("max_index must be >= 0")
@@ -271,64 +276,34 @@ def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
     inv = [pow(pow(d, s[B] - s[i], mod[i]), -1, mod[i]) for i in range(B)]
     last = B - 1
     m, e = mod[last], d ** (s[B] - s[last])
-
-    def choices(i: int, rem: int) -> Iterator[int]:
-        # the coefficients at level i < B-1 that can complete, zero last
-        start, stop = rem // n_pow[i] * inv[i] % mod[i], rem // w[i] + 1
-        if start:
-            return iter(range(start, stop, mod[i]))
-        return chain(range(mod[i], stop, mod[i]), (0,))
-
-    def run(rem: int, head: tuple) -> Optional[tuple]:
-        # the run at level B-1 for remainder rem, or None when no c fits
-        c, top = rem // n_pow[last] * inv[last] % m, rem // w[last]
-        if c > top:
-            return None
-        q, leftover = divmod(rem - c * w[last], w[B])
-        if leftover:
-            raise StepError(f"level {B} cannot complete the run at level {last}")
-        return head, B, c, q, (top - c) // m + 1, m, e
-
-    if not last:
-        node = run(target, ())
-        if node:
-            yield node
-        return
-    # depth first, with no recursion: stack entry i holds what levels i..B
-    # must make up, the pairs below level i and the coefficients left to try
-    stack = [(target, (), choices(0, target))]
+    stack = [(0, target, ())]
+    push = stack.append
     while stack:
-        i = len(stack) - 1
-        rem, head, todo = stack[-1]
-        c = next(todo, None)
-        if c is None:
-            stack.pop()
+        i, rem, head = stack.pop()
+        # the least coefficient at level i that can complete, and the most that fits
+        c, top = rem // n_pow[i] * inv[i] % mod[i], rem // w[i]
+        if i == last:
+            if c <= top:
+                q, leftover = divmod(rem - c * w[i], w[B])
+                if leftover:
+                    raise StepError(f"level {B} cannot complete the run at level {last}")
+                yield head, B, c, q, (top - c) // m + 1, m, e
             continue
-        rest = rem - c * w[i]
-        if c:
-            head += ((i, c),)
-        if i + 1 < last:
-            stack.append((rest, head, choices(i + 1, rest)))
-            continue
-        node = run(rest, head)
-        if node:
-            yield node
+        if not c:
+            push((i + 1, rem, head))
+        for c in range(c or mod[i], top + 1, mod[i])[::-1]:
+            push((i + 1, rem - c * w[i], head + ((i, c),)))
 
 
-def _expand(B: int, c: int, q: int, k: int, m: int, e: int) -> Iterator[tuple]:
+def _expand(B: int, c: int, q: int, k: int, m: int, e: int) -> List[tuple]:
     """The tails of a run's results, its pairs at levels B-1 and B, in
     ascending order: c rising, then c = 0. They do not depend on the head."""
-    zero = None
-    if c == 0:
-        zero = ((B, q),) if q else ()
-        c, q, k = m, q - e, k - 1
-    i = B - 1
-    for _ in range(k):
-        yield ((i, c), (B, q)) if q else ((i, c),)
-        c += m
-        q -= e
-    if zero is not None:
-        yield zero
+    i, skip = B - 1, 0 if c else 1
+    tails = [((i, c + j * m), (B, q - j * e)) if q - j * e else ((i, c + j * m),)
+             for j in range(skip, k)]
+    if skip:
+        tails.append(((B, q),) if q else ())
+    return tails
 
 
 def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int) -> List[Factorization]:
@@ -348,7 +323,7 @@ def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int) -> List[Factorization]
     for head, B, c, q, k, m, e in _runs(x, M, max_index):
         tail = tails.get((c, q))
         if tail is None:
-            tail = tails[c, q] = list(_expand(B, c, q, k, m, e))
+            tail = tails[c, q] = _expand(B, c, q, k, m, e)
         for pairs in map(head.__add__, tail):
             z = new(Factorization)
             _set_monoid(z, M)

@@ -32,16 +32,26 @@ def _literal(value: int) -> str:
         return hex(value)
 
 
+def _field(value) -> str:
+    """repr(value), with each int, also one inside a tuple, printed by `_literal`."""
+    if type(value) is int:
+        return _literal(value)
+    if type(value) is tuple:
+        return f"({', '.join(map(_field, value))}{',' * (len(value) == 1)})"
+    return repr(value)
+
+
 class _Value:
     """An immutable value that acts as a frozen dataclass of the names in its
     ``__slots__``, less those that start with "_", which hold caches. Values
     of one class are equal when their fields are, hash as the field tuple,
-    print as Name(field=value, ...), and copy and pickle through the
-    constructor, which stores the values given in field order: a copy
-    rebuilds its caches, or fills them on first read, and never carries
-    them. A class keeps its own __init__, storing through _set, when it
-    checks or defaults its input, or when it is built per membership query:
-    there this loop costs two to three times as much as explicit stores.
+    print as Name(field=value, ...), an int past the int -> str cap in hex
+    (`_field`), and copy and pickle through the constructor, which stores
+    the values given in field order: a copy rebuilds its caches, or fills
+    them on first read, and never carries them. A class keeps its own
+    __init__, storing through _set, when it checks or defaults its input, or
+    when it is built per membership query: there this loop costs two to
+    three times as much as explicit stores.
     Ratio and Factorization store through their slot descriptors' __set__,
     the cheapest store, and skip __init__ where they are built in bulk:
     object.__new__ and the two stores make a Ratio known to be reduced
@@ -72,7 +82,7 @@ class _Value:
         return hash(self._astuple())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={_field(getattr(self, f))}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, *value):  # as __delattr__ too, with no value
@@ -98,6 +108,8 @@ class Ratio(_Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
+        if type(num) is not int or type(den) is not int:  # a bool is no integer
+            raise TypeError("num and den must be integers")
         if den == 0:
             raise DomainError("zero denominator")
         if num < 0 or den < 0:
@@ -219,7 +231,7 @@ class Ratio(_Value):
     def _coerce(value):
         if isinstance(value, Ratio):
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             return Ratio(value)
         raise TypeError(f"unsupported operand for Ratio: {type(value).__name__}")
 
@@ -251,7 +263,7 @@ class Ratio(_Value):
         return Ratio(self.num * other.den, self.den * other.num)
 
     def __pow__(self, e: int) -> "Ratio":
-        if not isinstance(e, int):
+        if type(e) is not int:
             raise TypeError(f"unsupported exponent for Ratio: {type(e).__name__}")
         if e < 0:
             raise DomainError("negative exponent")

@@ -85,6 +85,18 @@ class TestValue:
             "Factorization(monoid=ExpMonoid(r=Ratio(2, 3), delta=DeltaSpec(prefix=(), "
             "tail=Constant(value=1))), coeffs=((0, 8), (4, 1)))")
 
+    def test_repr_past_the_int_str_cap_prints_the_int_in_hex(self):
+        # an int field, or one inside a tuple field, past the cap would make
+        # a plain repr raise; below the cap the text is the dataclass text
+        z = Factorization(CONST, ((0, 10 ** 5000),))
+        assert repr(z) == (
+            "Factorization(monoid=ExpMonoid(r=Ratio(2, 3), delta=DeltaSpec(prefix=(), "
+            f"tail=Constant(value=1))), coeffs=((0, {hex(10 ** 5000)}),))")
+        names = {"Factorization": Factorization, "ExpMonoid": ExpMonoid, "Ratio": Ratio,
+                 "DeltaSpec": DeltaSpec, "Constant": Constant}
+        assert eval(repr(z), names) == z
+        assert repr(Constant(10 ** 5000)) == f"Constant(value={hex(10 ** 5000)})"
+
     @pytest.mark.parametrize("field", ["monoid", "coeffs", "other"])
     def test_immutable(self, field):
         z = F(CONST, {0: 2})

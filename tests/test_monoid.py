@@ -2,7 +2,7 @@ from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from puiseux.errors import DomainError, IndexRangeError, ParseError
 from puiseux.monoid import (Constant, DeltaSpec, ExpMonoid, Geometric,
@@ -351,6 +351,25 @@ def _linear_step(a, b, d):
 def test_recurrence_step_matches_linear_search(ab, d):
     a, b = ab
     assert Recurrence(a, b, 1).step(d) == _linear_step(a, b, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 39).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 40)))
+       .flatmap(lambda ab: st.tuples(st.just(ab), st.integers(4096 // ab[1].bit_length() + 1,
+                                                              16384 // ab[1].bit_length()))))
+@example(((2, 3), 2049))  # the first d past the switch
+@example(((39, 40), 16384 // 6))
+def test_recurrence_step_past_the_4096_bit_switch(case):
+    # d * bits(b) > 4096 sends step to its logarithm branch; the step is the
+    # m with a^m < b^d <= a^(m+1), bisected here on exact powers
+    (a, b), d = case
+    target = b ** d
+    lo, hi = 0, target.bit_length()  # a^0 < b^d < 2^bits <= a^bits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if a ** mid < target else (lo, mid)
+    assume(a ** hi != target)  # the exact ties are pinned below
+    assert Recurrence(a, b, 1).step(d) == lo
 
 
 @pytest.mark.parametrize("a,b,d,expected", [

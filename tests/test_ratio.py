@@ -153,12 +153,12 @@ def test_ordering_and_arithmetic():
     assert Ratio(7, 2).floor() == 3
 
 
-FOREIGN = [1.5, Fraction(1, 2)]
+FOREIGN = [1.5, Fraction(1, 2), True]
 OPERATORS = [operator.lt, operator.le, operator.gt, operator.ge,
              operator.add, operator.sub, operator.mul, operator.truediv]
 
 
-@pytest.mark.parametrize("other", FOREIGN, ids=["float", "Fraction"])
+@pytest.mark.parametrize("other", FOREIGN, ids=["float", "Fraction", "bool"])
 @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
 def test_a_foreign_operand_is_a_type_error(op, other):
     with pytest.raises(TypeError):
@@ -167,15 +167,25 @@ def test_a_foreign_operand_is_a_type_error(op, other):
         op(other, Ratio(1, 2))
 
 
-@pytest.mark.parametrize("e", [0.5, 2.0, Fraction(1, 2), Fraction(2), Ratio(1, 2), Ratio(2)],
+@pytest.mark.parametrize("e", [0.5, 2.0, Fraction(1, 2), Fraction(2), Ratio(1, 2), Ratio(2),
+                               True],
                          ids=["float", "whole-float", "Fraction", "whole-Fraction", "Ratio",
-                              "whole-Ratio"])
+                              "whole-Ratio", "bool"])
 def test_a_foreign_exponent_is_a_type_error(e):
     with pytest.raises(TypeError):
         Ratio(2, 3) ** e
 
 
-@pytest.mark.parametrize("other", FOREIGN, ids=["float", "Fraction"])
+@pytest.mark.parametrize("args", [(True,), (1, True), (False, 1), (1.5,), (Fraction(1, 2),),
+                                  (1, 2.0)],
+                         ids=["bool", "bool-den", "bool-num", "float", "Fraction", "float-den"])
+def test_the_constructor_refuses_what_is_not_an_int(args):
+    # as every other public constructor does: a bool is no integer
+    with pytest.raises(TypeError, match="^num and den must be integers$"):
+        Ratio(*args)
+
+
+@pytest.mark.parametrize("other", FOREIGN, ids=["float", "Fraction", "bool"])
 def test_a_foreign_operand_is_never_equal(other):
     assert (Ratio(1, 2) == other) is False and (other == Ratio(1, 2)) is False
     assert Ratio(1, 2) != other and other != Ratio(1, 2)
