@@ -103,11 +103,11 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
     and takes no gcd. Link m, coefficient c_m >= 1 at index m+1, is checked
     against the stored elements by one multiply-add over d^{s_{m+1}}:
         n^{s_{m+1}} d^{delta_m} = n^{s_{m+2}} + c_m n^{s_{m+1}}.
-    Each link's Factorization is built as in ``enumerate_all``, with
-    object.__new__ and the two slot stores.
+    The links' Factorizations are made in the one bulk pass of
+    ``enumerate_all``, ``factorization._factorizations``.
     """
     # here alone: classify needs no factorizations
-    from .factorization import Factorization, _set_coeffs, _set_monoid
+    from .factorization import _factorizations
     if k < 1:
         raise DomainError("chain length must be >= 1")
     if classify(M).accp != "no":
@@ -121,17 +121,14 @@ def witness_chain(M: ExpMonoid, k: int) -> WitnessChain:
     gaps = list(islice(M.delta.gaps(start), k + 1))
     s, d = s_index(M, start), M.r.den
     elements = tuple(M.r.power_quotients(s + gaps[0], s, zip(gaps[1:], gaps)))
-    diffs, new = [], object.__new__
+    links = []
     for m, prev, x, delta, coeff in zip(count(start), elements, elements[1:], gaps, coeffs):
         d_step = d ** delta
         if (coeff < 1 or prev.den * d_step != x.den
                 or prev.num * d_step != x.num + coeff * prev.num):
             raise ChainError(f"link {m} of the chain does not verify")
-        y = new(Factorization)
-        _set_monoid(y, M)
-        _set_coeffs(y, ((m + 1, coeff),))
-        diffs.append(y)
-    return WitnessChain(start, elements, tuple(diffs))
+        links.append(((m + 1, coeff),))
+    return WitnessChain(start, elements, tuple(_factorizations(M, links)))
 
 
 def construct_counterexample(a: int, b: int, k: int,

@@ -7,8 +7,9 @@ least-length form, bounded exact enumeration, and length sets.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
 from .monoid import ExpMonoid, s_index
@@ -24,8 +25,9 @@ class Factorization(_Value):
     __init__ stores the fields through the slot descriptors' __set__, the
     cheapest store that the blocking __setattr__ leaves open. Enumeration
     builds one per result and a witness chain one per link, so
-    `enumerate_all` and `accp.witness_chain` make each with object.__new__
-    and those two stores, without the __init__ call.
+    `enumerate_all` and `accp.witness_chain` make them all at once in
+    `_factorizations`, with no __init__ call: object.__new__ mapped over
+    the class, then each of those two stores mapped over the objects.
     """
 
     __slots__ = ("monoid", "coeffs")
@@ -67,6 +69,7 @@ class Factorization(_Value):
 
 
 _set_monoid, _set_coeffs = Factorization.monoid.__set__, Factorization.coeffs.__set__
+_coeff = itemgetter(1)
 
 
 class MaxLengthOutcome(_Value):
@@ -196,7 +199,7 @@ def _least_form(x: Ratio, M: ExpMonoid, B: int) -> Optional[Dict[int, int]]:
     """The coefficients of the least-length factorization of x with support
     in [0, B], B inside the window, or None when x has none there.
 
-    One walk, by the residue argument of `_runs`: each level takes the least
+    One walk, by the residue argument of `_leaves`: each level takes the least
     coefficient that can complete. For r >= 1 it walks up from level 0 with
     (a, b) = (n, d), leaving c_i < n^{delta_i} below B; for r < 1 down from
     B with (a, b) = (d, n) over the gaps reversed, leaving c_i <
@@ -230,13 +233,19 @@ def _least_form(x: Ratio, M: ExpMonoid, B: int) -> Optional[Dict[int, int]]:
     return out
 
 
-def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
+def _leaves(x: Ratio, M: ExpMonoid,
+            max_index: int) -> Tuple[Optional[Callable[[int], tuple]], Iterator]:
     """The factorizations of x with support in [0, B], B = max_index cut to
-    the window, grouped into runs: one per node at the last free level B-1.
+    the window, as (run, leaves): leaves lazily yields a (head, R) pair per
+    node at the last free level B-1, where head holds the levels below B-1
+    and R is what levels B-1 and B must make up, and run(R) resolves its run
+    (None when there is no leaf, as d(x) divides no power of d(r)).
 
-    A run (head, B, c, q, k, m, e) stands for the k results head + (B-1, c +
-    j*m) + (B, q - j*e), j < k, where head holds levels below B-1 and m =
-    n^{delta_{B-1}}, e = d^{delta_{B-1}}; a zero coefficient is left out.
+    A run (B, c, q, k, m, e) stands for the k results head + (B-1, c + j*m)
+    + (B, q - j*e), j < k, where m = n^{delta_{B-1}}, e = d^{delta_{B-1}};
+    a zero coefficient is left out, and k = 0 when no c fits in R. It reads
+    R alone: B, m, e and the weights are fixed for the call, so leaves with
+    one R share their run, and a caller resolves it once per distinct R.
     For x = 0 or B = 0 the one result is a run with c = 0 and k = 1.
 
     Residue argument. Count in units of 1/D, D = d^{s_B}: an atom at level i
@@ -251,9 +260,9 @@ def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
     checked once per run and a failure raises StepError.
 
     The walk is depth first over one flat stack of (level i, remainder R,
-    head) nodes, with no recursion: a node at B-1 gives its run, and a node
-    below pushes its children in reverse, so that they pop with the
-    coefficient rising and zero last.
+    head) nodes, with no recursion: a node below B-2 pushes its children in
+    reverse, so that they pop with the coefficient rising and zero last, and
+    a node at B-2 yields its children as leaves in that order, unstacked.
     """
     if max_index < 0:
         raise DomainError("max_index must be >= 0")
@@ -263,11 +272,10 @@ def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
     s = list(accumulate(islice(M.delta.gaps(), B), initial=0))
     D = d ** s[B]
     if D % x.den != 0:
-        return
+        return None, iter(())
     target = x.num * (D // x.den)
     if B == 0:
-        yield (), 0, 0, target, 1, 1, 1
-        return
+        return (lambda R: (0, 0, R, 1, 1, 1)), iter((((), target),))
     # per level i: n^{s_i}, the weight of one atom in units of 1/D, the step
     # n^{delta_i} between coefficients that can complete, 1/d^{s_B-s_i} mod it
     n_pow = [n ** e for e in s]
@@ -276,23 +284,36 @@ def _runs(x: Ratio, M: ExpMonoid, max_index: int) -> Iterator[tuple]:
     inv = [pow(pow(d, s[B] - s[i], mod[i]), -1, mod[i]) for i in range(B)]
     last = B - 1
     m, e = mod[last], d ** (s[B] - s[last])
-    stack = [(0, target, ())]
-    push = stack.append
-    while stack:
-        i, rem, head = stack.pop()
-        # the least coefficient at level i that can complete, and the most that fits
-        c, top = rem // n_pow[i] * inv[i] % mod[i], rem // w[i]
-        if i == last:
-            if c <= top:
-                q, leftover = divmod(rem - c * w[i], w[B])
-                if leftover:
-                    raise StepError(f"level {B} cannot complete the run at level {last}")
-                yield head, B, c, q, (top - c) // m + 1, m, e
-            continue
-        if not c:
-            push((i + 1, rem, head))
-        for c in range(c or mod[i], top + 1, mod[i])[::-1]:
-            push((i + 1, rem - c * w[i], head + ((i, c),)))
+
+    def run(R: int) -> tuple:
+        # the least coefficient at B-1 that can complete, and the most that fits
+        c, top = R // n_pow[last] * inv[last] % m, R // w[last]
+        if c > top:
+            return B, c, 0, 0, m, e
+        q, leftover = divmod(R - c * w[last], w[B])
+        if leftover:
+            raise StepError(f"level {B} cannot complete the run at level {last}")
+        return B, c, q, (top - c) // m + 1, m, e
+
+    def walk() -> Iterator[Tuple[tuple, int]]:
+        stack, hand = [(0, target, ())], last - 1
+        push = stack.append
+        while stack:
+            i, rem, head = stack.pop()
+            step, weight = mod[i], w[i]
+            least, top = rem // n_pow[i] * inv[i] % step, rem // weight
+            if i == hand:
+                for c in range(least or step, top + 1, step):
+                    yield head + ((i, c),), rem - c * weight
+                if not least:
+                    yield head, rem
+                continue
+            if not least:
+                push((i + 1, rem, head))
+            for c in range(least or step, top + 1, step)[::-1]:
+                push((i + 1, rem - c * weight, head + ((i, c),)))
+
+    return run, (walk() if B > 1 else iter((((), target),)))
 
 
 def _expand(B: int, c: int, q: int, k: int, m: int, e: int) -> List[tuple]:
@@ -306,30 +327,38 @@ def _expand(B: int, c: int, q: int, k: int, m: int, e: int) -> List[tuple]:
     return tails
 
 
+def _factorizations(M: ExpMonoid, coeffs: list) -> List[Factorization]:
+    """A Factorization of M per entry of coeffs, in one bulk pass: object.__new__
+    maps over the class, then each slot store over the objects; coeffs must
+    already be sorted (index, coeff >= 1) pairs."""
+    out = list(map(object.__new__, repeat(Factorization, len(coeffs))))
+    any(map(_set_monoid, out, repeat(M)))  # a store returns None: any() runs them all
+    any(map(_set_coeffs, out, coeffs))
+    return out
+
+
 def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int) -> List[Factorization]:
     """All factorizations of x with support in [0, max_index], in ascending
     order of their (index, coeff >= 1) pairs with no sort: every level of
-    `_runs` tries its positive coefficients in rising order and zero last,
+    `_leaves` tries its positive coefficients in rising order and zero last,
     so a result with c atoms at level i comes before one that skips level i,
     whose next pair has a larger index. For r > 1 a max_index at the first
     n with r^{s_n} > x makes the list the complete factorization set of x.
 
-    A run's tail is built once per distinct (c, q), by `_expand`, and shared
-    across the heads: B, m and e are fixed for the call and k follows from c
-    and q, so each result is one head + tail concatenation."""
-    tails: Dict[Tuple[int, int], list] = {}
-    out: List[Factorization] = []
-    new, append = object.__new__, out.append
-    for head, B, c, q, k, m, e in _runs(x, M, max_index):
-        tail = tails.get((c, q))
+    A leaf's tail, the pairs of its run at levels B-1 and B, depends on its
+    remainder R alone, so it is built once per distinct R, by `_expand`, and
+    shared across the heads: each result is one head + tail concatenation,
+    and the Factorizations are made in one pass at the end."""
+    run, leaves = _leaves(x, M, max_index)
+    tails: Dict[int, list] = {}
+    pairs: List[tuple] = []
+    extend = pairs.extend
+    for head, R in leaves:
+        tail = tails.get(R)
         if tail is None:
-            tail = tails[c, q] = _expand(B, c, q, k, m, e)
-        for pairs in map(head.__add__, tail):
-            z = new(Factorization)
-            _set_monoid(z, M)
-            _set_coeffs(z, pairs)
-            append(z)
-    return out
+            tail = tails[R] = _expand(*run(R))
+        extend(map(head.__add__, tail))
+    return _factorizations(M, pairs)
 
 
 def unique_factorization_check(z: Factorization) -> bool:
@@ -355,21 +384,39 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
     end of a finite window, or the next atom r^{s_{max_index+1}} already
     exceeds x.
 
-    The lengths are read per run of the search, never per factorization:
-    along a run they form an arithmetic progression with step
-    n^{delta_{B-1}} - d^{delta_{B-1}}. Without a witness, r < 1 sweeps from
-    the least-length form in [0, B], B = max_index cut to the window, read
-    off by the one walk of `_least_form`.
+    The lengths are read per run, never per factorization: along a run they
+    form an arithmetic progression with step g = n^{delta_{B-1}} -
+    d^{delta_{B-1}}, from the head's length plus c + q. A leaf's run follows
+    from its remainder R alone (`_leaves`), so duplicate (head length, R)
+    leaves are dropped and each distinct R is resolved once. The runs'
+    progressions are merged as intervals per residue class mod |g| (mod 1
+    at r = 1, where g = 0), and no length is inserted one by one. Without a witness, r < 1 sweeps from the
+    least-length form in [0, B], B = max_index cut to the window, read off by
+    the one walk of `_least_form`.
     """
     window = M.delta.max_exponent_index
     B = max_index if window is None else min(max_index, window)
-    found = set()
-    for head, _, c, q, k, m, e in _runs(x, M, max_index):
-        low, step = sum(v for _, v in head) + c + q, m - e
-        found.update(range(low, low + k * step, step) if step else (low,))
-    if not found and witness is None:
+    run, leaves = _leaves(x, M, max_index)
+    runs: Dict[int, tuple] = {}
+    spans, g = [], 1  # (class mod |g|, least, greatest) of each run's lengths
+    for size, R in {(sum(map(_coeff, head)), R) for head, R in leaves}:
+        found = runs.get(R)
+        if found is None:
+            found = runs[R] = run(R)
+        _, c, q, k, m, e = found
+        if k:
+            g = abs(m - e) or 1  # the same for every run; 0 only at r = 1
+            low, high = sorted((size + c + q, size + c + q + (k - 1) * (m - e)))
+            spans.append((low % g, low, high))
+    if not spans and witness is None:
         raise DomainError(f"no factorization with support in [0, {B}]")
-    lengths = tuple(sorted(found))
+    merged = []  # disjoint [class, least, greatest], ascending in each class
+    for cls, low, high in sorted(spans):
+        if merged and merged[-1][0] == cls and low <= merged[-1][2] + g:
+            merged[-1][2] = max(merged[-1][2], high)
+        else:
+            merged.append([cls, low, high])
+    lengths = tuple(sorted(chain.from_iterable(range(low, high + 1, g) for _, low, high in merged)))
     if not lengths:
         return LengthSet(lengths, False, False)
     if M.r.num >= M.r.den:

@@ -6,7 +6,7 @@ in [0, B] reaches the walk's form by steps that keep its value, stay inside
 [0, B] and shorten it: for r > 1 up-steps, n^{delta_i} atoms at level i for
 d^{delta_i} at i+1, which end at c_i < n^{delta_i} below B; for r < 1
 down-steps, which end at c_i < d^{delta_{i-1}} above 0, the minimum normal
-form. The residue argument of `_runs` fixes each such c_i modulo its step,
+form. The residue argument of `_leaves` fixes each such c_i modulo its step,
 so the form is unique, and the walk, which takes the least residue at each
 level, completes exactly when x has a factorization in [0, B]. For r = 1
 the form is x atoms at level 0.

@@ -55,8 +55,10 @@ class _Value:
     Ratio and Factorization store through their slot descriptors' __set__,
     the cheapest store, and skip __init__ where they are built in bulk:
     object.__new__ and the two stores make a Ratio known to be reduced
-    (`Ratio._reduced`, `Ratio.power_quotients`), a Factorization per
-    enumerated result and one per witness-chain link.
+    (`Ratio._reduced`, `Ratio.power_quotients`), and the Factorizations of
+    an enumeration or of a witness chain's links come from one pass,
+    `factorization._factorizations`, that maps object.__new__ over the
+    class and then each store over the objects.
     """
 
     __slots__ = ()
@@ -205,8 +207,8 @@ class Ratio(_Value):
             return self.den == 1 and self.num == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def __hash__(self):  # a whole Ratio equals its int, so hashes as it, as Fraction does
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def __lt__(self, other) -> bool:
         other = self._coerce(other)

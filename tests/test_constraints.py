@@ -263,7 +263,7 @@ def test_membership_has_no_second_path():
     tree = ast.parse((PACKAGE / "membership.py").read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert not imported & {"_runs", "_expand", "_sweep", "min_normal_form"}, imported
+    assert not imported & {"_leaves", "_expand", "_sweep", "min_normal_form"}, imported
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -5,7 +5,7 @@ from math import gcd
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from puiseux import factorization as fz
 from puiseux.accp import Classification, WitnessChain, classify, witness_chain
@@ -780,19 +780,34 @@ def test_the_search_makes_no_factorization_per_result(monkeypatch):
     assert calls == []
 
 
+def _counted_walk(monkeypatch):
+    """Patch `_leaves` to record every leaf it yields and every R its run
+    resolves, with the run it resolves to; returns (leaves, resolved)."""
+    walk, leaves, resolved = fz._leaves, [], []
+
+    def counted(*args):
+        run, found = walk(*args)
+        return ((lambda R: resolved.append((R, run(R))) or resolved[-1][1]),
+                (leaves.append(leaf) or leaf for leaf in found))
+
+    monkeypatch.setattr(fz, "_leaves", counted)
+    return leaves, resolved
+
+
 def test_the_search_builds_each_tail_once_per_call(monkeypatch):
     tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix
     x = evaluate(tail_query)
-    runs, expand, nodes, built, made = fz._runs, fz._expand, [], [], []
-    monkeypatch.setattr(fz, "_runs", lambda *args: (
-        nodes.append(node) or node for node in runs(*args)))
+    leaves, resolved = _counted_walk(monkeypatch)
+    expand, built, made = fz._expand, [], []
     monkeypatch.setattr(fz, "_expand", lambda *args: built.append(args) or expand(*args))
     make = Factorization.make.__func__
     monkeypatch.setattr(Factorization, "make", classmethod(
         lambda cls, M, coeffs: made.append(coeffs) or make(cls, M, coeffs)))
     found = enumerate_all(x, CONST, 5)
-    assert (len(built), len(nodes), len(found)) == (14, 307, 1712)
-    assert len({node[2:4] for node in nodes}) == 14  # one tail per distinct (c, q)
+    assert (len(built), len(leaves), len(found)) == (14, 307, 1712)
+    # one run resolved and one tail built per distinct remainder
+    assert len({R for _, R in leaves}) == len(resolved) == 14
+    assert built == [run for _, run in resolved]
     assert made == []
     # the heads share the pair tuples at levels 4 and 5 of the 14 tails
     tails = [expand(*args) for args in built]
@@ -804,9 +819,11 @@ def test_the_search_builds_each_tail_once_per_call(monkeypatch):
 
 
 def _run_shapes(x, M, B):
-    """Which shapes of run `_runs` yields for (x, M, B)."""
+    """Which shapes of run the leaves of `_leaves` resolve to for (x, M, B)."""
     heads, shapes = {}, set()
-    for head, _, c, q, k, m, e in fz._runs(x, M, B):
+    run, leaves = fz._leaves(x, M, B)
+    for head, R in leaves:
+        _, c, q, k, m, e = run(R)
         heads.setdefault((c, q), set()).add(head)
         if q == (k - 1) * e:
             shapes.add("ends at q = 0")
@@ -854,9 +871,8 @@ def test_the_search_ascends_and_length_sets_match_the_expansion(query):
 def test_length_sets_read_runs_and_enumeration_needs_no_sort(monkeypatch):
     tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix
     x, witness = evaluate(tail_query), min_normal_form(tail_query)
-    runs, least, nodes, walks = fz._runs, fz._least_form, [], []
-    monkeypatch.setattr(fz, "_runs", lambda *args: (
-        nodes.append(node) or node for node in runs(*args)))
+    leaves, resolved = _counted_walk(monkeypatch)
+    least, walks = fz._least_form, []
     monkeypatch.setattr(fz, "_least_form", lambda *args: walks.append(args) or least(*args))
 
     def banned(*args, **kwargs):
@@ -865,16 +881,101 @@ def test_length_sets_read_runs_and_enumeration_needs_no_sort(monkeypatch):
     monkeypatch.setattr(fz, "_expand", banned)
     with_witness = length_set(x, CONST, 5, witness)
     assert with_witness.lengths[0] == witness.length
-    assert (len(nodes), sum(node[4] for node in nodes)) == (307, 1712)  # runs, results
+    runs = dict(resolved)
+    assert (len(leaves), sum(runs[R][3] for _, R in leaves)) == (307, 1712)  # leaves, results
+    assert len(resolved) == len(runs) == 14
     assert walks == []
-    nodes.clear()
+    leaves.clear()
+    resolved.clear()
     # without a witness the sweep starts from the one walk's least form
     assert length_set(x, CONST, 5) == with_witness
-    assert len(nodes) == 307 and walks == [(x, CONST, 5)]
+    assert len(leaves) == 307 and len(resolved) == 14 and walks == [(x, CONST, 5)]
     monkeypatch.undo()
     monkeypatch.setattr(fz, "sorted", banned, raising=False)
     found = [z.coeffs for z in enumerate_all(x, CONST, 5)]
     assert len(found) == 1712 and found == sorted(set(found))
+
+
+def test_a_length_set_resolves_each_remainder_once_and_merges_progressions(monkeypatch):
+    leaves, resolved = _counted_walk(monkeypatch)
+    ranges = []
+    monkeypatch.setattr(fz, "range", lambda *args: ranges.append(range(*args)) or ranges[-1],
+                        raising=False)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a set of lengths")
+
+    monkeypatch.setattr(fz, "set", banned, raising=False)
+    ls = length_set(Ratio(20000), CONST, 2)
+    assert (len(ls.lengths), ls.lengths[0], ls.lengths[-1]) == (25001, 20000, 45000)
+    assert (ls.min_exact, ls.max_exact) == (True, False)
+    assert len(leaves) == len({R for _, R in leaves}) == len(resolved) == 10001
+    # past the ranges over the three levels, the root hands over its 10 000
+    # children with c > 0 from one range, and the 10 001 runs' lengths merge
+    # into one range: no length is inserted one by one
+    assert [len(r) for r in ranges if len(r) > 3] == [10000, 25001]
+    leaves.clear()
+    resolved.clear()
+    tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix, at B = 5
+    assert (length_set(evaluate(tail_query), CONST, 5).lengths[0]
+            == min_normal_form(tail_query).length)
+    assert (len(leaves), len(resolved)) == (307, 14)
+
+
+def _oracle_volume(x, M, B):
+    """The nodes of `oracle_enumerate`'s search, bounded from above by the
+    product of the value caps at each level."""
+    window = M.delta.max_exponent_index
+    B = B if window is None else min(B, window)
+    s = [s_index(M, i) for i in range(B + 1)]
+    n, d = M.r.num, M.r.den
+    if (d ** s[B]) % x.den:
+        return 0
+    target = x.num * (d ** s[B] // x.den)
+    volume = 1
+    for i in range(B + 1):
+        volume *= target // (n ** s[i] * d ** (s[B] - s[i])) + 1
+    return volume
+
+
+# r < 1, r > 1, finite windows, and r = 1, where a run's lengths do not step;
+# on r = 3/7 a residue class can have holes: at B = 4, where the step is 40,
+# the lengths of 27/7 in the class of 5 are 5, 85, 125, ..., with no 45
+ORACLE_FAMILIES = [parse_monoid(text) for text in (
+    "r=2/3; delta=const(1)", "r=2/3; delta=geom(1,2)", "r=3/4; delta=periodic(1,2)",
+    "r=3/5; delta=const(2)", "r=3/7; delta=periodic(1,2)", "r=3/2; delta=const(1)",
+    "r=5/3; delta=prefix(1);geom(2,2)", "r=2/3; delta=prefix(1,1,2);finite",
+    "r=3/2; delta=prefix(1,2);finite", "r=1; delta=const(1)", "r=1/1; delta=prefix(1,2);finite")]
+
+
+@st.composite
+def oracle_queries(draw):
+    """(x, M, B), B from 0 to 4, x = 0 or a few atoms at indices up to B + 1,
+    with the oracle's volume at most 2 * 10^4."""
+    M = draw(st.sampled_from(ORACLE_FAMILIES))
+    B = draw(st.integers(0, 4))
+    support = draw(st.dictionaries(st.integers(0, B + 1), st.integers(1, 4), max_size=3))
+    window = M.delta.max_exponent_index
+    x = evaluate(F(M, {i: c for i, c in support.items() if window is None or i <= window}))
+    assume(_oracle_volume(x, M, B) <= 2 * 10 ** 4)
+    return x, M, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_queries())
+@example((ZERO, CONST, 0))
+@example((ZERO, ORACLE_FAMILIES[5], 3))
+@example((Ratio(4), ORACLE_FAMILIES[9], 3))
+@example((Ratio(12), ORACLE_FAMILIES[7], 1))
+@example((Ratio(27, 7), ORACLE_FAMILIES[4], 4))
+def test_length_sets_match_the_oracle(query):
+    x, M, B = query
+    truth = oracle_lengths(x, M, B)
+    if not truth:
+        with pytest.raises(DomainError, match="no factorization"):
+            length_set(x, M, B)
+        return
+    assert list(length_set(x, M, B).lengths) == truth
 
 
 # ---------------------------------------------------------------------------

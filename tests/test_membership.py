@@ -186,9 +186,9 @@ def test_membership_never_enters_the_search(query):
     q, M = query
 
     def banned(*args):
-        raise AssertionError("is_member entered _runs")
+        raise AssertionError("is_member entered _leaves")
 
-    with patch.object(factorization, "_runs", banned):
+    with patch.object(factorization, "_leaves", banned):
         res = is_member(q, M)
     if res.witness is not None:
         assert evaluate(res.witness) == q

@@ -192,6 +192,21 @@ def test_a_foreign_operand_is_never_equal(other):
     assert Ratio(3) == 3 and 3 == Ratio(3) and Ratio(3, 2) != 1
 
 
+def test_a_whole_ratio_hashes_as_its_int():
+    assert len({Ratio(3), 3}) == 1 and {3: "a"}.get(Ratio(3)) == "a"
+    assert {Ratio(6, 2): "b"}.get(3) == "b" and hash(ZERO) == hash(0)
+
+
+RATIOS_AND_INTS = st.one_of(st.integers(0, 40), st.builds(Ratio, st.integers(0, 40),
+                                                           st.integers(1, 6)))
+
+
+@given(RATIOS_AND_INTS, RATIOS_AND_INTS)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
 @st.composite
 def over_powers(draw, prime_to_d=False):
     """(u, q, v, d, e) for num = u * q^v over d^e, d <= 36, q = d or a prime
