@@ -153,46 +153,78 @@ def min_normal_form(z: Factorization) -> Factorization:
 def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcome:
     """Deterministic low-to-high carry sweep toward the max-length form.
 
-    At level i the running total t_i is split as q*n^{delta_i} + rem; rem
-    stays, q*d^{delta_i} carries to level i+1. Termination (carry hits zero)
+    At level i the running total t_i is split as q_i*n^{delta_i} + rem; rem
+    stays, q_i*d^{delta_i} carries to level i+1. Termination (carry hits zero)
     yields the unique maximum-length factorization; otherwise the bound is
-    reported, at once when a shortfall tail makes the carry endless. On a
-    gap-growth tail (d^{delta_i} < n^{delta_{i+1}}) the carry strictly
-    decreases, so the sweep runs to its end and the bound is ignored. On a
-    finite window the top level keeps all it receives, so it terminates too.
+    reported. On a gap-growth tail (d^{delta_i} < n^{delta_{i+1}}) the carry
+    strictly decreases, so the sweep runs to its end and the bound is ignored.
+    On a finite window the top level keeps all it receives, so it terminates too.
+
+    The bound is reported at once when a certificate shows the carry endless.
+    Coefficients only add, so d^{delta_i} >= n^{delta_{i+1}} gives q_{i+1} >=
+    q_i, and a q_i >= 1 at a level from which that holds at every level never
+    dies. P is the prefix length, and tail position k is level P + k. When a
+    carry from level P + k meets d^{delta_{P+k}} >= n^{delta_{P+k+1}}, read
+    off two powers the sweep forms anyway, it asks `Tail.descent` from k
+    whether the comparison holds at every later position too:
+    - Shortfall: a tail on which it holds at every position says so.
+    - Difference chain, on a polynomial tail delta_{P+k} = p(k). Write H_f(k)
+      for d^{f(k)} >= n^{f(k+1)}, an exact comparison in which an exponent may
+      be negative, and D for the forward difference. If H holds at k for each
+      of p, Dp, ..., D^{m-1}p, m = deg p, then H_p(j) holds for every j >= k.
+      Proof, by induction down from the constant D^m p = m!*lead >= 1, for
+      which H holds since d > n: given H_f(j) and H_{Df}(j), d^{f(j+1)} =
+      d^{f(j)} d^{Df(j)} >= n^{f(j+1)} n^{Df(j+1)} = n^{f(j+2)}, which is
+      H_f(j+1). So a positive quotient at a level i >= P + k never shrinks.
+      The higher differences are small, and H_p(k) is what the sweep saw.
+    - Block compare, on a periodic tail of period L (`Tail.period`), which
+      replaces `Tail.descent` there. Past the prefix, and at or past the top
+      coefficient, q_{i+1} = floor(q_i d^{delta_i} / n^{delta_{i+1}}). One
+      period of these steps is a monotone map F, the same at every level of
+      one phase mod L, so if q one period later is >= q >= 1, then
+      F^{j+1}(q) >= F^j(q) >= 1 for every j and the carry is endless.
+      Otherwise the quotients at that phase never rise again: the sweep
+      reaches 0, or meets F(q) = q one period later.
     """
     _require_contracting(z.monoid, "the max-length sweep")
     if level_bound < 1:
         raise DomainError("level bound must be >= 1")
-    M = z.monoid
-    value = evaluate(z)
+    M, top = z.monoid, z.top_index
     coeffs = z.as_dict()
     n, d = M.r.num, M.r.den
-    window, tail = M.delta.max_exponent_index, M.delta.tail
+    window, tail, P = M.delta.max_exponent_index, M.delta.tail, len(M.delta.prefix)
+    if window is not None and top > window:
+        s_index(M, top)  # raises as evaluate does, before a gap past the window is read
     gaps = M.delta.gaps()  # level i reads delta_i, once and in order
-    # on a shortfall tail (True) d^{delta_i} >= n^{delta_{i+1}} and coefficients
-    # only add, so past the prefix each level's q is at least the last one's
-    descent = False if tail is None else tail.descent(n, d)  # a window ends too
+    period = None if tail is None else tail.period
+    blocks: List[int] = []  # q at each level from max(P, top) on, for the block compare
     out: Dict[int, int] = {}
-    carry = 0
+    carry = up = 0  # up = d^{delta_{i-1}}, read while carry > 0
     i = 0
-    top = z.top_index
     while carry or i <= top:
-        if descent is not False and i > level_bound:
+        # past the bound only a window or a gap-growth tail sweeps on: both end
+        if i > level_bound and tail is not None and tail.descent(n, d) is not False:
             return MaxLengthOutcome(None, level_bound)
         total = coeffs.get(i, 0) + carry
         if i == window:  # the top level of a finite window has none above it
             q, rem = 0, total
         else:
             delta_i = next(gaps)
-            q, rem = divmod(total, n ** delta_i)
-            if q and descent and i >= len(M.delta.prefix):
-                return MaxLengthOutcome(None, level_bound)
+            down = n ** delta_i
+            q, rem = divmod(total, down)
+            if q and i >= P:  # so the tail is not None: a window has i < P here
+                if period:
+                    if i >= top:
+                        blocks.append(q)
+                        if len(blocks) > period and q >= blocks[-1 - period]:
+                            return MaxLengthOutcome(None, level_bound)
+                elif up >= down and carry and i > P and tail.descent(n, d, i - 1 - P):
+                    return MaxLengthOutcome(None, level_bound)
         if rem:
             out[i] = rem
-        carry = q * d ** delta_i if q else 0
+        carry = q * (up := d ** delta_i) if q else 0
         i += 1
-    return MaxLengthOutcome(_checked(M, out, value, "the max-length sweep"), i)
+    return MaxLengthOutcome(_checked(M, out, evaluate(z), "the max-length sweep"), i)
 
 
 def _least_form(x: Ratio, M: ExpMonoid, B: int) -> Optional[Dict[int, int]]:
@@ -390,9 +422,9 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
     from its remainder R alone (`_leaves`), so duplicate (head length, R)
     leaves are dropped and each distinct R is resolved once. The runs'
     progressions are merged as intervals per residue class mod |g| (mod 1
-    at r = 1, where g = 0), and no length is inserted one by one. Without a witness, r < 1 sweeps from the
-    least-length form in [0, B], B = max_index cut to the window, read off by
-    the one walk of `_least_form`.
+    at r = 1, where g = 0), and no length is inserted one by one. Without a
+    witness, r < 1 sweeps from the least-length form in [0, B], B =
+    max_index cut to the window, read off by the one walk of `_least_form`.
     """
     window = M.delta.max_exponent_index
     B = max_index if window is None else min(max_index, window)

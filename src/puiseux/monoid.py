@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from itertools import count, islice, pairwise
 from math import comb
+from operator import mul
 from typing import Iterator, Optional, Tuple
 
 from .errors import DomainError, IndexRangeError, ParseError
@@ -68,6 +69,11 @@ def _log_pair(x: int, y: int) -> Optional[Tuple[int, int]]:
     return max_power_dividing(u, x), max_power_dividing(u, y)
 
 
+def _at_least(d: int, a: int, n: int, b: int) -> bool:
+    """d^a >= n^b exactly, for d, n >= 1 and exponents of either sign."""
+    return d ** max(a, 0) * n ** max(-b, 0) >= n ** max(b, 0) * d ** max(-a, 0)
+
+
 class Tail(_Value):
     """A gap-rule family: the gaps past the explicit prefix.
 
@@ -75,10 +81,12 @@ class Tail(_Value):
     more integers) and supplies ``total(k)``, the sum of its first k gaps in
     closed form, and ``accp_rule(M)``, which returns the (verdict, rule,
     instance) of the chain-condition classifier for an atomic M with r < 1
-    and this tail.
+    and this tail. ``period`` is the length of the cycle a periodic family
+    repeats, and None for the others.
     """
 
     __slots__ = ()
+    period = None
 
     @property
     def args(self) -> tuple:
@@ -86,9 +94,10 @@ class Tail(_Value):
         values = self._astuple()
         return values if self.arity else values[0]
 
-    def descent(self, n: int, d: int) -> Optional[bool]:
-        """True when d^{delta_k} >= n^{delta_{k+1}} is certain at every tail
-        position, False when d^{delta_k} < n^{delta_{k+1}} is, None otherwise."""
+    def descent(self, n: int, d: int, k: int = 0) -> Optional[bool]:
+        """True when d^{delta_j} >= n^{delta_{j+1}} is certain at every tail
+        position j >= k, False when d^{delta_j} < n^{delta_{j+1}} is, None
+        otherwise. Only a polynomial's answer depends on k."""
         return None
 
     def necessary_bound(self, n: int, d: int) -> Tuple[object, str]:
@@ -116,7 +125,7 @@ class Constant(Tail):
     def shifted(self, j: int) -> "Constant":
         return self
 
-    def descent(self, n: int, d: int) -> bool:
+    def descent(self, n: int, d: int, k: int = 0) -> bool:
         return d >= n
 
     def accp_rule(self, M):
@@ -213,6 +222,21 @@ class Polynomial(Tail):
     def shifted(self, j: int) -> "Polynomial":
         return Polynomial(_shift(self.coeffs, j)) if j else self
 
+    def descent(self, n: int, d: int, k: int = 0) -> Optional[bool]:
+        # the difference chain of max_length_sweep: d^{f(k)} >= n^{f(k+1)} for
+        # f = D^j p, j = m-1, ..., 0, the smallest exponents first. D^j p(k) is
+        # sum_t N_{j+t} C(k, t) over the Newton form N, which is N_j at k = 0
+        if d < n:
+            return None
+        v = N = self._newton
+        if k:
+            binomials = [comb(k, t) for t in range(len(N))]
+            v = [sum(map(mul, N[j:], binomials)) for j in range(len(N))]
+        for j in range(len(N) - 2, -1, -1):
+            if not _at_least(d, v[j], n, v[j] + v[j + 1]):
+                return None
+        return True
+
     def accp_rule(self, M):
         if len(self.coeffs) == 1:
             return Constant(self.coeffs[0]).accp_rule(M)
@@ -246,7 +270,7 @@ class Geometric(Tail):
     def shifted(self, j: int) -> "Geometric":
         return Geometric(self.scale * self.ratio ** j, self.ratio)
 
-    def descent(self, n: int, d: int) -> bool:
+    def descent(self, n: int, d: int, k: int = 0) -> bool:
         # delta_{k+1} = ratio * delta_k: the single comparison d >= n^ratio
         return d >= n ** self.ratio
 
@@ -284,7 +308,11 @@ class Periodic(Tail):
         j %= len(self.pattern)
         return Periodic(self.pattern[j:] + self.pattern[:j])
 
-    def descent(self, n: int, d: int) -> Optional[bool]:
+    @property
+    def period(self) -> int:
+        return len(self.pattern)
+
+    def descent(self, n: int, d: int, k: int = 0) -> Optional[bool]:
         # the tail repeats one cycle of comparisons: certain when they agree
         found = {d ** a >= n ** b for a, b in pairwise(self.pattern + self.pattern[:1])}
         return found.pop() if len(found) == 1 else None
@@ -336,7 +364,8 @@ class Recurrence(Tail):
 
             prec = len(str(d)) + 20
             ctx = Context(prec=prec)
-            x = ctx.multiply(Decimal(d), ctx.divide(ctx.ln(Decimal(self.b)), ctx.ln(Decimal(self.a))))
+            x = ctx.multiply(Decimal(d),
+                             ctx.divide(ctx.ln(Decimal(self.b)), ctx.ln(Decimal(self.a))))
             m = int(x.to_integral_value(rounding=ROUND_FLOOR))
             frac, eps = x - m, x.scaleb(3 - prec)
             if eps < frac < 1 - eps:
@@ -375,7 +404,7 @@ class Recurrence(Tail):
         """Every gap is the seed: delta_1 = delta_0, and (b/a)^delta rises with delta."""
         return self.delta(1) == self.seed
 
-    def descent(self, n: int, d: int) -> Optional[bool]:
+    def descent(self, n: int, d: int, k: int = 0) -> Optional[bool]:
         # b^delta_k > a^delta_{k+1} holds at every step. It gives d^delta_k >
         # n^delta_{k+1} when (a, b) = g*(n, d), g >= 1, as log_a b <= log_n d,
         # and when a^q = n^p and b^q = d^p, p, q >= 1, raised to the power p/q.

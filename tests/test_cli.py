@@ -413,13 +413,18 @@ def test_a_layer_resolves_after_a_bare_import():
 @pytest.mark.parametrize("argv, result", [
     (("max-length", "--monoid", "r=2/5; delta=geom(1,2)", "--z", "[[0,100]]"),
      {"levels_explored": 64, "status": "no-termination-within-bound"}),
+    (("max-length", "--monoid", "r=2/3; delta=poly(1,1)", "--z", "[[0,100]]"),
+     {"levels_explored": 64, "status": "no-termination-within-bound"}),
+    (("max-length", "--monoid", "r=3/4; delta=periodic(1,2)", "--z", "[[0,100]]"),
+     {"levels_explored": 64, "status": "no-termination-within-bound"}),
     (("max-length", "--monoid", "r=2/3; delta=recurrence(2,3,2)", "--z", "[[0,100]]"),
      {"levels_explored": 64, "status": "no-termination-within-bound"}),
     (("lengths", "--monoid", "r=2/3; delta=recurrence(2,3,2)", "--x", "100",
       "--max-index", "2"), {"min_exact": True, "max_exact": False}),
     (("max-length", "--monoid", "r=4/9; delta=recurrence(2,3,2)", "--z", "[[0,100]]"),
      {"levels_explored": 64, "status": "no-termination-within-bound"}),
-], ids=["geom-2/5", "recurrence-max-length", "recurrence-lengths", "equal-logs-max-length"])
+], ids=["geom-2/5", "poly-2/3", "periodic-3/4", "recurrence-max-length", "recurrence-lengths",
+        "equal-logs-max-length"])
 def test_endless_carries_answer_at_once(argv, result):
     # carries that can never die: the sweep used to form powers of gigabits
     # before it reached level 64
@@ -428,6 +433,18 @@ def test_endless_carries_answer_at_once(argv, result):
     doc = json.loads(proc.stdout)
     assert doc["status"] == "ok"
     assert result.items() <= doc["result"].items()
+
+
+@pytest.mark.parametrize("spec, bound", [("r=2/3; delta=poly(1,1)", 100000),
+                                         ("r=3/4; delta=periodic(1,2)", 10000000)],
+                         ids=["difference-chain", "block-compare"])
+def test_an_endless_carry_answers_at_once_at_any_bound(spec, bound):
+    # a sweep to the bound would form n^{delta_i} at every level up to it
+    argv = ("max-length", "--monoid", spec, "--z", "[[0,100]]", "--bound", str(bound))
+    proc = _run_capped("-m", "puiseux.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == {"levels_explored": bound,
+                                                 "status": "no-termination-within-bound"}
 
 
 @pytest.mark.parametrize("x, result", [

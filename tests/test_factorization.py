@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from puiseux import factorization as fz
 from puiseux.accp import Classification, WitnessChain, classify, witness_chain
-from puiseux.errors import DomainError, StepError
+from puiseux.errors import DomainError, IndexRangeError, StepError
 from puiseux.factorization import (Factorization, LengthSet, MaxLengthOutcome, enumerate_all,
                                    evaluate, length_set, max_length_sweep,
                                    min_normal_form, rewrite_down_step,
@@ -360,6 +360,20 @@ class TestMaxLengthSweep:
         out = max_length_sweep(F(fin, {0: 3}))
         assert out.found == F(fin, {0: 1, 1: 3})
         assert oracle_lengths(Ratio(3), fin, 1) == [3, 4]
+
+    def test_a_z_past_the_window_names_its_index(self):
+        fin = parse_monoid("r=2/3; delta=prefix(1,1,1); finite")
+        with pytest.raises(IndexRangeError, match="^exponent index 5 beyond finite window 3$"):
+            max_length_sweep(F(fin, {0: 1, 5: 1}))
+
+    def test_z_is_evaluated_only_for_a_result(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("puiseux.factorization.evaluate",
+                            lambda z: calls.append(z) or evaluate(z))
+        assert not max_length_sweep(F(CONST, {0: 2})).terminated
+        assert calls == []
+        out = max_length_sweep(F(GEOM, {0: 2}), 16)
+        assert calls == [F(GEOM, {0: 2}), out.found]
 
 
 class TestEnumerateAll:
@@ -1054,11 +1068,12 @@ def test_shortfall_exit_matches_the_full_sweep(r, tail, support, level_bound):
     assume(M.r.den > 1)
     z = F(M, support)
     fast = max_length_sweep(z, level_bound)
-    # withdraw the shortfall certificate (True -> None); gap growth (False)
-    # stays, since without it a terminating sweep would stop at the bound
+    # withdraw the shortfall certificate (True -> None) from every start;
+    # gap growth (False) stays, since without it a terminating sweep would
+    # stop at the bound
     descent = type(M.delta.tail).descent
     with patch.object(type(M.delta.tail), "descent",
-                      lambda self, n, d: descent(self, n, d) and None):
+                      lambda self, n, d, k=0: descent(self, n, d, k) and None):
         assert max_length_sweep(z, level_bound) == fast
 
 
@@ -1075,3 +1090,125 @@ def test_shortfall_answers_without_sweeping(monkeypatch):
 
     monkeypatch.setattr(Geometric, "delta", delta)
     assert max_length_sweep(F(M, {0: 100})) == MaxLengthOutcome(None, 64)
+
+
+# ---------------------------------------------------------------------------
+# The difference chain (polynomial tails) and the block compare (periodic
+# tails) end a carry sweep that cannot terminate
+# ---------------------------------------------------------------------------
+
+CERTIFIED_TAILS = SHORTFALL_TAILS + ["poly(2,0,1)", "prefix(2);poly(1,1)", "periodic(1,1,2)"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d))),
+       st.sampled_from(CERTIFIED_TAILS),
+       st.dictionaries(st.integers(0, 6), st.integers(1, 10 ** 3), max_size=3),
+       st.integers(1, 14))
+# 9^2 >= 8^1 at tail position 4, where p falls: a check of H_p alone would
+# end this sweep, which terminates at level 7
+@example((8, 9), "poly(26,-10,1)", {4: 1000}, 14)
+# the carry into the first tail level comes from a prefix gap: no tail
+# position lies behind it, so no chain is asked there
+@example((2, 3), "prefix(2);poly(1,1)", {0: 100}, 14)
+# q = 1, 0, 1, 0, 1, 0 at levels 0-5: only from the top coefficient on does
+# one period of steps map q to q, so a compare from level 0 would misfire
+@example((8, 9), "periodic(1,2)", {0: 8, 2: 8, 4: 8}, 14)
+def test_certified_exits_match_the_full_sweep(r, tail, support, level_bound):
+    M = parse_monoid(f"r={r[0]}/{r[1]}; delta={tail}")
+    assume(M.r.den > 1)
+    z = F(M, support)
+    fast = max_length_sweep(z, level_bound)
+    # withdraw all three certificates: the shortfall and the difference chain
+    # answer through descent (True -> None, gap growth stays), the block
+    # compare through the period
+    descent = type(M.delta.tail).descent
+    with patch.object(type(M.delta.tail), "descent",
+                      lambda self, n, d, k=0: descent(self, n, d, k) and None), \
+            patch.object(Periodic, "period", None):
+        assert max_length_sweep(z, level_bound) == fast
+
+
+@pytest.mark.parametrize("spec, family", [("r=2/3; delta=poly(1,1)", Polynomial),
+                                          ("r=3/4; delta=periodic(1,2)", Periodic)],
+                         ids=["difference-chain", "block-compare"])
+def test_certified_exits_answer_without_sweeping(monkeypatch, spec, family):
+    # poly(1,1): 3^2 >= 2^3 is the chain at position 1; periodic(1,2): the
+    # quotient at level 2 is 74 >= 33 at level 0. A sweep to level 10**6 would
+    # read every gap up to it
+    M = parse_monoid(spec)
+    original = family.delta
+
+    def delta(self, k):
+        if k > 3:
+            raise RuntimeError(f"the sweep reached gap {k}")
+        return original(self, k)
+
+    monkeypatch.setattr(family, "delta", delta)
+    assert max_length_sweep(F(M, {0: 100}), 10 ** 6) == MaxLengthOutcome(None, 10 ** 6)
+
+
+def _holds(d, a, n, b):
+    return d ** a >= n ** b
+
+
+@st.composite
+def polynomials(draw):
+    degree = draw(st.integers(1, 3))
+    coeffs = draw(st.tuples(*[st.integers(-4, 4)] * degree, st.integers(1, 2)))
+    try:
+        return Polynomial(coeffs)
+    except DomainError:  # p takes a value below 1
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(), st.integers(2, 9).flatmap(
+    lambda d: st.tuples(st.integers(1, d - 1), st.just(d))), st.integers(0, 12))
+@example(Polynomial((1, 0, 1)), (2, 3), 4)  # 3^17 >= 2^26 and 3^9 >= 2^11
+@example(Polynomial((1, 1)), (2, 3), 1)
+# p falls and then rises: H_p holds at k while the chain, with Dp(k) < 0,
+# does not, and H_p fails later, at k + 2 here (3 < 2^2)
+@example(Polynomial((5, -4, 1)), (2, 3), 0)
+# and at k + 1 here (9 < 8^2)
+@example(Polynomial((26, -10, 1)), (8, 9), 4)
+def test_the_difference_chain_is_a_certificate(p, r, k):
+    n, d = r
+    if p.descent(n, d, k):
+        assert all(_holds(d, p.delta(j), n, p.delta(j + 1)) for j in range(k, k + 41))
+    # the chain at k includes d^{p(k)} >= n^{p(k+1)} itself
+    if not _holds(d, p.delta(k), n, p.delta(k + 1)):
+        assert p.descent(n, d, k) is None
+
+
+def _quotients(M, z, levels):
+    """The quotient q_i at each level i < levels of the plain sweep, no exit."""
+    n, d = M.r.num, M.r.den
+    carry, out = 0, []
+    for i, gap in zip(range(levels), M.delta.gaps()):
+        q = (z.as_dict().get(i, 0) + carry) // n ** gap
+        out.append(q)
+        carry = q * d ** gap
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d))),
+       st.lists(st.integers(1, 4), max_size=2), st.lists(st.integers(1, 4), min_size=2, max_size=4),
+       st.dictionaries(st.integers(0, 6), st.integers(1, 10 ** 4), min_size=1, max_size=3))
+@example((3, 4), [], [1, 2], {0: 100})
+def test_the_block_compare_is_a_certificate(r, prefix, pattern, support):
+    M = ExpMonoid(Ratio(*r), DeltaSpec(tuple(prefix), Periodic(tuple(pattern))))
+    assume(M.r.den > 1 and M.delta.tail.descent(M.r.num, M.r.den) is None)
+    z = F(M, support)
+    reads = []
+    original = Periodic.delta
+    with patch.object(Periodic, "delta", lambda self, k: reads.append(k) or original(self, k)):
+        out = max_length_sweep(z, 10 ** 6)
+    if out.terminated:
+        return
+    # the compare fired at the level of the last gap read: the carry of the
+    # plain sweep lives on for 20 more periods
+    fired = len(prefix) + max(reads)
+    assert fired < len(prefix) + 200 * len(pattern)
+    assert all(_quotients(M, z, fired + 20 * len(pattern) + 1)[fired:])
