@@ -14,12 +14,13 @@ _EXPORTS = {
     "factorization": ("Factorization", "LengthSet", "MaxLengthOutcome", "enumerate_all",
                       "evaluate", "length_set", "max_length_sweep", "min_normal_form",
                       "rewrite_down_step", "unique_factorization_check"),
-    "membership": ("MembershipResult", "divides", "is_member"),
+    "membership": ("MembershipResult", "divides", "is_member", "mult_divides",
+                   "mult_divisor_bound"),
     "accp": ("Classification", "WitnessChain", "check_necessary", "classify",
              "construct_counterexample", "series_partial_sums", "witness_chain"),
     "semiring": ("MultVerdict", "NumericalMonoidSpec", "PrefixCofinite", "apery_set",
                  "classify_mult", "frobenius", "frobenius_bruteforce", "is_semiring",
-                 "mult_divides", "mult_divisor_bound", "nm_membership", "parse_exponent_set"),
+                 "nm_membership", "parse_exponent_set"),
     "oracle": ("oracle_enumerate", "oracle_lengths"),
 }
 # each exported name -> its module; each module -> None

@@ -15,17 +15,21 @@ Membership is decided for r >= 1 and for finite windows; for r < 1 with an
 infinite tail the walk gives a witness or the bound it used is reported.
 Denominator obstructions give definitive negatives: every element's
 denominator divides a power of d(r).
+
+The semiring layer's bridge to the monoid layer lives here, so that layer
+loads none of it: `exponent_monoid`, which reads an exponent set N through
+`N.window()` alone, `mult_divisor_bound` and `mult_divides`.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import DomainError
 from .factorization import Factorization, _checked, _least_form
-from .monoid import ExpMonoid
-from .ratio import Ratio, _Value, _set
+from .monoid import Constant, DeltaSpec, ExpMonoid
+from .ratio import Ratio, _Value, _set, max_power_dividing
 
 
 class MembershipResult(_Value):
@@ -100,3 +104,46 @@ def divides(x: Ratio, y: Ratio, M: ExpMonoid) -> MembershipResult:
     if y < x:
         return MembershipResult("not-member", reason="negative difference")
     return is_member(y - x, M)
+
+
+def exponent_monoid(r: Ratio, N) -> Tuple[ExpMonoid, int]:
+    """The generated monoid as an explicit gap spec, plus the least exponent.
+
+    Past its conductor every exponent set here is an arithmetic tail with
+    step gcd(N), so a finite gap prefix plus a constant tail is exact. When
+    min(N) > 0 the monoid is r^{min} times the shifted monoid; the shift is
+    returned so callers can divide it out.
+    """
+    members, step = N.window()
+    gaps = tuple(b - a for a, b in zip(members, members[1:]))
+    # drop the stabilized run of `step` gaps into the constant tail
+    cut = len(gaps)
+    while cut > 0 and gaps[cut - 1] == step:
+        cut -= 1
+    spec = DeltaSpec(gaps[:cut], Constant(step))
+    return ExpMonoid(r, spec), members[0]
+
+
+def mult_divisor_bound(r: Ratio, x: Ratio) -> int:
+    """max{n : n(r)^n | n(x)}: no higher power of r divides x multiplicatively."""
+    if not 1 < r.num < r.den:
+        raise DomainError("not applicable: needs r < 1 < n(r)")
+    if x.num == 0:
+        raise DomainError("not applicable: x must be positive")
+    return max_power_dividing(r.num, x.num)
+
+
+def mult_divides(r: Ratio, n: int, x: Ratio, N) -> MembershipResult:
+    """Whether r^n divides x in the multiplicative monoid of the semiring."""
+    if x.num == 0:
+        raise DomainError("x must be positive")
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    if 1 < r.num < r.den:
+        bound = max_power_dividing(r.num, x.num)
+        if n > bound:
+            return MembershipResult(
+                "not-member",
+                reason=f"n={n} exceeds the multiplicative divisor bound {bound}")
+    M, base = exponent_monoid(r, N)
+    return is_member(x / r ** (n + base), M)

@@ -16,20 +16,12 @@ from operator import mul
 from typing import Iterator, Optional, Tuple
 
 from .errors import DomainError, IndexRangeError, ParseError
-from .ratio import Ratio, _ints, _printable, _set, _Value, max_power_dividing
+from .ratio import Ratio, _ints, _power, _set, _Value, max_power_dividing
 
 
 # ---------------------------------------------------------------------------
 # Tail rules
 # ---------------------------------------------------------------------------
-
-def _power(base: int, e: int) -> str:
-    """base**e in decimal, or "base^e" when it is too long for int -> str."""
-    try:
-        return str(base ** e)
-    except ValueError:
-        return f"{_printable(base)}^{e}"
-
 
 SCAN_LIMIT = 10_000  # indices scanned for a run of the descending identity
 

@@ -32,6 +32,14 @@ def _literal(value: int) -> str:
         return hex(value)
 
 
+def _power(base: int, e: int) -> str:
+    """base**e in decimal, or "base^e" when it is too long for int -> str."""
+    try:
+        return str(base ** e)
+    except ValueError:
+        return f"{_printable(base)}^{e}"
+
+
 def _field(value) -> str:
     """repr(value), with each int, also one inside a tuple, printed by `_literal`."""
     if type(value) is int:

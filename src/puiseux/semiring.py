@@ -5,6 +5,9 @@ An exponent set N turns the generated monoid into a semiring exactly when N
 is (isomorphic to) a numerical monoid; chain conditions of the restricted
 multiplicative monoid delegate to the full cyclic one, so the verdicts here
 never depend on N.
+
+This module imports `errors` and `ratio` alone. Its bridge to the monoid layer,
+`exponent_monoid`, `mult_divisor_bound` and `mult_divides`, lives in `membership`.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from math import gcd, isqrt
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DomainError, ParseError
-from .membership import MembershipResult, is_member
-from .monoid import Constant, DeltaSpec, ExpMonoid, _power
-from .ratio import Ratio, _ints, _Value, max_power_dividing
+from .ratio import Ratio, _ints, _power, _Value, max_power_dividing
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +181,12 @@ def parse_exponent_set(text: str) -> ExponentSetSpec:
         raise ParseError(f"bad {what} set {text!r}: {exc}") from exc
 
 
-def exponent_monoid(r: Ratio, N: ExponentSetSpec) -> Tuple[ExpMonoid, int]:
-    """The generated monoid as an explicit gap spec, plus the least exponent.
-
-    Past its conductor every exponent set here is an arithmetic tail with
-    step gcd(N), so a finite gap prefix plus a constant tail is exact. When
-    min(N) > 0 the monoid is r^{min} times the shifted monoid; the shift is
-    returned so callers can divide it out.
-    """
-    members, step = N.window()
-    gaps = tuple(b - a for a, b in zip(members, members[1:]))
-    # drop the stabilized run of `step` gaps into the constant tail
-    cut = len(gaps)
-    while cut > 0 and gaps[cut - 1] == step:
-        cut -= 1
-    spec = DeltaSpec(gaps[:cut], Constant(step))
-    return ExpMonoid(r, spec), members[0]
+def __getattr__(name):  # the bridge's names load `membership` on first use (PEP 562), then keep it
+    if name not in ("exponent_monoid", "mult_divisor_bound", "mult_divides"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import membership
+    value = globals()[name] = getattr(membership, name)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -211,31 +202,6 @@ def is_semiring(r: Ratio, N: ExponentSetSpec) -> Dict[str, object]:
                              "hypothesis (n(r)=1 or r integral)")
     out["semiring"], out["reason"] = N.closure()
     return out
-
-
-def mult_divisor_bound(r: Ratio, x: Ratio) -> int:
-    """max{n : n(r)^n | n(x)}: no higher power of r divides x multiplicatively."""
-    if not 1 < r.num < r.den:
-        raise DomainError("not applicable: needs r < 1 < n(r)")
-    if x.num == 0:
-        raise DomainError("not applicable: x must be positive")
-    return max_power_dividing(r.num, x.num)
-
-
-def mult_divides(r: Ratio, n: int, x: Ratio, N: ExponentSetSpec) -> MembershipResult:
-    """Whether r^n divides x in the multiplicative monoid of the semiring."""
-    if x.num == 0:
-        raise DomainError("x must be positive")
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if 1 < r.num < r.den:
-        bound = max_power_dividing(r.num, x.num)
-        if n > bound:
-            return MembershipResult(
-                "not-member",
-                reason=f"n={n} exceeds the multiplicative divisor bound {bound}")
-    M, base = exponent_monoid(r, N)
-    return is_member(x / r ** (n + base), M)
 
 
 class MultVerdict(_Value):

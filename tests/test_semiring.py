@@ -1,3 +1,4 @@
+import builtins
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from puiseux import semiring
+from puiseux import membership, semiring
 from puiseux.errors import DomainError, ParseError
 from puiseux.factorization import Factorization, evaluate
 from puiseux.membership import is_member
@@ -333,6 +334,48 @@ class TestMultiplicativeDivisibility:
                     res = mult_divides(r, n, x, NATURALS)
                     if res.is_member:
                         assert n <= mult_divisor_bound(r, x)
+
+
+BRIDGE = ("exponent_monoid", "mult_divisor_bound", "mult_divides")
+
+
+class TestBridgeInMembership:
+    # the bridge to the monoid layer lives in membership; puiseux.semiring
+    # binds each of its names on first use, so a semiring-only process loads
+    # no monoid layer and later calls resolve a plain global
+
+    def test_first_use_binds_the_membership_object(self, monkeypatch):
+        for name in BRIDGE:
+            monkeypatch.delitem(vars(semiring), name)
+            value = getattr(semiring, name)
+            assert value is getattr(membership, name)
+            assert vars(semiring)[name] is value
+
+    def test_other_names_are_refused(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            semiring.no_such_name
+
+    def test_calls_after_first_use_run_no_import(self, monkeypatch):
+        r, x, N = Ratio(2, 3), Ratio(4, 3), NM(3, 5, 7)
+        for name in BRIDGE:
+            monkeypatch.delitem(vars(semiring), name)
+            getattr(semiring, name)
+        imports = []
+        real = builtins.__import__
+
+        def counted(*args, **kwargs):
+            imports.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counted)
+        for _ in range(100):
+            semiring.exponent_monoid(r, N)
+            semiring.mult_divisor_bound(r, x)
+            semiring.mult_divides(r, 1, x, N)
+            semiring.classify_mult(r)
+            semiring.is_semiring(r, N)
+        monkeypatch.undo()
+        assert imports == []
 
 
 def _knapsack_divides(r: Fraction, n: int, x: Fraction, N: PrefixCofinite) -> bool:
