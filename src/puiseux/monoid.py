@@ -10,6 +10,7 @@ materialized list.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import count, islice, pairwise
 from math import comb
 from operator import mul
@@ -61,8 +62,34 @@ def _log_pair(x: int, y: int) -> Optional[Tuple[int, int]]:
     return max_power_dividing(u, x), max_power_dividing(u, y)
 
 
+@lru_cache(maxsize=4096)
+def _log2_bounds(x: int, p: int) -> Tuple[int, int]:
+    """Integers lo <= 2^p log2 x < hi for x >= 1, off the bit length of x^(2^p):
+    x is squared p times, each square cut to p + 8 leading bits, down for lo
+    and up for hi. Each end moves by under 2^-6 before rounding: hi - lo <= 2."""
+    def end(sign):  # floor cuts for lo, ceiling cuts for hi; m 2^e bounds x^(2^i)
+        m, e = x, 0
+        for _ in range(p):
+            m *= m
+            cut = max(m.bit_length() - p - 8, 0)
+            m, e = sign * (sign * m >> cut), 2 * e + cut
+        return e + m.bit_length() - (sign > 0)
+    return end(1), end(-1)
+
+
 def _at_least(d: int, a: int, n: int, b: int) -> bool:
-    """d^a >= n^b exactly, for d, n >= 1 and exponents of either sign."""
+    """d^a >= n^b exactly, for d, n >= 1 and exponents of either sign. Past
+    4096 bits of powers, log2 brackets of d and n at 32 bits past the
+    exponents' bit length decide, and a near tie gets a second look at four
+    times the bits; the powers are formed only when the two sides' brackets
+    still overlap, as on a tie such as 4^3000 = 8^2000."""
+    if max(abs(a) * d.bit_length(), abs(b) * n.bit_length()) > 4096:
+        e = max(abs(a), abs(b)).bit_length()
+        for p in (e + 32, 4 * e + 64):
+            (d_lo, d_hi), (n_lo, n_hi) = _log2_bounds(d, p), _log2_bounds(n, p)
+            (l0, l1), (r0, r1) = sorted((a * d_lo, a * d_hi)), sorted((b * n_lo, b * n_hi))
+            if l0 >= r1 or l1 < r0:
+                return l0 >= r1
     return d ** max(a, 0) * n ** max(-b, 0) >= n ** max(b, 0) * d ** max(-a, 0)
 
 
@@ -232,10 +259,11 @@ class Polynomial(Tail):
     def accp_rule(self, M):
         if len(self.coeffs) == 1:
             return Constant(self.coeffs[0]).accp_rule(M)
-        found = descending_run(M, 1, SCAN_LIMIT)
+        gaps = enumerate(pairwise(islice(M.delta.gaps(), SCAN_LIMIT + 1)))
+        found = next((j for j, (low, up) in gaps if not _at_least(M.r.num, up, M.r.den, low)), None)
         if found is None:  # the gap ratio tends to 1, but slowly when d is close to n
             return "unknown", "no-closed-form", ""
-        return "no", "polynomial-gaps", _shortfall_instance(M, found[0])
+        return "no", "polynomial-gaps", _shortfall_instance(M, found)
 
 
 class Geometric(Tail):
@@ -264,7 +292,7 @@ class Geometric(Tail):
 
     def descent(self, n: int, d: int, k: int = 0) -> bool:
         # delta_{k+1} = ratio * delta_k: the single comparison d >= n^ratio
-        return d >= n ** self.ratio
+        return _at_least(d, 1, n, self.ratio)
 
     def accp_rule(self, M):
         n, d, c = M.r.num, M.r.den, self.ratio
@@ -276,7 +304,7 @@ class Geometric(Tail):
 
     def necessary_bound(self, n: int, d: int) -> Tuple[object, str]:
         c = self.ratio
-        return d <= n ** c, f"n(r)^{c}={_power(n, c)} (delta_n/s_n -> {c - 1})"
+        return _at_least(n, c, d, 1), f"n(r)^{c}={_power(n, c)} (delta_n/s_n -> {c - 1})"
 
 
 class Periodic(Tail):
@@ -306,7 +334,7 @@ class Periodic(Tail):
 
     def descent(self, n: int, d: int, k: int = 0) -> Optional[bool]:
         # the tail repeats one cycle of comparisons: certain when they agree
-        found = {d ** a >= n ** b for a, b in pairwise(self.pattern + self.pattern[:1])}
+        found = {_at_least(d, a, n, b) for a, b in pairwise(self.pattern + self.pattern[:1])}
         return found.pop() if len(found) == 1 else None
 
     def accp_rule(self, M):
@@ -318,7 +346,7 @@ class Recurrence(Tail):
 
     This is the integer form of the slowly-growing gap construction whose
     ratios approach log_a(b) from below; by definition b**delta_k >
-    a**delta_{k+1} at every step.
+    a**delta_{k+1} at every step; ``step`` compares the powers by ``_at_least``.
     """
 
     __slots__ = ("a", "b", "seed", "_memo")  # _memo: the gaps so far, from delta_0
@@ -336,41 +364,13 @@ class Recurrence(Tail):
         _set(self, "_memo", [seed])
 
     def step(self, d: int) -> int:
-        # the step m has a^m < b^d <= a^(m+1); bisect on a bracket
-        # a^lo < b^d <= a^hi by comparing exact powers
-        if d * self.b.bit_length() <= 4096:
-            target = self.b ** d
-            bits = target.bit_length()
-            # a^lo < 2^(bits-1) <= target < 2^bits <= a^hi
-            lo = max(1, (bits - 1) // self.a.bit_length())
-            hi = -(-bits // (self.a.bit_length() - 1))
-        else:
-            # Past about 4096 bits, forming b^d costs more than logarithms:
-            # a^m < b^d iff m < y = d ln b / ln a. Decimal's ln and arithmetic
-            # round correctly, so four roundings at `prec` digits put x within
-            # x * 10^(2 - prec) of y; the check allows ten times that for
-            # margin. floor(x) is the step unless x lies that close to an
-            # integer, and only then is b^d formed. Only this branch needs
-            # decimal, so a query whose gaps stay small never imports it.
-            from decimal import ROUND_FLOOR, Context, Decimal
-
-            prec = len(str(d)) + 20
-            ctx = Context(prec=prec)
-            x = ctx.multiply(Decimal(d),
-                             ctx.divide(ctx.ln(Decimal(self.b)), ctx.ln(Decimal(self.a))))
-            m = int(x.to_integral_value(rounding=ROUND_FLOOR))
-            frac, eps = x - m, x.scaleb(3 - prec)
-            if eps < frac < 1 - eps:
-                return m
-            # y lies within 2 eps of m or of m + 1
-            target, lo, hi = self.b ** d, m - 1, m + 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.a ** mid < target:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        # the m with a^m < b^d <= a^(m+1): log2 brackets put d lo_b / hi_a less
+        # than 1 below d log_a b, and exact comparisons move m up from its floor
+        p = (d * self.b.bit_length()).bit_length() + 32
+        m = d * _log2_bounds(self.b, p)[0] // _log2_bounds(self.a, p)[1]
+        while not _at_least(self.a, m + 1, self.b, d):
+            m += 1
+        return m
 
     def _known(self, k: int) -> list:
         """The gaps delta_0, delta_1, ..., at least up to delta_k."""
@@ -397,16 +397,15 @@ class Recurrence(Tail):
         return self.delta(1) == self.seed
 
     def descent(self, n: int, d: int, k: int = 0) -> Optional[bool]:
-        # b^delta_k > a^delta_{k+1} holds at every step. It gives d^delta_k >
-        # n^delta_{k+1} when (a, b) = g*(n, d), g >= 1, as log_a b <= log_n d,
-        # and when a^q = n^p and b^q = d^p, p, q >= 1, raised to the power p/q.
-        # Constant gaps, on a stall, need d >= n. For any other (a, b) no rule is known
-        if self.a % n == 0 and self.a // n * d == self.b:
-            return True
+        # b^delta_k > a^delta_{k+1} at every step gives d^delta_k > n^delta_{k+1}
+        # when a^q = n^p and b^q = d^p, p, q >= 1 (raise it to the power p/q), and
+        # when 64-bit log2 brackets prove log_a b < log_n d. Constant gaps, on a
+        # stall, need d >= n. For any other (a, b) no rule is known
         logs = _log_pair(self.a, n)
         if logs and logs == _log_pair(self.b, d):
             return True
-        return d >= n if self.stalls() else None
+        lo, hi = zip(*(_log2_bounds(x, 64) for x in (self.a, d, self.b, n)))
+        return hi[2] * hi[3] <= lo[0] * lo[1] or (d >= n if self.stalls() else None)
 
     def accp_rule(self, M):
         if not self.descent(M.r.num, M.r.den):

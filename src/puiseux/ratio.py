@@ -15,7 +15,7 @@ from .errors import DomainError, ParseError
 
 
 def _printable(value: int) -> str:
-    """value in decimal; a DomainError when CPython's int -> str cap forbids it."""
+    """value in base 10; a DomainError when CPython's int -> str cap forbids it."""
     try:
         return str(value)
     except ValueError as exc:
@@ -24,7 +24,7 @@ def _printable(value: int) -> str:
 
 
 def _literal(value: int) -> str:
-    """value as an int literal: decimal, or hex past the int -> str cap,
+    """value as an int literal: base 10, or hex past the int -> str cap,
     which spares power-of-two bases."""
     try:
         return str(value)
@@ -33,7 +33,7 @@ def _literal(value: int) -> str:
 
 
 def _power(base: int, e: int) -> str:
-    """base**e in decimal, or "base^e" when it is too long for int -> str."""
+    """base**e in base 10, or "base^e" when it is too long for int -> str."""
     try:
         return str(base ** e)
     except ValueError:

@@ -61,6 +61,8 @@ class TestClassify:
         ("r=2/3; delta=recurrence(4,6,2)", "no", "gap-shortfall"),
         # log_2 3 = log_4 9: each step 3^delta_k > 2^delta_k+1, squared
         ("r=4/9; delta=recurrence(2,3,2)", "no", "gap-shortfall"),
+        # log_2 3 < log_2 5: each step 3^delta_k > 2^delta_k+1 gives 5^delta_k > 2^delta_k+1
+        ("r=2/5; delta=recurrence(2,3,2)", "no", "gap-shortfall"),
         # 2^delta_1 = 2^4 exceeds 3^delta_0 = 3^2: no shortfall to certify
         ("r=2/3; delta=recurrence(2,5,2)", "unknown", "no-closed-form"),
         # 3^3 >= 5^2 stalls the recurrence at its seed: every gap is 2, a constant tail
@@ -196,6 +198,18 @@ class TestWitnessChain:
         chain = witness_chain(M("r=4/9; delta=recurrence(2,3,2)"), 3)
         assert chain.start == 0 and len(chain.diffs) == 3
         for i, y in enumerate(chain.diffs):
+            assert chain.elements[i] == chain.elements[i + 1] + evaluate(y)
+
+    def test_a_smaller_log_gives_a_chain(self):
+        # r=2/5; recurrence(2,3,2): certified by log_2 3 < log_2 5; each element
+        # and link is checked against Fraction
+        m = M("r=2/5; delta=recurrence(2,3,2)")
+        chain = witness_chain(m, 4)
+        s = [s_index(m, i) for i in range(6)]
+        assert chain.start == 0
+        for i, y in enumerate(chain.diffs):
+            assert Fraction(chain.elements[i].num, chain.elements[i].den) == \
+                Fraction(2 ** s[i + 1], 5 ** s[i])
             assert chain.elements[i] == chain.elements[i + 1] + evaluate(y)
 
     def test_link_check_raises_without_assert(self, monkeypatch):

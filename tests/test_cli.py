@@ -426,8 +426,11 @@ def test_a_layer_resolves_after_a_bare_import():
       "--max-index", "2"), {"min_exact": True, "max_exact": False}),
     (("max-length", "--monoid", "r=4/9; delta=recurrence(2,3,2)", "--z", "[[0,100]]"),
      {"levels_explored": 64, "status": "no-termination-within-bound"}),
+    # log_2 3 < log_2 5, proven by 64-bit log2 brackets
+    (("max-length", "--monoid", "r=2/5; delta=recurrence(2,3,2)", "--z", "[[0,100]]"),
+     {"levels_explored": 64, "status": "no-termination-within-bound"}),
 ], ids=["geom-2/5", "poly-2/3", "periodic-3/4", "recurrence-max-length", "recurrence-lengths",
-        "equal-logs-max-length"])
+        "equal-logs-max-length", "smaller-log-max-length"])
 def test_endless_carries_answer_at_once(argv, result):
     # carries that can never die: the sweep used to form powers of gigabits
     # before it reached level 64
@@ -436,6 +439,31 @@ def test_endless_carries_answer_at_once(argv, result):
     doc = json.loads(proc.stdout)
     assert doc["status"] == "ok"
     assert result.items() <= doc["result"].items()
+
+
+@pytest.mark.parametrize("spec, instance", [
+    ("r=60/61; delta=poly(1,0,1)", "d^delta_496=61^246017 > n^delta_497=60^247010"),
+    ("r=90/91; delta=poly(1,0,1)", "d^delta_815=91^664226 > n^delta_816=90^665857"),
+], ids=["60/61", "90/91"])
+def test_a_late_polynomial_shortfall_is_found_in_time(spec, instance):
+    # the first shortfall lies hundreds of indices out, where each power has
+    # a million bits; log2 brackets compare them without forming them
+    proc = _run_capped("-m", "puiseux.cli", "classify", "--monoid", spec)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["accp"], result["evidence"]) == ("no", {"instance": instance,
+                                                           "rule": "polynomial-gaps"})
+
+
+@pytest.mark.parametrize("d, step", [(6189245291, 9809721694),
+                                     (4242721909926539673, 6724555128221608268)])
+def test_a_near_tie_gets_a_finer_bracket(d, step):
+    # d log_2 3 lies 1.4e-10 and 1.8e-19 above the integer step: brackets at
+    # 32 bits past the exponents' size overlap there, the step's estimate is
+    # one short, and 3^d would not fit in memory
+    code = f"from puiseux.monoid import Recurrence; print(Recurrence(2, 3, 1).step({d}))"
+    proc = _run_capped("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, f"{step}\n"), proc.stderr
 
 
 @pytest.mark.parametrize("spec, bound", [("r=2/3; delta=poly(1,1)", 100000),

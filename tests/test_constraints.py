@@ -7,8 +7,10 @@ tree is searched for a float literal, the name ``float``, an import of
 function (``log``, ``log2``, ``log10``, ``sqrt``, ``exp``, ``pow``,
 ``fsum``), any import of a module that is neither in the standard library
 nor the package itself, and any ``assert`` statement, which ``python -O``
-strips. The one floating-point use allowed is the ``decimal`` import in
-``Recurrence.step``, until its logarithm branch is replaced. The gcd-free
+strips. No floating-point use is allowed anywhere: ``Recurrence.step``
+compares logarithms through integer log2 brackets. A comparison that has
+a ``**`` power among its operands sits in ``monoid._at_least`` alone, the
+one exact test of d^a >= n^b. The gcd-free
 constructor ``Ratio._reduced``, a call that passes the class ``Ratio``
 itself, as ``object.__new__(Ratio)`` does, and a store into a Ratio's
 fields, by ``Ratio.num.__set__``, ``Ratio.den.__set__`` or a ``"num"`` or
@@ -67,22 +69,29 @@ def _imported_roots(node):
 
 FLOAT_MODULES = {"decimal", "cmath", "statistics"}
 FLOAT_MATH = {"log", "log2", "log10", "sqrt", "exp", "pow", "fsum"}
-# the one floating-point use left: Recurrence.step takes decimal logarithms
-# past 4096 bits, until ROADMAP item 5 replaces that branch by an exact bracket
-FLOAT_ALLOWED = {("monoid.py", "Recurrence.step", "import of decimal")}
+# no floating-point use is left: (module, scope, what) entries listed here
+# would be forgiven, and the list stays empty
+FLOAT_ALLOWED = set()
 
 
-def _floating_point(tree):
-    """(scope, line, what) for each float literal, the name float, import of
-    a floating-point module and float-returning math function in tree, where
-    scope is the dotted name of the class and def around it."""
-    maths = {"math"} | {alias.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
-                        for alias in node.names if alias.name == "math" and alias.asname}
+def _scoped(tree):
+    """(node, scope) for each node of tree, where scope is the dotted name of
+    the class and def around it."""
     stack = [(tree, "")]
     while stack:
         node, scope = stack.pop()
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}".lstrip(".")
+        yield node, scope
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def _floating_point(tree):
+    """(scope, line, what) for each float literal, the name float, import of
+    a floating-point module and float-returning math function in tree."""
+    maths = {"math"} | {alias.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names if alias.name == "math" and alias.asname}
+    for node, scope in _scoped(tree):
         line = getattr(node, "lineno", "?")
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             yield scope, line, f"float literal {node.value!r}"
@@ -98,7 +107,6 @@ def _floating_point(tree):
         if (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
                 and getattr(node.value, "id", None) in maths):
             yield scope, line, f"math.{node.attr}"
-        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -129,10 +137,41 @@ def test_exact_arithmetic_is_not_flagged(source):
     assert not list(_floating_point(ast.parse(source)))
 
 
-def test_the_allowed_decimal_import_sits_in_recurrence_step():
-    found = {("monoid.py", scope, what)
-             for scope, _, what in _floating_point(ast.parse((PACKAGE / "monoid.py").read_text()))}
-    assert found == FLOAT_ALLOWED
+def test_the_package_has_no_floating_point_use():
+    found = [f"{path.name}:{line} in {scope or '<module>'}: {what}" for path in MODULES
+             for scope, line, what in _floating_point(ast.parse(path.read_text()))]
+    assert not found and not FLOAT_ALLOWED, found
+
+
+def _power_comparisons(tree):
+    """(scope, line) of each comparison in tree with a ** power in an operand."""
+    for node, scope in _scoped(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow)
+                for operand in (node.left, *node.comparators) for sub in ast.walk(operand)):
+            yield scope, node.lineno
+
+
+def test_powers_are_compared_in_at_least_alone():
+    # _at_least decides d^a >= n^b from log2 brackets past 4096 bits; a
+    # comparison of formed powers elsewhere pays for every bit of them
+    tree = ast.parse((PACKAGE / "monoid.py").read_text())
+    found = [f"{scope or '<module>'}:{line}" for scope, line in _power_comparisons(tree)
+             if scope != "_at_least"]
+    assert not found, f"monoid.py compares a ** power outside _at_least at {found}"
+
+
+@pytest.mark.parametrize("source", [
+    "d >= n ** c", "{d ** a >= n ** b for a, b in pairs}", "f(x ** 2) < 1",
+    "while a ** (m + 1) < target:\n    m += 1", "0 < 2 ** k <= y"])
+def test_each_power_comparison_is_seen(source):
+    assert list(_power_comparisons(ast.parse(source)))
+
+
+@pytest.mark.parametrize("source", [
+    "c = d ** a - n ** b\nc > 0", "_at_least(d, a, n, b)", "x < y", "x = 2 ** k"])
+def test_a_comparison_without_a_power_is_not_flagged(source):
+    assert not list(_power_comparisons(ast.parse(source)))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

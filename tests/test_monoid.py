@@ -4,9 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from puiseux import monoid
 from puiseux.errors import DomainError, IndexRangeError, ParseError
 from puiseux.monoid import (Constant, DeltaSpec, ExpMonoid, Geometric,
-                            Periodic, Polynomial, Recurrence, atom,
+                            Periodic, Polynomial, Recurrence, _log2_bounds, atom,
                             classify_atomicity, descending_run, format_delta, format_monoid,
                             monoid_from_json, parse_delta, parse_monoid,
                             s_index, truncate)
@@ -360,8 +361,9 @@ def test_recurrence_step_matches_linear_search(ab, d):
 @example(((2, 3), 2049))  # the first d past the switch
 @example(((39, 40), 16384 // 6))
 def test_recurrence_step_past_the_4096_bit_switch(case):
-    # d * bits(b) > 4096 sends step to its logarithm branch; the step is the
-    # m with a^m < b^d <= a^(m+1), bisected here on exact powers
+    # past d * bits(b) > 4096 the powers that step compares run past the
+    # switch of _at_least to log2 brackets; the step is the m with
+    # a^m < b^d <= a^(m+1), bisected here on exact powers
     (a, b), d = case
     target = b ** d
     lo, hi = 0, target.bit_length()  # a^0 < b^d < 2^bits <= a^bits
@@ -377,8 +379,62 @@ def test_recurrence_step_past_the_4096_bit_switch(case):
     (3, 9, 7, 13), (8, 16, 3, 3), (9, 27, 10 ** 5, 3 * 10 ** 5 // 2 - 1),
 ])
 def test_recurrence_step_when_b_to_the_d_is_a_power_of_a(a, b, d, expected):
-    # log_a(b^d) is an integer k here, so the step is exactly k - 1
+    # log_a(b^d) is an integer k here, so the step is exactly k - 1; the
+    # brackets of a^k and b^d overlap, and _at_least forms both powers
     assert Recurrence(a, b, 1).step(d) == expected
+
+
+@given(st.integers(1, 10 ** 6), st.integers(0, 12))
+@example(1, 12)
+@example(2 ** 19, 12)
+@example(10 ** 6, 12)
+def test_log2_bounds_bracket_the_power_exactly(x, p):
+    lo, hi = _log2_bounds(x, p)
+    assert 2 ** lo <= x ** (2 ** p) < 2 ** hi
+    assert hi - lo <= 3
+
+
+def _fraction_at_least(d, a, n, b):
+    from fractions import Fraction
+    return Fraction(d) ** a >= Fraction(n) ** b
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.just(1), st.integers(2, 1000)), st.integers(-5000, 5000),
+       st.one_of(st.just(1), st.integers(2, 1000)), st.integers(-5000, 5000))
+@example(1, 5000, 7, 1)  # d = 1
+@example(7, -1, 1, 5000)  # n = 1
+@example(2, 4097, 3, 1)  # just past the switch on one side
+@example(999, -4000, 1000, -3999)
+def test_at_least_is_the_exact_comparison(d, a, n, b):
+    # the sides' powers run from one bit to about 50 000, on both sides of
+    # the 4096-bit switch to log2 brackets
+    assert monoid._at_least(d, a, n, b) == _fraction_at_least(d, a, n, b)
+
+
+@pytest.mark.parametrize("d,a,n,b", [
+    (4, 3000, 8, 2000), (8, 2000, 4, 3000), (9, 4000, 3, 8000), (3, 8000, 9, 4000),
+    (4, -3000, 8, -2000), (4, 2999, 8, 2000), (8, 1999, 4, 3000), (3, 8001, 9, 4000),
+    (1, 10 ** 6, 1, 10 ** 7), (1, 5000, 2, 0), (1, -5000, 1, 3), (1, -5000, 2, -1)])
+def test_at_least_on_ties_and_their_neighbours(d, a, n, b):
+    # on a tie d^a = n^b the log2 brackets overlap and the powers are formed
+    assert monoid._at_least(d, a, n, b) == _fraction_at_least(d, a, n, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 39).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 40))),
+       st.integers(1, 10 ** 40))
+@example((2, 3), 10 ** 40)
+@example((39, 40), 10 ** 40 - 1)
+def test_recurrence_step_for_deep_gaps_matches_sympy(ab, d):
+    # sympy's value of y = d log b / log a, to 100 digits, resolves 10^-50
+    # for d up to 10^40; the step is floor(y) unless y is an integer
+    sympy = pytest.importorskip("sympy")
+    a, b = ab
+    y = sympy.N(d * sympy.log(b) / sympy.log(a), 100)
+    m, eps = int(sympy.floor(y)), sympy.Float("1e-50", 100)
+    assume(eps < y - m < 1 - eps)
+    assert Recurrence(a, b, 1).step(d) == m
 
 
 @given(st.integers(2, 12).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 40))),
