@@ -7,9 +7,10 @@ strings and factorizations as [[index, coefficient], ...] pairs.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError, ParseError, PuiseuxError
 from .ratio import Ratio
@@ -150,57 +151,133 @@ def _cmd_oracle(args, M, x) -> dict:
             "lengths": sorted({sum(v) for v in vectors})}
 
 
-# -- wiring ------------------------------------------------------------------
+# -- the option table ---------------------------------------------------------
+# subcommand -> (handler, options); an option is (flag, type, required,
+# default), its value kept under the flag without dashes, "-" read as "_".
+# Oracle's action is the one positional: no dashes, its type a tuple of choices.
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="puiseux")
-    sub = parser.add_subparsers(dest="command", required=True)
+MONOID = (("--monoid", str, False, None), ("--spec-file", str, False, None))
+X, Z, R = (("--" + flag, str, True, None) for flag in "xzr")
+A, B, K = (("--" + flag, int, True, None) for flag in "abk")
+MAX_INDEX, BOUND = ("--max-index", int, True, None), ("--bound", int, False, None)
+COMMANDS = {
+    "classify": (_cmd_classify, MONOID),
+    "normal-form": (_cmd_normal_form, (*MONOID, Z)),
+    "max-length": (_cmd_max_length, (*MONOID, Z, ("--bound", int, False, 64))),
+    "enumerate": (_cmd_enumerate, (*MONOID, X, MAX_INDEX)),
+    "member": (_cmd_member, (*MONOID, X, BOUND)),
+    "lengths": (_cmd_lengths, (*MONOID, X, MAX_INDEX, BOUND)),
+    "chain": (_cmd_chain, (*MONOID, K)),
+    "counterexample": (_cmd_counterexample, (A, B, K)),
+    "semiring": (_cmd_semiring, (R, ("--N", str, True, None))),
+    "mult-classify": (_cmd_mult_classify, (R, ("--N", str, False, None))),
+    "oracle": (_cmd_oracle, (("action", ("enumerate",), True, None), *MONOID, X, MAX_INDEX)),
+}
+HELP, TOP = ("--help", None, False, None), (("command", tuple(COMMANDS), True, None),)
 
-    def command(name, fn, *options, monoid=True):
-        """Subcommand name, run by fn, with (flag, add_argument keywords) options."""
-        p = sub.add_parser(name)
-        if monoid:
-            p.add_argument("--monoid", help='inline spec, e.g. "r=2/3; delta=geom(1,2)"')
-            p.add_argument("--spec-file", help="path to a JSON monoid document")
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
 
-    required = {"required": True}
-    required_int = {"type": int, "required": True}
-    x = ("--x", required)
-    max_index = ("--max-index", required_int)
-    bound = ("--bound", {"type": int})
-    z = ("--z", dict(required, help="JSON [[index,coeff],...]"))
-    command("classify", _cmd_classify)
-    command("normal-form", _cmd_normal_form, z)
-    command("max-length", _cmd_max_length, z, ("--bound", {"type": int, "default": 64}))
-    command("enumerate", _cmd_enumerate, x, max_index)
-    command("member", _cmd_member, x, bound)
-    command("lengths", _cmd_lengths, x, max_index, bound)
-    command("chain", _cmd_chain, ("--k", required_int))
-    command("counterexample", _cmd_counterexample, ("--a", required_int), ("--b", required_int),
-            ("--k", required_int), monoid=False)
-    command("semiring", _cmd_semiring, ("--r", required),
-            ("--N", dict(required, help='e.g. "gens(2,3)" or "prefix(0,1);tail>=5"')), monoid=False)
-    command("mult-classify", _cmd_mult_classify, ("--r", required), ("--N", {}), monoid=False)
-    command("oracle", _cmd_oracle, ("action", {"choices": ["enumerate"]}), x, max_index)
-    return parser
+class _Usage(Exception):
+    """(subcommand or None for the top level, reason): a usage error, or a
+    request for help when reason is None."""
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _usage(name) -> str:
+    if name is None:
+        return f"usage: puiseux [-h] {{{','.join(COMMANDS)}}} ..."
+    words = []
+    for flag, kind, required, _ in COMMANDS[name][1]:
+        word = f"{{{','.join(kind)}}}" if type(kind) is tuple else f"{flag} {_dest(flag).upper()}"
+        words.append(word if required else f"[{word}]")
+    return " ".join(["usage: puiseux", name, "[-h]", *words])
+
+
+def _flag(token: str, name):
+    """None for a value; else (option, the text after its "=" or None), option
+    None for an unknown flag. A long flag of subcommand name, or --help, may be
+    cut to a unique prefix. A token that starts with "-" is a value only when
+    it is "-", looks like a negative number or holds a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token.startswith("-h"):  # -h takes no value: text after it is an error
+        return HELP, token[2:] or None
+    flag, eq, value = token.partition("=")
+    if len(flag) > 2:  # "--" alone would be a prefix of every flag
+        options = (*COMMANDS[name][1], HELP) if name else (HELP,)
+        found = [o for o in options if o[0].startswith(flag)]  # no flag is a prefix of another
+        if len(found) > 1:
+            raise _Usage(name, f"ambiguous option: {flag} could match "
+                               f"{', '.join(o[0] for o in found)}")
+        if found:
+            return found[0], value if eq else None
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (None, None)
+
+
+def _parse(tokens, name=None) -> SimpleNamespace:
+    """The subcommand and a value for each of its options, read from tokens
+    against COMMANDS; `_Usage` on a usage error or -h. At the top level (name
+    None) the first value names the subcommand, which reads the rest. A flag
+    comes as "--flag value" or "--flag=value"; the last of a repeated flag
+    wins. Every token is sorted into flag or value first, so an ambiguous
+    prefix fails before all else; an unknown flag, a stray value or a missing
+    option fails after the rest is read, so a later -h still answers."""
+    tokens = list(tokens)
+    options = COMMANDS[name][1] if name else TOP
+    flags = [_flag(token, name) for token in tokens]
+    values = {_dest(flag): default for flag, _, _, default in options}
+    positional = [o for o in options if o[0][0] != "-"]
+    extra, j = [], 0
+    while j < len(tokens):
+        option, value = flags[j] or (positional.pop() if positional else None, tokens[j])
+        j += 1
+        if option is HELP:
+            raise _Usage(name, None if value is None else f"-h/--help takes no value: {value!r}")
+        if option is None:
+            extra.append(tokens[j - 1])
+            continue
+        flag, kind = option[:2]
+        if value is None:  # the value is the next token
+            if j == len(tokens) or flags[j] is not None:
+                raise _Usage(name, f"argument {flag}: expected one argument")
+            value, j = tokens[j], j + 1
+        if type(kind) is tuple:
+            if value not in kind:
+                raise _Usage(name, f"argument {flag}: invalid choice: {value!r}")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise _Usage(name, f"argument {flag}: invalid int value: {value!r}") from None
+        values[_dest(flag)] = value
+        if option is TOP[0]:
+            args = _parse(tokens[j:], value)
+            break
+    missing = [flag for flag, _, required, _ in options if required and values[_dest(flag)] is None]
+    if missing or extra:
+        raise _Usage(name, f"the following arguments are required: {', '.join(missing)}"
+                     if missing else f"unrecognized arguments: {' '.join(extra)}")
+    return args if name is None else SimpleNamespace(command=name, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    echo = {k: v for k, v in sorted(vars(args).items())
-            if k not in ("fn", "command") and v is not None}
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as stop:
+        name, reason = stop.args
+        if reason is None:
+            print("\n".join(_usage(n) for n in ([name] if name else COMMANDS)))
+            return 0
+        print(f"{_usage(name)}\npuiseux: error: {reason}", file=sys.stderr)
+        return 2
+    echo = {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None}
     doc = {"command": args.command, "input": echo}
     try:
         M = _load_monoid(args) if "monoid" in vars(args) else None
         x = Ratio.parse(args.x) if "x" in vars(args) else None
-        doc["result"] = args.fn(args, M, x)
+        doc["result"] = COMMANDS[args.command][0](args, M, x)
         doc["status"] = "ok"
         code = 0
     except (PuiseuxError, OSError) as exc:

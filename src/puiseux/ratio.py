@@ -33,7 +33,12 @@ def _literal(value: int) -> str:
 
 
 def _power(base: int, e: int) -> str:
-    """base**e in base 10, or "base^e" when it is too long for int -> str."""
+    """base**e in base 10, or "base^e" when it is too long for int -> str.
+    base**e >= 2^(e (bits - 1)), and 10^limit has at most limit*10//3 + 1
+    bits, so a power past that bound is never formed only to fail to print."""
+    limit = sys.get_int_max_str_digits()
+    if limit and e * (base.bit_length() - 1) >= limit * 10 // 3 + 1:
+        return f"{_printable(base)}^{e}"
     try:
         return str(base ** e)
     except ValueError:

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -288,6 +289,19 @@ class TestWitnessChain:
         assert len(chain.diffs) == 50
         assert counts == {"s_index": 1, "evaluate": 0, "make": 0, "over_power": 0,
                           "Factorization": 0}
+
+    @pytest.mark.parametrize("spec", ["r=60/61; delta=poly(1,0,1)", "r=90/91; delta=poly(1,0,1)"])
+    def test_a_late_shortfall_names_powers_it_never_forms(self, spec):
+        # the evidence powers, 61^246017 and 91^664226 among them, are past
+        # the digit cap: formed only to learn that, each took megabytes
+        tracemalloc.start()
+        try:
+            c = classify(M(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.accp == "no" and "^" in c.evidence["instance"]
+        assert peak <= 128 * 1024
 
     def test_a_deep_link_is_found_where_the_classifier_names_it(self):
         # d = 21 is close to n = 20, so the first link lies past index 64

@@ -1,9 +1,12 @@
+import argparse
 import importlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import puiseux
 from puiseux.accp import classify, construct_counterexample
-from puiseux.cli import _parse_factorization, main
+from puiseux.cli import (COMMANDS, _Usage, _cmd_chain, _cmd_classify, _cmd_counterexample,
+                         _cmd_enumerate, _cmd_lengths, _cmd_max_length, _cmd_member,
+                         _cmd_mult_classify, _cmd_normal_form, _cmd_oracle, _cmd_semiring,
+                         _parse, _parse_factorization, main)
 from puiseux.errors import DomainError, ParseError
 from puiseux.factorization import Factorization, evaluate
 from puiseux.monoid import ExpMonoid, format_monoid, parse_monoid
@@ -296,6 +302,196 @@ def test_factorization_parses_or_raises(text):
     assert isinstance(z, Factorization)
 
 
+# -- the option parser against argparse --------------------------------------
+# The parser that the CLI used before its option table, kept verbatim as the
+# reference: over every argv of the grammar below, both reject it, both print
+# help, or both accept it with equal values.
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="puiseux")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, fn, *options, monoid=True):
+        """Subcommand name, run by fn, with (flag, add_argument keywords) options."""
+        p = sub.add_parser(name)
+        if monoid:
+            p.add_argument("--monoid", help='inline spec, e.g. "r=2/3; delta=geom(1,2)"')
+            p.add_argument("--spec-file", help="path to a JSON monoid document")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
+
+    required = {"required": True}
+    required_int = {"type": int, "required": True}
+    x = ("--x", required)
+    max_index = ("--max-index", required_int)
+    bound = ("--bound", {"type": int})
+    z = ("--z", dict(required, help="JSON [[index,coeff],...]"))
+    command("classify", _cmd_classify)
+    command("normal-form", _cmd_normal_form, z)
+    command("max-length", _cmd_max_length, z, ("--bound", {"type": int, "default": 64}))
+    command("enumerate", _cmd_enumerate, x, max_index)
+    command("member", _cmd_member, x, bound)
+    command("lengths", _cmd_lengths, x, max_index, bound)
+    command("chain", _cmd_chain, ("--k", required_int))
+    command("counterexample", _cmd_counterexample, ("--a", required_int), ("--b", required_int),
+            ("--k", required_int), monoid=False)
+    command("semiring", _cmd_semiring, ("--r", required),
+            ("--N", dict(required, help='e.g. "gens(2,3)" or "prefix(0,1);tail>=5"')), monoid=False)
+    command("mult-classify", _cmd_mult_classify, ("--r", required), ("--N", {}), monoid=False)
+    command("oracle", _cmd_oracle, ("action", {"choices": ["enumerate"]}), x, max_index)
+    return parser
+
+
+REFERENCE = build_parser()
+SUBPARSERS = next(action.choices for action in REFERENCE._actions
+                  if isinstance(action, argparse._SubParsersAction))
+LONG_FLAGS = sorted({flag for parser in SUBPARSERS.values() for action in parser._actions
+                     for flag in action.option_strings if flag.startswith("--")})
+# every prefix of every long flag, exact, unique or ambiguous
+FLAG_SPELLINGS = sorted({flag[:n] for flag in LONG_FLAGS for n in range(3, len(flag) + 1)})
+
+
+def _spellings(flag):
+    return [spelling for spelling in FLAG_SPELLINGS if flag.startswith(spelling)]
+
+
+# a value that is an int, a negative number, -x-like, holds a space or is empty
+VALUES = ["2", "0", "12", "-1", "-.5", "-2.5", "-1.", "1.5", "two", "-x", "-1x", "-", "",
+          "a b", "-a b", "--mon x", "enumerate", "frobnicate", "2/3", "r=2/3; delta=const(1)"]
+# unknown flags; -h with text after it, --help with a value ("-hh" and "--" are
+# left out: argparse reads "-hh" as -h twice and "--" as the end of the flags)
+NOISE = ["--bogus", "--n", "--monoidx", "-x", "-q", "---x", "-x=1", "--bogus=1", "-1=2",
+         "-h", "--help", "--he", "-hx", "-h=1", "-h=", "-h x", "--help=1", "--he=", "extra"]
+
+
+@st.composite
+def argvs(draw):
+    """An argv near a valid one: each argument of a subcommand in any order
+    and spelling. Half the draws are noisy: a flag may miss its value or
+    repeat, a value may be odd, and stray tokens may stand anywhere."""
+    noisy = draw(st.booleans())
+    odd = st.sampled_from(VALUES) if noisy else st.nothing()
+    head = draw(st.lists(st.sampled_from(NOISE), max_size=noisy))
+    name = draw(st.sampled_from([*SUBPARSERS, "bogus", "-1"] if noisy else [*SUBPARSERS]))
+    parts = []
+    for action in getattr(SUBPARSERS.get(name), "_actions", []):
+        if not action.option_strings:  # oracle's action
+            parts.append([draw(st.sampled_from(["enumerate", "frobnicate"][:1 + noisy]))])
+            continue
+        given = draw(st.integers(0, 9) if action.required else st.booleans())
+        if action.dest == "help" or not given:
+            continue
+        flag = draw(st.sampled_from(_spellings(action.option_strings[0])))
+        typical = ["2", "3", "-1"] if action.type is int else ["2/3", "a b", "-1"]
+        value = draw(st.sampled_from(typical) | odd)
+        forms = [[flag, value], [f"{flag}={value}"]] + [[flag]] * noisy
+        parts += [draw(st.sampled_from(forms)) for _ in range(draw(st.integers(1, 1 + noisy)))]
+    stray = st.one_of(st.sampled_from(NOISE), st.sampled_from(FLAG_SPELLINGS), odd,
+                      st.tuples(st.sampled_from(FLAG_SPELLINGS), odd).map("=".join))
+    parts += draw(st.lists(stray.map(lambda token: [token]), max_size=3 * noisy))
+    return [*head, name, *(token for part in draw(st.permutations(parts)) for token in part)]
+
+
+def _reference(argv):
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            namespace = REFERENCE.parse_args(argv)
+    except SystemExit as exc:
+        return "help" if exc.code == 0 else "reject"
+    return {key: value for key, value in vars(namespace).items() if key != "fn"}
+
+
+def _ours(argv):
+    try:
+        return vars(_parse(argv))
+    except _Usage as stop:
+        return "help" if stop.args[1] is None else "reject"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+@example(["oracle", "--x", "2", "enumerate", "--max-index", "3", "--monoid", "m"])
+@example(["member", "--monoid", "m", "--x", "1", "--bound", "-1"])
+@example(["classify", "--monoid", "-a b"])  # a value, for it holds a space
+@example(["lengths", "--m", "m", "--x", "1", "--max-index", "1"])  # ambiguous
+@example(["lengths", "--max", "1", "--mo=m", "--x=1", "--x", "2"])  # the last --x wins
+@example(["lengths", "-h", "--m", "1"])  # an ambiguous prefix fails before -h
+@example(["--bogus", "classify", "-h"])  # an unknown flag fails after -h
+@example([])
+def test_the_option_table_reads_argv_as_argparse_did(argv):
+    assert _ours(argv) == _reference(argv)
+
+
+def test_no_flag_of_a_subcommand_is_a_prefix_of_another():
+    # so that a flag given in full is never ambiguous
+    for _, options in COMMANDS.values():
+        flags = [option[0] for option in options] + ["--help"]
+        assert [(f, g) for f in flags for g in flags if f != g and g.startswith(f)] == []
+
+
+# -- every subcommand from fuzzed argv, in process ---------------------------
+# values small enough that each run is bounded; counterexample's --k stays at
+# 10, since construct_counterexample(2, 12, 14) forms powers for seconds
+
+CLI_VALUES = {  # flag -> (good values, malformed or out-of-range values)
+    "--monoid": (["r=2/3; delta=const(1)", "r=2/3; delta=geom(1,2)", "r=2/3; delta=poly(1,1)",
+                  "r=3/2; delta=poly(1,1)"], ["r=2/x; delta=const(1)", "r=2/3; delta=warp(3)", ""]),
+    "--spec-file": ([], ["/nonexistent/m.json"]),
+    "--x": (["2", "7/3", "1/5", "4/9", "1"], ["0", "1/0", "2/x", "-1", "1/-3"]),
+    "--z": (["[[2,9]]", "[[0,2]]", "[[0,5],[1,2]]"],
+            ["[[2,9]", "[[1,2.9]]", '[["1",2]]', "[[1,-2]]", "{}", "[[0,0]]"]),
+    "--r": (["2/3", "2/9", "2/15", "3/2"], ["0", "1/0", "x", "-2/3"]),
+    "--N": (["gens(2,3)", "prefix(0,1);tail>=5"], ["gens(a)", "prefix(0", "gens()"]),
+    "--max-index": (range(5), [-1]), "--bound": (range(65), [-1]), "--a": (range(2, 13), [-1, 1]),
+    "--b": (range(2, 13), [-1, 0]), "--k": (range(2, 31), [-1, 0]),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with each option most often given, in any order and
+    spelling, its value most often good, and now and then one stray token."""
+    name = draw(st.sampled_from(sorted(SUBPARSERS)))
+    parts = [["enumerate"]] if name == "oracle" else []
+    for action in SUBPARSERS[name]._actions:
+        flag = action.option_strings[-1] if action.option_strings else None
+        given = draw(st.sampled_from([True] * (9 if action.required else 1) + [False]))
+        if flag in CLI_VALUES and given:
+            good, bad = CLI_VALUES[flag]
+            if (name, flag) == ("counterexample", "--k"):
+                good = range(2, 11)
+            mostly_good = [st.sampled_from(good)] * 3 * bool(good) + [st.sampled_from(bad)]
+            value = str(draw(st.one_of(mostly_good)))
+            spelling = draw(st.sampled_from(_spellings(flag)))
+            parts.append(draw(st.sampled_from([[spelling, value], [f"{spelling}={value}"]])))
+    if draw(st.sampled_from([True, False, False, False])):
+        parts.append([draw(st.sampled_from(NOISE + ["two", "-7"]))])
+    return [name, *(token for part in draw(st.permutations(parts)) for token in part)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+@example(["counterexample", "--a", "2", "--b", "12", "--k", "10"])
+@example(["member", "--monoid", "r=2/3; delta=geom(1,2)", "--x", "4/9", "--bound", "64"])
+def test_every_fuzzed_argv_exits_0_2_or_3_with_one_document(argv):
+    stop = None
+    try:
+        _parse(argv)
+    except _Usage as usage:
+        stop = usage
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if stop is not None:  # help on stdout, or a usage error on stderr alone
+        assert code == (0 if stop.args[1] is None else 2)
+        assert out.getvalue().startswith("usage: puiseux ") if stop.args[1] is None else \
+            out.getvalue() == ""
+        return
+    doc = json.loads(out.getvalue())
+    assert (doc["status"], code) in {("ok", 0), ("error", 2), ("error", 3)}
+
+
 def _cap_memory():
     import resource
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -308,16 +504,6 @@ def _run_capped(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           timeout=10, env=dict(os.environ, PYTHONPATH=path),
                           preexec_fn=_cap_memory)
-
-
-def test_the_cli_starts_without_dataclasses_or_inspect():
-    # both would cost start-up time in every CLI process; a module that the
-    # interpreter loaded before the import does not count
-    code = ("import sys; before = set(sys.modules); import puiseux.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    proc = _run_capped("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
 
 
 # -- lazy loading: a process loads the modules of its subcommand alone -------
@@ -350,6 +536,22 @@ def _readme_examples():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     return [shlex.split(line[len("$ puiseux "):])
             for line in readme.read_text().splitlines() if line.startswith("$ puiseux ")]
+
+
+# argparse, with gettext and locale behind its messages, and dataclasses and
+# inspect would each cost start-up time in every CLI process
+COSTLY = ["argparse", "dataclasses", "gettext", "inspect", "locale"]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def test_a_cli_child_loads_no_costly_module(argv):
+    # a module that the interpreter loaded before the import does not count
+    code = ("import io, sys; before = set(sys.modules); from puiseux.cli import main\n"
+            f"sys.stdout = io.StringIO(); main({argv!r}); sys.stdout = sys.__stdout__\n"
+            f"print(sorted(set({COSTLY!r}) & (set(sys.modules) - before)))")
+    proc = _run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_importing_the_package_loads_no_module():

@@ -2,7 +2,7 @@
 
 The cases cover every exit-2 and exit-3 path of ``tests/test_cli.py``, the
 spec-file route of each subcommand that takes a monoid, options the README
-does not show, and argparse rejections (exit 2, nothing on stdout). Spec
+does not show, and usage rejections (exit 2, nothing on stdout). Spec
 files are written into a temporary working directory, so the argv and the
 echoed input hold only relative names. Refresh the golden file only for an
 intended change of output, with ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -54,7 +54,7 @@ CASES = [
     ["normal-form", "--monoid", CONST, "--z", "[[1,true]]"],
     ["normal-form", "--monoid", CONST, "--z", '[["1",2]]'],
     ["semiring", "--r", "2/3", "--N", "gens(a)"],
-    # argparse rejections: exit 2, usage on stderr only
+    # usage rejections: exit 2, usage on stderr only
     ["oracle", "frobnicate", "--monoid", CONST, "--x", "2", "--max-index", "3"],
     ["normal-form", "--monoid", CONST],
     ["chain", "--monoid", CONST, "--k", "two"],

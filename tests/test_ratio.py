@@ -8,7 +8,7 @@ from sympy import primefactors
 
 from puiseux.errors import DomainError, ParseError
 from puiseux.monoid import atom, parse_monoid
-from puiseux.ratio import ONE, ZERO, Ratio, max_power_dividing
+from puiseux.ratio import ONE, ZERO, Ratio, _power, max_power_dividing
 
 
 def test_reduction():
@@ -83,6 +83,33 @@ def test_repr_below_the_int_str_cap_is_decimal():
     big = 10 ** (sys.get_int_max_str_digits() - 1)
     assert repr(Ratio(2, 3)) == "Ratio(2, 3)"
     assert repr(Ratio(big, 7)) == f"Ratio({big}, 7)"
+
+
+# bases with exponents from below the 640-digit cap to past the bit-length bound
+NEAR_THE_CAP = st.integers(2, 2 ** 20).flatmap(lambda base: st.tuples(
+    st.just(base), st.integers(2100 // base.bit_length(), 2200 // (base.bit_length() - 1) + 1)))
+
+
+@settings(deadline=None)
+@given(NEAR_THE_CAP)
+@example((10, 640))  # 641 digits, one past the cap
+@example((2, 2126))  # 640 digits, the longest power of 2 that prints
+@example((2, 2134))  # the least exponent of 2 that the bit-length bound refuses
+def test_power_text_is_that_of_the_formed_power_near_the_cap(power):
+    # at the least cap CPython allows, 640 digits, base**e crosses it for
+    # e*log2(base) near 2126; the bit-length bound refuses e*(bits-1) >= 2134
+    # and leaves the band between to the formed power
+    base, e = power
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        try:
+            want = str(base ** e)
+        except ValueError:
+            want = f"{base}^{e}"
+        assert _power(base, e) == want
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 @settings(deadline=None)
