@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 from .errors import ChainError, DomainError
 from .monoid import (SCAN_LIMIT, DeltaSpec, ExpMonoid, Recurrence, classify_atomicity,
-                     descending_run, s_index)
+                     descending_run, s_index, _at_least)
 from .ratio import Ratio, _Value
 
 
@@ -148,13 +148,11 @@ def construct_counterexample(a: int, b: int, k: int,
     delta = [rec.delta(j) for j in range(k)]
     checks = []
     for j in range(k - 1):
-        b_pow, a_pow = b ** delta[j], a ** delta[j + 1]
-        lower, upper = b_pow > a_pow, a_pow * a >= b_pow
         checks.append({"step": j,
                        "descending": f"{b}^{delta[j]} > {a}^{delta[j + 1]}",
-                       "descending_ok": lower,
+                       "descending_ok": not _at_least(a, delta[j + 1], b, delta[j]),
                        "ratio_close": f"{a}^{delta[j + 1] + 1} >= {b}^{delta[j]}",
-                       "ratio_close_ok": upper})
+                       "ratio_close_ok": _at_least(a, delta[j + 1] + 1, b, delta[j])})
     report: Dict[str, object] = {
         "delta": list(delta),
         "checks": checks,

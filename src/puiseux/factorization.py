@@ -405,32 +405,35 @@ class LengthSet(_Value):
 
 def length_set(x: Ratio, M: ExpMonoid, max_index: int,
                witness: Optional[Factorization] = None) -> LengthSet:
-    """Lengths of the bounded enumeration plus exactness flags.
+    """Lengths on [0, B], B = max_index cut to the window, and exactness flags.
 
-    A flag is set only when the global extreme is in the reported set. For
-    r < 1 the least length is that of the unique minimum normal form, which
-    lies in the window with any factorization it comes from, because
-    down-steps only lower indices; the greatest is that of the carry
-    sweep's result, when the sweep terminates inside the window. For r >= 1
-    both flags hold once the enumeration is complete: max_index reaches the
-    end of a finite window, or the next atom r^{s_{max_index+1}} already
-    exceeds x.
+    A flag is set only when the global extreme is in the set; both are read
+    off the one search. For r >= 1 both hold once the enumeration is
+    complete: max_index reaches the end of a finite window, or the next atom
+    r^{s_{max_index+1}} already exceeds x. For r < 1 the least length is
+    that of the minimum normal form, which down-steps keep in the window.
+    The greatest is in the set when B ends a finite window or
+    q* < n^{delta_B}, q* the greatest coefficient at B of a result. Proof:
+    - The residue argument of `_leaves` fixes each c_i mod n^{delta_i} from
+      the levels below, so at most one result z* has c_i < n^{delta_i} below
+      B. A carry sweep that stops at B leads any result to z* by up-steps
+      (n^{delta_i} atoms at level i < B for d^{delta_i} at i+1), which
+      lengthen it and never lower c_B: z* is the longest, with c_B = q*.
+    - If q* < n^{delta_B}, a carry sweep from any factorization of x leaves
+      z*'s residue at each level up to B, by the same argument. Value is
+      conserved, so the carry then dies: z* is the global maximum.
+    - Else an up-step out of level B lengthens z*: the window holds no maximum.
 
-    The lengths are read per run, never per factorization: along a run they
-    form an arithmetic progression with step g = n^{delta_{B-1}} -
-    d^{delta_{B-1}}, from the head's length plus c + q. A leaf's run follows
-    from its remainder R alone (`_leaves`), so duplicate (head length, R)
-    leaves are dropped and each distinct R is resolved once. The runs'
-    progressions are merged as intervals per residue class mod |g| (mod 1
-    at r = 1, where g = 0), and no length is inserted one by one. Without a
-    witness, r < 1 sweeps from the least-length form in [0, B], B =
-    max_index cut to the window, read off by the one walk of `_least_form`.
+    Along a run the lengths step by g = n^{delta_{B-1}} - d^{delta_{B-1}}
+    from the head's length plus c + q; runs merge as intervals per class mod
+    |g| (1 at r = 1). A witness makes an empty window an empty set.
     """
     window = M.delta.max_exponent_index
     B = max_index if window is None else min(max_index, window)
     run, leaves = _leaves(x, M, max_index)
     runs: Dict[int, tuple] = {}
     spans, g = [], 1  # (class mod |g|, least, greatest) of each run's lengths
+    top = 0  # q*, the greatest coefficient at B: q falls along a run
     for size, R in {(sum(map(_coeff, head)), R) for head, R in leaves}:
         found = runs.get(R)
         if found is None:
@@ -438,6 +441,7 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
         _, c, q, k, m, e = found
         if k:
             g = abs(m - e) or 1  # the same for every run; 0 only at r = 1
+            top = max(top, q)
             low, high = sorted((size + c + q, size + c + q + (k - 1) * (m - e)))
             spans.append((low % g, low, high))
     if not spans and witness is None:
@@ -455,6 +459,4 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
         complete = (M.r.num == M.r.den or (window is not None and max_index >= window)
                     or M.r ** s_index(M, max_index + 1) > x)
         return LengthSet(lengths, complete, complete)
-    w = witness if witness is not None else _checked(M, _least_form(x, M, B), x, "the least form")
-    sweep = max_length_sweep(w)
-    return LengthSet(lengths, True, sweep.terminated and sweep.found.length == lengths[-1])
+    return LengthSet(lengths, True, B == window or top < M.r.num ** next(M.delta.gaps(B)))

@@ -431,8 +431,7 @@ def test_no_flag_of_a_subcommand_is_a_prefix_of_another():
 
 
 # -- every subcommand from fuzzed argv, in process ---------------------------
-# values small enough that each run is bounded; counterexample's --k stays at
-# 10, since construct_counterexample(2, 12, 14) forms powers for seconds
+# values small enough that each run is bounded
 
 CLI_VALUES = {  # flag -> (good values, malformed or out-of-range values)
     "--monoid": (["r=2/3; delta=const(1)", "r=2/3; delta=geom(1,2)", "r=2/3; delta=poly(1,1)",
@@ -459,8 +458,6 @@ def cli_argvs(draw):
         given = draw(st.sampled_from([True] * (9 if action.required else 1) + [False]))
         if flag in CLI_VALUES and given:
             good, bad = CLI_VALUES[flag]
-            if (name, flag) == ("counterexample", "--k"):
-                good = range(2, 11)
             mostly_good = [st.sampled_from(good)] * 3 * bool(good) + [st.sampled_from(bad)]
             value = str(draw(st.one_of(mostly_good)))
             spelling = draw(st.sampled_from(_spellings(flag)))
@@ -666,6 +663,20 @@ def test_a_near_tie_gets_a_finer_bracket(d, step):
     code = f"from puiseux.monoid import Recurrence; print(Recurrence(2, 3, 1).step({d}))"
     proc = _run_capped("-c", code)
     assert (proc.returncode, proc.stdout) == (0, f"{step}\n"), proc.stderr
+
+
+def test_a_long_counterexample_checks_its_gaps_without_forming_powers():
+    # delta_29 = 23205462599837629: each check used to form 12^delta_j and
+    # 2^delta_{j+1} in full; log2 brackets decide them
+    argv = ("counterexample", "--a", "2", "--b", "12", "--k", "30")
+    proc = _run_capped("-m", "puiseux.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["verified"], len(result["checks"])) == (True, 29)
+    assert result["checks"][-1] == {
+        "step": 28, "descending": "12^6473000092795834 > 2^23205462599837629",
+        "descending_ok": True, "ratio_close": "2^23205462599837630 >= 12^6473000092795834",
+        "ratio_close_ok": True}
 
 
 @pytest.mark.parametrize("spec, bound", [("r=2/3; delta=poly(1,1)", 100000),

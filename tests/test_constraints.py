@@ -29,7 +29,8 @@ in one except clause of each parser, and nowhere else. A gap is read by a
 ``.delta.delta(...)`` call only in ``oracle.py`` and in the two sparse
 readers ``min_normal_form`` and ``rewrite_down_step``; every in-order walk
 over the gaps reads ``DeltaSpec.gaps``. ``membership.py`` imports neither
-the search nor a pass that rewrites a factorization. No module imports
+the search nor a pass that rewrites a factorization, and ``length_set``
+calls neither the carry sweep nor the least-form walk. No module imports
 ``dataclasses``, whose decorators would compile code at every start, and
 ``__init__.py`` has no relative import at its top, so importing the package
 loads no module. No module binds a name by import, at its top or under a
@@ -303,6 +304,18 @@ def test_membership_has_no_second_path():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not imported & {"_leaves", "_expand", "_sweep", "min_normal_form"}, imported
+
+
+def test_length_set_runs_one_search_and_no_second_walk():
+    # both exactness flags come off the search: length_set neither sweeps
+    # nor walks to a least form
+    tree = ast.parse((PACKAGE / "factorization.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "length_set")
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(body) if isinstance(node, ast.Call)}
+    assert "_leaves" in called
+    assert not called & {"max_length_sweep", "_least_form"}, called
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

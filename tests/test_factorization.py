@@ -723,6 +723,44 @@ def test_one_search_matches_the_materialising_versions(query):
                 == _outcome(_ref_length_set, x, M, B, witness))
 
 
+# r < 1 tails that factor-mix lacks, for the max_exact rule: recurrences
+# with and without gap growth, a quadratic, a fast geometric, a periodic
+# tail of three, a prefix on a wider constant, and a finite window of 3
+FLAG_TAILS = [parse_monoid(text) for text in (
+    "r=2/3; delta=recurrence(2,3,2)", "r=2/3; delta=recurrence(2,5,2)",
+    "r=5/7; delta=poly(2,0,1)", "r=2/7; delta=geom(1,3)", "r=3/5; delta=periodic(2,1,3)",
+    "r=4/7; delta=prefix(2);const(2)", "r=2/3; delta=prefix(1,1,2);finite")]
+
+
+@st.composite
+def flag_queries(draw):
+    """(x, M, B), B from 0 to 5: x a whole part up to 8 plus up to two atoms
+    at indices up to B, or now and then B + 1, and now and then off the
+    monoid by 1/d(r) or 1/5, with the oracle's volume at most 2 * 10^4."""
+    M = draw(st.sampled_from(FLAG_TAILS))
+    B = draw(st.integers(0, 5))
+    window = M.delta.max_exponent_index
+    top = draw(st.sampled_from([B, B, B, B + 1]))
+    top = top if window is None else min(top, window)
+    support = draw(st.dictionaries(st.integers(0, top), st.integers(1, 2), max_size=2))
+    offset = draw(st.sampled_from([ZERO] * 4 + [Ratio(1, M.r.den), Ratio(1, 5)]))
+    x = Ratio(draw(st.integers(0, 8))) + evaluate(F(M, support)) + offset
+    assume(_oracle_volume(x, M, B) <= 2 * 10 ** 4)
+    return x, M, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag_queries())
+@example((Ratio(5) + Ratio(4, 9), FLAG_TAILS[-1], 2))  # below the window's end
+@example((Ratio(5) + Ratio(4, 9), FLAG_TAILS[-1], 3))  # at it
+def test_length_set_flags_match_the_sweep_on_more_tails(query):
+    # both flags come off the one search; the reference sweeps from a witness
+    x, M, B = query
+    for witness in (None, is_member(x, M).witness):
+        assert (_outcome(length_set, x, M, B, witness)
+                == _outcome(_ref_length_set, x, M, B, witness))
+
+
 # r > 1: each tail family with and without a prefix, and finite windows
 EXPANDING = [parse_monoid(text) for text in (
     "r=3/2; delta=const(1)", "r=5/3; delta=geom(1,2)", "r=3/2; delta=periodic(1,2)",
@@ -886,28 +924,35 @@ def test_length_sets_read_runs_and_enumeration_needs_no_sort(monkeypatch):
     tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix
     x, witness = evaluate(tail_query), min_normal_form(tail_query)
     leaves, resolved = _counted_walk(monkeypatch)
-    least, walks = fz._least_form, []
-    monkeypatch.setattr(fz, "_least_form", lambda *args: walks.append(args) or least(*args))
 
     def banned(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(fz, "_expand", banned)
+    # both flags come off the one search: no least-form walk, no carry sweep
+    for name in ("_expand", "_least_form", "max_length_sweep"):
+        monkeypatch.setattr(fz, name, banned)
     with_witness = length_set(x, CONST, 5, witness)
     assert with_witness.lengths[0] == witness.length
     runs = dict(resolved)
     assert (len(leaves), sum(runs[R][3] for _, R in leaves)) == (307, 1712)  # leaves, results
     assert len(resolved) == len(runs) == 14
-    assert walks == []
     leaves.clear()
     resolved.clear()
-    # without a witness the sweep starts from the one walk's least form
     assert length_set(x, CONST, 5) == with_witness
-    assert len(leaves) == 307 and len(resolved) == 14 and walks == [(x, CONST, 5)]
+    assert len(leaves) == 307 and len(resolved) == 14
     monkeypatch.undo()
     monkeypatch.setattr(fz, "sorted", banned, raising=False)
     found = [z.coeffs for z in enumerate_all(x, CONST, 5)]
     assert len(found) == 1712 and found == sorted(set(found))
+
+
+def test_a_greatest_length_past_64_levels_is_exact():
+    # 1 + r^{s_70}: every coefficient is below n(r), so it factors uniquely
+    # and its one length is the greatest; a carry sweep bounded at 64 levels
+    # from that witness could not say so
+    x = evaluate(F(CONST, {0: 1, 70: 1}))
+    for witness in (None, is_member(x, CONST).witness):
+        assert length_set(x, CONST, 70, witness) == LengthSet((2,), True, True)
 
 
 def test_a_length_set_resolves_each_remainder_once_and_merges_progressions(monkeypatch):
