@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 from .errors import ChainError, DomainError
 from .monoid import (SCAN_LIMIT, DeltaSpec, ExpMonoid, Recurrence, classify_atomicity,
-                     descending_run, s_index, _at_least)
+                     descending_run, s_index, _rank)
 from .ratio import Ratio, _Value
 
 
@@ -137,8 +137,12 @@ def construct_counterexample(a: int, b: int, k: int,
 
     Every step is checked exactly: (i) b^{delta_j} > a^{delta_{j+1}} (the
     descending-chain condition for r = a/b) and (ii) a^{delta_{j+1}+1} >=
-    b^{delta_j} (the gap ratio sits within 1/delta_j below log_a b). The
-    returned spec continues the recurrence past the explicit prefix.
+    b^{delta_j} (the gap ratio sits within 1/delta_j below log_a b). One
+    `monoid._rank` call per step counts how many of a^{delta_{j+1}} and
+    a^{delta_{j+1}+1} reach b^{delta_j}: (i) holds when fewer than two do,
+    (ii) when one does. It forms one pair of powers below 4096 bits and reads
+    integer log2 brackets above. The returned spec continues the recurrence
+    past the explicit prefix.
     """
     if k < 2:
         raise DomainError("k must be >= 2")
@@ -148,11 +152,12 @@ def construct_counterexample(a: int, b: int, k: int,
     delta = [rec.delta(j) for j in range(k)]
     checks = []
     for j in range(k - 1):
+        rank = _rank(a, delta[j + 1], b, delta[j])
         checks.append({"step": j,
                        "descending": f"{b}^{delta[j]} > {a}^{delta[j + 1]}",
-                       "descending_ok": not _at_least(a, delta[j + 1], b, delta[j]),
+                       "descending_ok": rank < 2,
                        "ratio_close": f"{a}^{delta[j + 1] + 1} >= {b}^{delta[j]}",
-                       "ratio_close_ok": _at_least(a, delta[j + 1] + 1, b, delta[j])})
+                       "ratio_close_ok": rank > 0})
     report: Dict[str, object] = {
         "delta": list(delta),
         "checks": checks,

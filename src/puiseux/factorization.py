@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
 from .monoid import ExpMonoid, s_index
-from .ratio import Ratio, _ints, _Value
+from .ratio import Ratio, _ints, _ipow, _Value
 
 
 class Factorization(_Value):
@@ -84,13 +84,18 @@ def evaluate(z: Factorization) -> Ratio:
     """The exact value sum c_n * r**s_n; the empty factorization gives 0.
 
     The terms are summed over the common denominator d^S, S the top exponent,
-    and only the sum is reduced.
+    and only the sum is reduced. Each power's exponent is a cumulative
+    exponent, so it comes from `_ipow`; the sum is a plain loop, which costs
+    less than a generator on the few terms of most factorizations.
     """
-    n, d = z.monoid.r.num, z.monoid.r.den
-    s = [s_index(z.monoid, i) for i, _ in z.coeffs]
+    M = z.monoid
+    n, d = M.r.num, M.r.den
+    s = [s_index(M, i) for i, _ in z.coeffs]
     top = s[-1] if s else 0
-    total = sum(c * n ** e * d ** (top - e) for (_, c), e in zip(z.coeffs, s))
-    return Ratio.over_power(total, d ** top, d)
+    total = 0
+    for (_, c), e in zip(z.coeffs, s):
+        total += c * _ipow(n, e) * _ipow(d, top - e)
+    return Ratio.over_power(total, _ipow(d, top), d)
 
 
 def _require_contracting(M: ExpMonoid, what: str) -> None:
@@ -243,14 +248,14 @@ def _least_form(x: Ratio, M: ExpMonoid, B: int) -> Optional[Dict[int, int]]:
     n, d = M.r.num, M.r.den
     gaps = list(islice(M.delta.gaps(), B))
     total = sum(gaps)
-    D = d ** total
+    D = _ipow(d, total)
     if D % x.den:
         return None
     rem = x.num * (D // x.den)
     a, b, levels = n, d, range(B + 1)
     if n < d:
         a, b, levels, gaps = d, n, levels[::-1], gaps[::-1]
-    weight = b ** total  # b^{s_B-u}
+    weight = _ipow(b, total)  # b^{s_B-u}
     out = {}
     for i, gap in zip(levels, gaps):
         mod = a ** gap
@@ -302,7 +307,7 @@ def _leaves(x: Ratio, M: ExpMonoid,
     B = max_index if window is None else min(max_index, window)
     n, d = M.r.num, M.r.den
     s = list(accumulate(islice(M.delta.gaps(), B), initial=0))
-    D = d ** s[B]
+    D = _ipow(d, s[B])
     if D % x.den != 0:
         return None, iter(())
     target = x.num * (D // x.den)
@@ -310,8 +315,8 @@ def _leaves(x: Ratio, M: ExpMonoid,
         return (lambda R: (0, 0, R, 1, 1, 1)), iter((((), target),))
     # per level i: n^{s_i}, the weight of one atom in units of 1/D, the step
     # n^{delta_i} between coefficients that can complete, 1/d^{s_B-s_i} mod it
-    n_pow = [n ** e for e in s]
-    w = [n_pow[i] * d ** (s[B] - s[i]) for i in range(B + 1)]
+    n_pow = [_ipow(n, e) for e in s]
+    w = [n_pow[i] * _ipow(d, s[B] - s[i]) for i in range(B + 1)]
     mod = [n_pow[i + 1] // n_pow[i] for i in range(B)]
     inv = [pow(pow(d, s[B] - s[i], mod[i]), -1, mod[i]) for i in range(B)]
     last = B - 1

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterator, Optional, Tuple
 
 from .errors import DomainError, IndexRangeError, ParseError
-from .ratio import Ratio, _ints, _power, _set, _Value, max_power_dividing
+from .ratio import Ratio, _ints, _ipow, _power, _set, _Value, max_power_dividing
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +77,40 @@ def _log2_bounds(x: int, p: int) -> Tuple[int, int]:
     return end(1), end(-1)
 
 
-def _at_least(d: int, a: int, n: int, b: int) -> bool:
-    """d^a >= n^b exactly, for d, n >= 1 and exponents of either sign. Past
-    4096 bits of powers, log2 brackets of d and n at 32 bits past the
-    exponents' bit length decide, and a near tie gets a second look at four
-    times the bits; the powers are formed only when the two sides' brackets
-    still overlap, as on a tie such as 4^3000 = 8^2000."""
+def _rank(d: int, a: int, n: int, b: int) -> int:
+    """How many of d^a and d^(a+1) are >= n^b, exactly, for d, n >= 1 and
+    exponents of either sign: 2 when d^a >= n^b, 1 when d^a < n^b <=
+    d^(a+1), 0 when d^(a+1) < n^b. Past 4096 bits of powers, log2 brackets
+    of d and n at 32 bits past the exponents' bit length decide, and a near
+    tie gets a second look at four times the bits; d^(a+1) is looked at
+    only when d^a < n^b is certain. One pair of powers, from `_ipow`, is
+    formed only below the cut or when a side's brackets still overlap, as
+    on a tie such as 4^3000 = 8^2000, and it decides both sides: d^a / n^b
+    = L / R with the negative exponents moved across, and d^(a+1) >= n^b
+    exactly when d L >= R."""
     if max(abs(a) * d.bit_length(), abs(b) * n.bit_length()) > 4096:
         e = max(abs(a), abs(b)).bit_length()
         for p in (e + 32, 4 * e + 64):
             (d_lo, d_hi), (n_lo, n_hi) = _log2_bounds(d, p), _log2_bounds(n, p)
             (l0, l1), (r0, r1) = sorted((a * d_lo, a * d_hi)), sorted((b * n_lo, b * n_hi))
-            if l0 >= r1 or l1 < r0:
-                return l0 >= r1
-    return d ** max(a, 0) * n ** max(-b, 0) >= n ** max(b, 0) * d ** max(-a, 0)
+            if l0 >= r1:
+                return 2
+            if l1 < r0:  # d^a < n^b: then d^(a+1) unless its brackets overlap
+                l0, l1 = sorted(((a + 1) * d_lo, (a + 1) * d_hi))
+                if l0 >= r1 or l1 < r0:
+                    return int(l0 >= r1)
+    L, R = _ipow(d, max(a, 0)), _ipow(n, max(b, 0))
+    if a < 0 or b < 0:
+        L, R = L * _ipow(n, max(-b, 0)), R * _ipow(d, max(-a, 0))
+    return 2 if L >= R else int(d * L >= R)
+
+
+def _at_least(d: int, a: int, n: int, b: int) -> bool:
+    """d^a >= n^b exactly, by `_rank`, which asks nothing of d^(a+1) once
+    d^a >= n^b is certain. Its callers compare powers of the coprime n(r)
+    and d(r), which never tie, so past the cut the side they do not need is
+    settled, but for a near tie, by the brackets already read."""
+    return _rank(d, a, n, b) == 2
 
 
 class Tail(_Value):
@@ -346,7 +366,7 @@ class Recurrence(Tail):
 
     This is the integer form of the slowly-growing gap construction whose
     ratios approach log_a(b) from below; by definition b**delta_k >
-    a**delta_{k+1} at every step; ``step`` compares the powers by ``_at_least``.
+    a**delta_{k+1} at every step; ``step`` compares the powers by ``_rank``.
     """
 
     __slots__ = ("a", "b", "seed", "_memo")  # _memo: the gaps so far, from delta_0
@@ -364,11 +384,12 @@ class Recurrence(Tail):
         _set(self, "_memo", [seed])
 
     def step(self, d: int) -> int:
-        # the m with a^m < b^d <= a^(m+1): log2 brackets put d lo_b / hi_a less
-        # than 1 below d log_a b, and exact comparisons move m up from its floor
+        # the m with a^m < b^d <= a^(m+1), where _rank is 1: log2 brackets put
+        # d lo_b / hi_a less than 1 below d log_a b, so m starts at or below
+        # it, and exact comparisons move m up while a^(m+1) < b^d
         p = (d * self.b.bit_length()).bit_length() + 32
         m = d * _log2_bounds(self.b, p)[0] // _log2_bounds(self.a, p)[1]
-        while not _at_least(self.a, m + 1, self.b, d):
+        while not _rank(self.a, m, self.b, d):
             m += 1
         return m
 

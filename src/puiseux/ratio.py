@@ -32,6 +32,22 @@ def _literal(value: int) -> str:
         return hex(value)
 
 
+def _ipow(base: int, e: int) -> int:
+    """base ** e for int base, e >= 0. base = 2^t u with u odd gives u^e
+    shifted left by t e bits: CPython's ** squares and multiplies on a power
+    of two as on any base (CPython 3.11 on x86: 2 ** 12500 takes about a
+    hundred times as long as 1 << 12500, 6 ** 12500 twice as long as
+    3 ** 12500 << 12500). An odd base has t = 0; 0 and 1 take ** (0^0 = 1).
+    Callers send it the powers whose exponent is a cumulative exponent s,
+    which grows with the index, and the comparator's powers of up to 4096
+    bits; a power of one gap in a per-level loop stays inline, where the
+    call would cost more than it saves."""
+    if base < 2:
+        return base ** e
+    t = (base & -base).bit_length() - 1
+    return (base >> t) ** e << t * e
+
+
 def _power(base: int, e: int) -> str:
     """base**e in base 10, or "base^e" when it is too long for int -> str.
     base**e >= 2^(e (bits - 1)), and 10^limit has at most limit*10//3 + 1
@@ -144,12 +160,16 @@ class Ratio(_Value):
     def power_quotients(self, a: int, b: int,
                         steps: Iterable[Tuple[int, int]]) -> Iterator["Ratio"]:
         """num^a / den^b, then the same after each (i, j) of steps has raised
-        a by i and b by j, for int a, b, i, j >= 0. Each power is carried
-        from the last by one multiply, and no value takes a gcd: num and den
-        are coprime, so are any powers of them (a prime that divided num^a
-        and den^b would divide num and den), and at num = 0, den = 1."""
-        num, den, top, bottom = self.num, self.den, 1, 1
-        for i, j in chain(((a, b),), steps):
+        a by i and b by j, for int a, b, i, j >= 0. The first pair of powers
+        comes from `_ipow`, each later one is carried from the last by one
+        multiply, and no value takes a gcd: num and den are coprime, so are
+        any powers of them (a prime that divided num^a and den^b would
+        divide num and den), and at num = 0, den = 1."""
+        if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+            raise TypeError("exponents must be integers >= 0")
+        num, den = self.num, self.den
+        top, bottom = _ipow(num, a), _ipow(den, b)
+        for i, j in chain(((0, 0),), steps):  # (0, 0): the first quotient
             top *= num ** i
             bottom *= den ** j
             if type(top) is not int or type(bottom) is not int:  # a float or an i < 0
@@ -283,7 +303,7 @@ class Ratio(_Value):
         if e < 0:
             raise DomainError("negative exponent")
         # a power of a reduced fraction is reduced: no gcd needed
-        return Ratio._reduced(self.num ** e, self.den ** e)
+        return Ratio._reduced(_ipow(self.num, e), _ipow(self.den, e))
 
     # -- helpers -------------------------------------------------------
 

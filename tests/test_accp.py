@@ -388,6 +388,44 @@ class TestCounterexample:
         with pytest.raises(DomainError):
             construct_counterexample(3, 2, 4)
 
+    def test_each_check_is_one_comparator_call_on_one_pair_of_powers(self, monkeypatch):
+        # (2, 3, 17): the gaps run to 2096, so the last check is past the
+        # 4096-bit cut and reads brackets, and the others form a^delta_{j+1}
+        # and b^delta_j once each, for both sides of the check
+        from puiseux import accp, monoid
+        rank, ipow, calls = monoid._rank, monoid._ipow, []
+
+        def counted_rank(*args):
+            calls.append([])
+            return rank(*args)
+
+        def counted_ipow(base, e):
+            if calls and e:
+                calls[-1].append((base, e))
+            return ipow(base, e)
+
+        monkeypatch.setattr(accp, "_rank", counted_rank)
+        monkeypatch.setattr(monoid, "_ipow", counted_ipow)
+        _, report = construct_counterexample(2, 3, 17)
+        delta = report["delta"]
+        assert len(calls) == len(report["checks"]) == 16
+        assert calls[:-1] == [[(2, delta[j + 1]), (3, delta[j])] for j in range(15)]
+        assert calls[-1] == [] and delta[-1] * 2 > 4096
+        assert report["verified"] is True
+
+    @pytest.mark.parametrize("a, b, k, seed", [(2, 3, 17, 2), (2, 5, 9, 2), (3, 7, 12, 2),
+                                               (3, 5, 16, 5), (2, 12, 30, 2), (4, 8, 12, 2),
+                                               (9, 27, 10, 3), (13, 15, 10, 1)])
+    def test_each_check_matches_the_formed_powers(self, a, b, k, seed):
+        # (4, 8) and (9, 27) meet exact ties b^delta = a^m; (2, 12, 30) runs
+        # far past the cut, where only the last checks are formed here
+        _, report = construct_counterexample(a, b, k, seed)
+        for check, low, high in zip(report["checks"], report["delta"], report["delta"][1:]):
+            if high * a.bit_length() > 20000:
+                continue
+            assert check["descending_ok"] == (b ** low > a ** high)
+            assert check["ratio_close_ok"] == (a ** (high + 1) >= b ** low)
+
     def test_satisfies_necessary_bound_yet_fails_accp(self):
         spec, _ = construct_counterexample(2, 3, 6)
         monoid = ExpMonoid(Ratio(2, 3), spec)

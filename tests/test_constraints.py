@@ -8,9 +8,11 @@ function (``log``, ``log2``, ``log10``, ``sqrt``, ``exp``, ``pow``,
 ``fsum``), any import of a module that is neither in the standard library
 nor the package itself, and any ``assert`` statement, which ``python -O``
 strips. No floating-point use is allowed anywhere: ``Recurrence.step``
-compares logarithms through integer log2 brackets. A comparison that has
-a ``**`` power among its operands sits in ``monoid._at_least`` alone, the
-one exact test of d^a >= n^b. The gcd-free
+compares logarithms through integer log2 brackets. In ``monoid.py`` and
+``accp.py`` a comparison that has a power among its operands, a ``**`` or
+a call of ``ratio._ipow``, sits in ``monoid._rank`` alone, the one exact
+test of d^a >= n^b and of d^(a+1) >= n^b beside it, which ``_at_least``
+and the counterexample checks call. The gcd-free
 constructor ``Ratio._reduced``, a call that passes the class ``Ratio``
 itself, as ``object.__new__(Ratio)`` does, and a store into a Ratio's
 fields, by ``Ratio.num.__set__``, ``Ratio.den.__set__`` or a ``"num"`` or
@@ -144,33 +146,45 @@ def test_the_package_has_no_floating_point_use():
     assert not found and not FLOAT_ALLOWED, found
 
 
+def _is_power(node) -> bool:
+    """node is a ** power or a call of the power kernel _ipow, under either spelling."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.Pow)
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_ipow")
+
+
 def _power_comparisons(tree):
-    """(scope, line) of each comparison in tree with a ** power in an operand."""
+    """(scope, line) of each comparison in tree with a power in an operand."""
     for node, scope in _scoped(tree):
         if isinstance(node, ast.Compare) and any(
-                isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow)
-                for operand in (node.left, *node.comparators) for sub in ast.walk(operand)):
+                _is_power(sub) for operand in (node.left, *node.comparators)
+                for sub in ast.walk(operand)):
             yield scope, node.lineno
 
 
 def test_powers_are_compared_in_at_least_alone():
-    # _at_least decides d^a >= n^b from log2 brackets past 4096 bits; a
-    # comparison of formed powers elsewhere pays for every bit of them
-    tree = ast.parse((PACKAGE / "monoid.py").read_text())
-    found = [f"{scope or '<module>'}:{line}" for scope, line in _power_comparisons(tree)
-             if scope != "_at_least"]
-    assert not found, f"monoid.py compares a ** power outside _at_least at {found}"
+    # _rank, which _at_least calls, decides d^a >= n^b from log2 brackets past
+    # 4096 bits and forms one pair of powers below; a comparison of formed
+    # powers elsewhere pays for every bit of them, and a counterexample check
+    # that compared them in place formed b^delta_j twice
+    found = [f"{name}:{scope or '<module>'}:{line}" for name in ("monoid.py", "accp.py")
+             for scope, line in _power_comparisons(ast.parse((PACKAGE / name).read_text()))
+             if (name, scope) != ("monoid.py", "_rank")]
+    assert not found, f"a ** or _ipow power compared outside monoid._rank at {found}"
 
 
 @pytest.mark.parametrize("source", [
     "d >= n ** c", "{d ** a >= n ** b for a, b in pairs}", "f(x ** 2) < 1",
-    "while a ** (m + 1) < target:\n    m += 1", "0 < 2 ** k <= y"])
+    "while a ** (m + 1) < target:\n    m += 1", "0 < 2 ** k <= y",
+    "_ipow(d, a) >= n", "x < ratio._ipow(b, e) * c", "not _ipow(a, m) < t"])
 def test_each_power_comparison_is_seen(source):
     assert list(_power_comparisons(ast.parse(source)))
 
 
 @pytest.mark.parametrize("source", [
-    "c = d ** a - n ** b\nc > 0", "_at_least(d, a, n, b)", "x < y", "x = 2 ** k"])
+    "c = d ** a - n ** b\nc > 0", "_at_least(d, a, n, b)", "x < y", "x = 2 ** k",
+    "_rank(d, a, n, b) > 0", "x = _ipow(d, a)\nx >= y"])
 def test_a_comparison_without_a_power_is_not_flagged(source):
     assert not list(_power_comparisons(ast.parse(source)))
 

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from puiseux.accp import classify, series_partial_sums, witness_chain
 from puiseux.factorization import Factorization, evaluate
-from puiseux.monoid import descending_run, parse_monoid, s_index
+from puiseux.monoid import atom, descending_run, parse_monoid, s_index
 
 
 def _pair(value):
@@ -119,3 +119,21 @@ def test_witness_chain_matches_fraction(r, delta, k):
         x, z = (Fraction(*_pair(e)) for e in chain.elements[offset:offset + 2])
         assert x == z + value
     assert s[-1] == s_index(M, chain.start + k)
+
+
+# deep-index's index range: even numerator, even denominator and both odd
+DEEP_RATIOS = ["2/3", "3/4", "6/7", "5/8", "7/9"]
+DEEP_DELTAS = ["const(1)", "periodic(2,3)", "prefix(2,1); const(1)"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DEEP_RATIOS), st.sampled_from(DEEP_DELTAS),
+       st.dictionaries(st.integers(1000, 5000), st.integers(1, 60), min_size=1, max_size=3))
+@example("5/8", "const(1)", {1000: 8, 5000: 1})  # c shares the prime 2 with d
+@example("6/7", "periodic(2,3)", {4999: 49, 5000: 7})
+def test_deep_atoms_and_values_match_fraction(r, delta, coeffs):
+    M = parse_monoid(f"r={r}; delta={delta}")
+    for i in coeffs:
+        assert _pair(atom(M, i)) == _pair(_r(M) ** s_index(M, i))
+    z = Factorization(M, tuple(sorted(coeffs.items())))
+    assert _pair(evaluate(z)) == _pair(_value(M, coeffs))

@@ -421,6 +421,31 @@ def test_at_least_on_ties_and_their_neighbours(d, a, n, b):
     assert monoid._at_least(d, a, n, b) == _fraction_at_least(d, a, n, b)
 
 
+def _fraction_rank(d, a, n, b):
+    return _fraction_at_least(d, a, n, b) + _fraction_at_least(d, a + 1, n, b)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.just(1), st.integers(2, 1000)), st.integers(-5000, 5000),
+       st.one_of(st.just(1), st.integers(2, 1000)), st.integers(-5000, 5000))
+@example(1, 5000, 7, 1)  # d = 1: d^a = d^(a+1)
+@example(2, 4095, 2, 4096)  # rank 1 on the power of two, just past the switch
+@example(3, -1, 1, 5000)  # d^(a+1) = 1 = n^b
+@example(999, -4000, 1000, -3999)
+def test_rank_is_the_exact_count(d, a, n, b):
+    # how many of d^a, d^(a+1) reach n^b, on both sides of the 4096-bit switch
+    assert monoid._rank(d, a, n, b) == _fraction_rank(d, a, n, b)
+
+
+@pytest.mark.parametrize("d,a,n,b", [
+    (4, 2999, 8, 2000), (4, 3000, 8, 2000), (4, 2998, 8, 2000), (8, 1999, 4, 3000),
+    (9, 3999, 3, 8000), (3, 7999, 9, 4000), (4, -3001, 8, -2000), (2, 12999, 8, 4333),
+    (27, 7000, 9, 10500), (27, 6999, 9, 10500)])
+def test_rank_on_ties_and_their_neighbours(d, a, n, b):
+    # a tie at d^a or at d^(a+1) leaves that side's brackets overlapping
+    assert monoid._rank(d, a, n, b) == _fraction_rank(d, a, n, b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 39).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 40))),
        st.integers(1, 10 ** 40))

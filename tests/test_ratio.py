@@ -8,7 +8,7 @@ from sympy import primefactors
 
 from puiseux.errors import DomainError, ParseError
 from puiseux.monoid import atom, parse_monoid
-from puiseux.ratio import ONE, ZERO, Ratio, _power, max_power_dividing
+from puiseux.ratio import ONE, ZERO, Ratio, _ipow, _power, max_power_dividing
 
 
 def test_reduction():
@@ -131,6 +131,48 @@ def test_power_quotients_match_fraction(p, q, a, b, steps):
 def test_power_quotients_take_nonnegative_int_exponents(a, b, steps):
     with pytest.raises(TypeError, match="^exponents must be integers >= 0$"):
         list(Ratio(2, 3).power_quotients(a, b, steps))
+
+
+@pytest.mark.parametrize("r, a, b", [(Ratio(2, 3), -4, 0), (Ratio(3, 4), 0, -1),
+                                     (Ratio(6, 7), -1, -1), (Ratio(5, 8), 2, -3),
+                                     (Ratio(7, 9), -2, 5), (ONE, -1, 0), (ZERO, 0, -2)])
+def test_power_quotients_refuse_a_negative_first_exponent(r, a, b):
+    # checked before _ipow forms the first pair, where a negative exponent
+    # would shift a float and raise a TypeError of another message
+    with pytest.raises(TypeError, match="^exponents must be integers >= 0$"):
+        next(r.power_quotients(a, b, []))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 80), st.integers(0, 499_999).map(lambda k: 2 * k + 1),
+       st.integers(0, 5000))
+@example(0, 1, 5000)  # base 1
+@example(80, 1, 5000)  # a bare power of two, 400 000 bits
+@example(1, 3, 0)
+def test_ipow_is_the_power(t, u, e):
+    # base 2^t u with u odd: u^e shifted by t e bits
+    base = u << t
+    assert _ipow(base, e) == base ** e
+    assert type(_ipow(base, e)) is int
+
+
+@given(st.sampled_from([0, 1]), st.integers(0, 5000))
+@example(0, 0)  # 0^0 = 1
+def test_ipow_of_zero_and_one(base, e):
+    assert _ipow(base, e) == base ** e
+    assert type(_ipow(base, e)) is int
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 4), (6, 7), (5, 8), (7, 9), (8, 3)]),
+       st.integers(1000, 5000))
+@example((2, 3), 5000)
+@example((5, 8), 1000)
+def test_deep_powers_match_fraction(pq, e):
+    # even numerator, even denominator and both odd, at the exponents of
+    # deep-index's atoms; (num, den) pairs, so an unreduced power fails too
+    got, want = Ratio(*pq) ** e, Fraction(*pq) ** e
+    assert (got.num, got.den) == (want.numerator, want.denominator)
 
 
 def test_big_powers_exact():
