@@ -80,22 +80,34 @@ class MaxLengthOutcome(_Value):
         return self.found is not None
 
 
+def _scaled_sum(M: ExpMonoid, coeffs) -> Tuple[int, int]:
+    """(T, S) for (index, coeff) pairs in ascending index, coefficients of
+    either sign: S = s at the last nonzero term (0 for none) and T = sum c_i
+    n^{s_i} d^{S-s_i}, the value times d^S. Each s_i is read once, by the
+    closed form `s_index`, which raises past a finite window. T is a Horner
+    pass, T d^{s_i-S} + c_i n^{s_i}, and as in `_ipow` the power-of-two part
+    of n and of d is a shift, which here also spares multiplying by it."""
+    n, d = M.r.num, M.r.den
+    tn, td = (n & -n).bit_length() - 1, (d & -d).bit_length() - 1
+    n, d = n >> tn, d >> td
+    total = top = 0
+    for i, c in coeffs:
+        s = s_index(M, i)
+        if c:
+            if total:
+                total = total * d ** (s - top) << td * (s - top)
+            total += c * n ** s << tn * s
+            top = s
+    return total, top
+
+
 def evaluate(z: Factorization) -> Ratio:
     """The exact value sum c_n * r**s_n; the empty factorization gives 0.
 
-    The terms are summed over the common denominator d^S, S the top exponent,
-    and only the sum is reduced. Each power's exponent is a cumulative
-    exponent, so it comes from `_ipow`; the sum is a plain loop, which costs
-    less than a generator on the few terms of most factorizations.
-    """
-    M = z.monoid
-    n, d = M.r.num, M.r.den
-    s = [s_index(M, i) for i, _ in z.coeffs]
-    top = s[-1] if s else 0
-    total = 0
-    for (_, c), e in zip(z.coeffs, s):
-        total += c * _ipow(n, e) * _ipow(d, top - e)
-    return Ratio.over_power(total, _ipow(d, top), d)
+    The terms are summed over the common denominator d^S, S the top
+    exponent, by `_scaled_sum`, and only the sum is reduced."""
+    total, top = _scaled_sum(z.monoid, z.coeffs)
+    return Ratio.over_power(total, _ipow(z.monoid.r.den, top), z.monoid.r.den)
 
 
 def _require_contracting(M: ExpMonoid, what: str) -> None:
@@ -103,10 +115,24 @@ def _require_contracting(M: ExpMonoid, what: str) -> None:
         raise DomainError(f"{what} requires r < 1; use finite enumeration")
 
 
-def _checked(M: ExpMonoid, coeffs: Dict[int, int], value: Ratio, what: str) -> Factorization:
-    """The factorization of the nonzero coefficients, which must evaluate to value."""
+def _checked(M: ExpMonoid, coeffs: Dict[int, int], source: Factorization | Ratio,
+             what: str) -> Factorization:
+    """The factorization of the nonzero coefficients, which must have the
+    value of source, the input of a rewrite or the rational q of a witness.
+    Both sides are compared times d^S != 0, in integers, which changes no
+    verdict, and no value is built or reduced: a rewrite of c into c' needs
+    sum (c_i - c'_i) n^{s_i} d^{S-s_i} = 0 over the union of the supports,
+    a witness with scaled sum (T, S) needs T d(q) = n(q) d^S."""
     out = Factorization(M, tuple(sorted((i, c) for i, c in coeffs.items() if c)))
-    if evaluate(out) != value:
+    if isinstance(source, Factorization):
+        diff = dict(source.coeffs)
+        for i, c in out.coeffs:
+            diff[i] = diff.get(i, 0) - c
+        same = not _scaled_sum(M, sorted(diff.items()))[0]
+    else:
+        total, top = _scaled_sum(M, out.coeffs)
+        same = total * source.den == source.num * _ipow(M.r.den, top)
+    if not same:
         raise StepError(f"{what} changed the value")
     return out
 
@@ -127,7 +153,7 @@ def rewrite_down_step(z: Factorization, i: int) -> Factorization:
         raise StepError(f"step not applicable at level {i}: need c_{i} >= {d_pow}")
     coeffs[i] -= d_pow
     coeffs[i - 1] = coeffs.get(i - 1, 0) + n_pow
-    return _checked(M, coeffs, evaluate(z), f"rewrite at level {i}")
+    return _checked(M, coeffs, z, f"rewrite at level {i}")
 
 
 def min_normal_form(z: Factorization) -> Factorization:
@@ -141,9 +167,10 @@ def min_normal_form(z: Factorization) -> Factorization:
     """
     M = z.monoid
     _require_contracting(M, "the minimum normal form")
-    value = evaluate(z)
     coeffs = z.as_dict()
-    levels = sorted(coeffs)
+    levels, window = sorted(coeffs), M.delta.max_exponent_index
+    if window is not None and z.top_index > window:  # raise before a gap past it is read
+        s_index(M, next(i for i in levels if i > window))
     while levels and levels[-1] >= 1:
         i = levels.pop()
         delta = M.delta.delta(i - 1)
@@ -152,7 +179,7 @@ def min_normal_form(z: Factorization) -> Factorization:
             if i - 1 not in coeffs:  # every remaining level is below i
                 levels.append(i - 1)
             coeffs[i - 1] = coeffs.get(i - 1, 0) + q * M.r.num ** delta
-    return _checked(M, coeffs, value, "the minimum normal form")
+    return _checked(M, coeffs, z, "the minimum normal form")
 
 
 def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcome:
@@ -229,7 +256,7 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
             out[i] = rem
         carry = q * (up := d ** delta_i) if q else 0
         i += 1
-    return MaxLengthOutcome(_checked(M, out, evaluate(z), "the max-length sweep"), i)
+    return MaxLengthOutcome(_checked(M, out, z, "the max-length sweep"), i)
 
 
 def _least_form(x: Ratio, M: ExpMonoid, B: int) -> Optional[Dict[int, int]]:

@@ -14,7 +14,7 @@ from puiseux.accp import (check_necessary, classify, construct_counterexample,
 from puiseux.errors import ChainError, DomainError
 from puiseux.factorization import Factorization, evaluate, max_length_sweep
 from puiseux.membership import is_member
-from puiseux.monoid import (SCAN_LIMIT, TAILS, DeltaSpec, ExpMonoid, Recurrence,
+from puiseux.monoid import (SCAN_LIMIT, TAILS, DeltaSpec, ExpMonoid, Recurrence, _log2_bounds,
                             classify_atomicity, descending_run, parse_monoid, s_index,
                             truncate)
 from puiseux.ratio import ZERO, Ratio
@@ -302,6 +302,23 @@ class TestWitnessChain:
             tracemalloc.stop()
         assert c.accp == "no" and "^" in c.evidence["instance"]
         assert peak <= 128 * 1024
+
+    @pytest.mark.parametrize("spec, instance", [
+        ("r=60/61; delta=poly(1,0,1)", "d^delta_496=61^246017 > n^delta_497=60^247010"),
+        ("r=90/91; delta=poly(1,0,1)", "d^delta_815=91^664226 > n^delta_816=90^665857"),
+    ], ids=["60/61", "90/91"])
+    def test_a_cold_scan_forms_no_power_past_2_20_bits(self, spec, instance):
+        # with the log2 brackets uncached, every bracket is squared up from
+        # d and n: a power of 2^20 bits would alone take 128 KB
+        _log2_bounds.cache_clear()
+        tracemalloc.start()
+        try:
+            c = classify(M(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (c.accp, c.evidence["instance"]) == ("no", instance)
+        assert peak < 2 ** 20 // 8
 
     def test_a_deep_link_is_found_where_the_classifier_names_it(self):
         # d = 21 is close to n = 20, so the first link lies past index 64

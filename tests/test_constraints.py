@@ -25,6 +25,10 @@ calls a two-argument ``Ratio(num, den)``. That rule sees calls by name
 only; the Ratio arithmetic in those functions, which reduces by a gcd of
 its own, is held to no gcd of two long integers at run time by the
 ``long_gcds`` guards of ``test_accp.py`` and ``test_factorization.py``.
+The value check of the rewrites and of a membership witness,
+``factorization._checked``, and every package function or class
+``__init__`` that it reaches by calls, call none of ``evaluate``,
+``Ratio``, ``over_power`` or ``gcd``: it decides by one integer identity.
 ``Factorization.make``, which checks input from outside the library, is
 called from ``cli.py`` alone. A ``DomainError`` becomes a ``ParseError``
 in one except clause of each parser, and nowhere else. A gap is read by a
@@ -254,6 +258,72 @@ def test_values_over_a_power_of_d_are_reduced_by_over_power():
                           and node.func.id == "Ratio" and len(node.args) == 2]
     assert found == set().union(*owners.values())
     assert not calls, f"Ratio(num, den) called directly at {calls}"
+
+
+VALUE_CHECK_BANS = {"evaluate", "Ratio", "over_power", "gcd"}
+
+
+def _callee(node):
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def _value_check_calls(trees, start="_checked"):
+    """The functions that start reaches by calls through trees, and (function,
+    line, name) of each call in them of a name in VALUE_CHECK_BANS. A call
+    by name or attribute reaches each module-level function of that name and
+    the __init__ of each class of that name, in any of the trees."""
+    defs = {}
+    for tree in trees:
+        for top in tree.body:
+            body = top
+            if isinstance(top, ast.ClassDef):
+                body = next((node for node in top.body
+                             if getattr(node, "name", None) == "__init__"), None)
+            if isinstance(body, ast.FunctionDef):
+                defs.setdefault(top.name, []).append(body)
+    seen, todo, banned = set(), [start], []
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in (node for body in defs[name] for node in ast.walk(body)):
+            if isinstance(node, ast.Call):
+                todo.append(_callee(node))
+                if _callee(node) in VALUE_CHECK_BANS:
+                    banned.append((name, node.lineno, _callee(node)))
+    return seen, banned
+
+
+def test_the_value_check_builds_no_value_and_takes_no_gcd():
+    # a result is checked by one integer identity over d^S: evaluating both
+    # sides built two Ratios, each with a gcd, and cost more than the rewrite
+    reached, banned = _value_check_calls([ast.parse(path.read_text()) for path in MODULES])
+    assert {"_checked", "_scaled_sum", "s_index", "Factorization"} <= reached, reached
+    assert not banned, f"the value check calls {banned}"
+
+
+@pytest.mark.parametrize("source", [
+    "def _checked(M, c, v, w):\n    return evaluate(z) != v",
+    "def _checked(M, c, v, w):\n    return Ratio(1, 2)",
+    "def _checked(M, c, v, w):\n    return _sum(c)\ndef _sum(c):\n    return Ratio.over_power(c, 3, 3)",
+    "def _checked(M, c, v, w):\n    return m.f(c)\ndef f(c):\n    return g(c)\n"
+    "def g(c):\n    return math.gcd(c, 3)",
+    "def _checked(M, c, v, w):\n    return Out(c)\nclass Out:\n    def __init__(self, c):\n"
+    "        self.v = gcd(c, 3)"])
+def test_each_value_check_call_is_seen(source):
+    assert _value_check_calls([ast.parse(source)])[1]
+
+
+@pytest.mark.parametrize("source", [
+    "def _checked(M, c, v, w):\n    return _sum(M, c)[0] * v.den\ndef _sum(M, c):\n    return 0, 0",
+    "def _checked(M, c, v, w):\n    return isinstance(v, Ratio)",
+    "def _checked(M, c, v, w):\n    return c\ndef evaluate_all(z):\n    return evaluate(z)",
+    "def _checked(M, c, v, w):\n    return Out(c)\nclass Out:\n    def value(self):\n"
+    "        return gcd(self.c, 3)"])
+def test_a_value_check_without_those_calls_is_not_flagged(source):
+    reached, banned = _value_check_calls([ast.parse(source)])
+    assert "_checked" in reached and not banned
 
 
 def test_r_is_set_against_1_by_its_integers():

@@ -367,13 +367,18 @@ class TestMaxLengthSweep:
             max_length_sweep(F(fin, {0: 1, 5: 1}))
 
     def test_z_is_evaluated_only_for_a_result(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("puiseux.factorization.evaluate",
-                            lambda z: calls.append(z) or evaluate(z))
+        # z's value is read only to check a result, by one scaled sum of the
+        # coefficient differences over the union of the two supports
+        calls, kernel = [], fz._scaled_sum
+        monkeypatch.setattr(fz, "_scaled_sum",
+                            lambda M, coeffs: calls.append(list(coeffs)) or kernel(M, coeffs))
+        monkeypatch.setattr(fz, "evaluate", None)  # a call would raise
         assert not max_length_sweep(F(CONST, {0: 2})).terminated
         assert calls == []
-        out = max_length_sweep(F(GEOM, {0: 2}), 16)
-        assert calls == [F(GEOM, {0: 2}), out.found]
+        z = F(GEOM, {0: 2})
+        out = max_length_sweep(z, 16).found
+        a, b = z.as_dict(), out.as_dict()
+        assert calls == [[(i, a.get(i, 0) - b.get(i, 0)) for i in sorted({*a, *b})]]
 
 
 class TestEnumerateAll:
@@ -547,16 +552,103 @@ def test_normal_form_skips_empty_levels(monkeypatch):
     assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("step", [lambda z: rewrite_down_step(z, 1),
-                                  min_normal_form, max_length_sweep],
-                         ids=["rewrite_down_step", "min_normal_form", "max_length_sweep"])
+@pytest.mark.parametrize("step", [min_normal_form,
+                                  lambda z: rewrite_down_step(z, 1)],
+                         ids=["min_normal_form", "rewrite_down_step"])
+def test_the_least_index_past_the_window_is_named(step):
+    # as evaluate named it: the pass reads no gap past the window first, and
+    # a step below the window still checks every index of its input
+    fin = parse_monoid("r=2/3; delta=prefix(1,1,1); finite")
+    with pytest.raises(IndexRangeError, match="^exponent index 5 beyond finite window 3$"):
+        step(F(fin, {1: 3, 5: 1, 6: 1}))
+
+
+_SCALED_SUM = fz._scaled_sum
+
+
+def _off_by_one_kernel(M, coeffs):
+    total, top = _SCALED_SUM(M, coeffs)
+    return total + 1, top
+
+
+def _off_by_one_s_index(M, i):
+    return s_index(M, i) + (i == 0)
+
+
+# each step's output differs from its input at levels 0 and 1, so a wrong s_0
+# moves the value; is_member's witness for 2 = 3 r^{s_1} is 2 atoms at level 0
+@pytest.mark.parametrize("step", [lambda: rewrite_down_step(F(GEOM, {1: 3}), 1),
+                                  lambda: min_normal_form(F(GEOM, {1: 3})),
+                                  lambda: max_length_sweep(F(GEOM, {0: 3})),
+                                  lambda: is_member(Ratio(2), GEOM)],
+                         ids=["rewrite_down_step", "min_normal_form", "max_length_sweep",
+                              "is_member"])
 def test_value_check_raises_without_assert(monkeypatch, step):
-    # a wrong evaluate, one more on every call, must trip the explicit value
-    # check, which unlike an assert also runs under python -O
-    calls = iter(range(1, 100))
-    monkeypatch.setattr("puiseux.factorization.evaluate", lambda z: Ratio(next(calls)))
-    with pytest.raises(StepError, match="changed the value"):
-        step(F(GEOM, {1: 3}))
+    # a fault in the integer identity, a scaled sum one too large or an s_0
+    # one too large, must trip the explicit value check, which unlike an
+    # assert also runs under python -O
+    step()  # unfaulted, the check passes
+    for name, fault in (("_scaled_sum", _off_by_one_kernel), ("s_index", _off_by_one_s_index)):
+        with monkeypatch.context() as patched:
+            patched.setattr(fz, name, fault)
+            with pytest.raises(StepError, match="changed the value"):
+                step()
+
+
+@pytest.fixture
+def value_reads(monkeypatch, long_gcds):
+    """The calls of evaluate, Ratio.over_power and s_index, and the long gcds,
+    that the test makes after it reads the fixture."""
+    counts = {"evaluate": 0, "over_power": 0, "s_index": [], "long_gcds": long_gcds}
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(fz, "evaluate", counted("evaluate", evaluate))
+    monkeypatch.setattr(Ratio, "over_power",
+                        staticmethod(counted("over_power", Ratio.over_power)))
+    monkeypatch.setattr(fz, "s_index", lambda M, i: counts["s_index"].append(i) or s_index(M, i))
+    return counts
+
+
+PERIODIC = parse_monoid("r=2/3; delta=periodic(2,3)")
+VALUE_CHECKS = {
+    "rewrite_down_step": lambda: rewrite_down_step(F(PERIODIC, {3000: 50, 4000: 700}), 4000),
+    "min_normal_form": lambda: min_normal_form(F(PERIODIC, {3000: 50, 4000: 700})),
+    "max_length_sweep": lambda: max_length_sweep(F(GEOM, {0: 10 ** 6, 3: 5})),
+    "is_member": lambda: is_member(Ratio(2 ** 40 + 1, 3 ** 12), GEOM),
+    "is_member r=1": lambda: is_member(Ratio(7), parse_monoid("r=1; delta=const(1)")),
+    "is_member r>1": lambda: is_member(Ratio(85, 8), parse_monoid("r=3/2; delta=const(1)")),
+}
+
+
+@pytest.mark.parametrize("check", VALUE_CHECKS.values(), ids=VALUE_CHECKS.keys())
+def test_value_checks_build_no_value_and_take_no_long_gcd(value_reads, check):
+    out = check()
+    found = out.found if isinstance(out, MaxLengthOutcome) else getattr(out, "witness", out)
+    assert isinstance(found, Factorization) and found.coeffs
+    assert value_reads["evaluate"] == value_reads["over_power"] == 0
+    assert value_reads["long_gcds"] == []
+
+
+DEEP_STEPS = {
+    "normal form 5000": (min_normal_form, F(CONST, {5000: 1})),
+    "normal form 3000-4000": (min_normal_form, F(CONST, {3000: 50, 4000: 700})),
+    "step 3000-4000": (lambda z: rewrite_down_step(z, 4000), F(CONST, {3000: 50, 4000: 700})),
+    "periodic normal form": (min_normal_form, F(PERIODIC, {3000: 50, 4000: 700})),
+    "periodic step": (lambda z: rewrite_down_step(z, 4000), F(PERIODIC, {3000: 50, 4000: 700})),
+}
+
+
+@pytest.mark.parametrize("step, z", DEEP_STEPS.values(), ids=DEEP_STEPS.keys())
+def test_a_deep_sparse_check_reads_each_index_once(value_reads, step, z):
+    # s is read once per distinct index of the two supports, never level by
+    # level: a check of a rewrite near 4000 reads a few dozen indices at most
+    out = step(z)
+    assert sorted(value_reads["s_index"]) == sorted({*z.support, *out.support})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The exact sums of the library against a plain ``fractions.Fraction``
-recomputation: ``evaluate``, ``series_partial_sums`` and the elements and
-links of ``witness_chain``.
+recomputation: ``evaluate``, ``series_partial_sums``, the elements and
+links of ``witness_chain``, and the integer identity by which the rewrites
+and ``is_member`` check that a result keeps its value.
 
 Each comparison is of (numerator, denominator) pairs, so a value that is
 right but left unreduced fails as surely as a wrong one.
@@ -8,11 +9,16 @@ right but left unreduced fails as surely as a wrong one.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from puiseux.accp import classify, series_partial_sums, witness_chain
-from puiseux.factorization import Factorization, evaluate
+from puiseux.errors import StepError
+from puiseux.factorization import (Factorization, _checked, evaluate, max_length_sweep,
+                                   min_normal_form, rewrite_down_step)
+from puiseux.membership import is_member
 from puiseux.monoid import atom, descending_run, parse_monoid, s_index
+from puiseux.ratio import Ratio
 
 
 def _pair(value):
@@ -137,3 +143,95 @@ def test_deep_atoms_and_values_match_fraction(r, delta, coeffs):
         assert _pair(atom(M, i)) == _pair(_r(M) ** s_index(M, i))
     z = Factorization(M, tuple(sorted(coeffs.items())))
     assert _pair(evaluate(z)) == _pair(_value(M, coeffs))
+
+
+def _accepts(M, coeffs, source) -> bool:
+    """Whether the value check takes coeffs as a result of source."""
+    try:
+        _checked(M, coeffs, source, "the pair")
+    except StepError as exc:
+        assert str(exc) == "the pair changed the value"
+        return False
+    return True
+
+
+def _moved(draw, coeffs, top):
+    """coeffs with one coefficient, at a level up to top, moved by +1 or -1."""
+    out = dict(coeffs)
+    i = draw(st.sampled_from(sorted({*out, *range(top + 1)})))
+    out[i] = out.get(i, 0) + (-1 if out.get(i, 0) and draw(st.booleans()) else 1)
+    return out
+
+
+def _rewrite(draw, z):
+    """A down-step at an applicable level, the minimum normal form, or the
+    carry sweep's result, whichever draw picks, or z's normal form when the
+    pick does not apply; the three check the result themselves."""
+    M, kind = z.monoid, draw(st.sampled_from(["step", "normal form", "sweep"]))
+    if kind == "step":
+        levels = [i for i, c in z.coeffs if i and c >= M.r.den ** M.delta.delta(i - 1)]
+        if levels:
+            return rewrite_down_step(z, draw(st.sampled_from(levels)))
+    elif kind == "sweep" and M.delta.tail is not None:
+        found = max_length_sweep(z, 16).found
+        if found is not None:
+            return found
+    return min_normal_form(z)
+
+
+@st.composite
+def value_pairs(draw, deep=False):
+    """(M, z, coeffs): a factorization z with r < 1 and coefficients that a
+    rewrite gave, or those with one moved by 1, or another factorization's;
+    deep draws sparse supports at indices 1000-5000 of deep-index's tails."""
+    if deep:
+        M = parse_monoid(f"r={draw(st.sampled_from(DEEP_RATIOS))}; "
+                         f"delta={draw(st.sampled_from(DEEP_DELTAS))}")
+        top, levels = 5000, st.integers(1000, 5000)
+    else:
+        M, top = draw(monoids(contracting=True))
+        levels = st.integers(0, top)
+    support = draw(st.dictionaries(levels, st.integers(1, 10 ** 4), min_size=1, max_size=4))
+    z = Factorization.make(M, support)
+    kind = draw(st.sampled_from(["rewrite", "moved", "other"]))
+    if kind == "other":
+        return M, z, draw(st.dictionaries(levels, st.integers(0, 10 ** 4), max_size=4))
+    out = _rewrite(draw, z).as_dict()
+    return M, z, _moved(draw, out, min(top, max(out, default=0) + 1)) if kind == "moved" else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_pairs())
+@example((parse_monoid("r=2/3; delta=const(1)"), Factorization.make(
+    parse_monoid("r=2/3; delta=const(1)"), {1: 3}), {0: 2}))
+@example((parse_monoid("r=2/3; delta=const(1)"), Factorization.make(
+    parse_monoid("r=2/3; delta=const(1)"), {1: 3}), {0: 1, 1: 1}))
+@example((parse_monoid("r=2/3; delta=prefix(1,1,2); finite"), Factorization.make(
+    parse_monoid("r=2/3; delta=prefix(1,1,2); finite"), {3: 9}), {2: 4, 3: 0}))
+def test_the_value_check_accepts_exactly_the_equal_pairs(pair):
+    M, z, coeffs = pair
+    assert _accepts(M, coeffs, z) == (_value(M, z.as_dict()) == _value(M, coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(value_pairs(deep=True))
+@example((parse_monoid("r=2/3; delta=periodic(2,3)"), Factorization.make(
+    parse_monoid("r=2/3; delta=periodic(2,3)"), {3000: 50, 4000: 700}), {3000: 50, 4000: 699}))
+def test_the_value_check_accepts_exactly_the_equal_deep_pairs(pair):
+    M, z, coeffs = pair
+    assert _accepts(M, coeffs, z) == (_value(M, z.as_dict()) == _value(M, coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factorizations(), st.data())
+@example(Factorization.make(parse_monoid("r=1/1; delta=const(1)"), {0: 3, 4: 2}), None)
+@example(Factorization.make(parse_monoid("r=3/2; delta=prefix(1,1,2); finite"), {3: 5}), None)
+@example(Factorization.make(parse_monoid("r=2/3; delta=prefix(2,1); const(1)"), {}), None)
+def test_a_witness_is_checked_against_its_value(z, data):
+    M, q = z.monoid, _value(z.monoid, z.as_dict())
+    res = is_member(Ratio(q.numerator, q.denominator), M)
+    assert res.is_member  # the walk's support reaches z's top index
+    assert _value(M, res.witness.as_dict()) == q
+    if data is not None:
+        moved = _moved(data.draw, res.witness.as_dict(), res.witness.top_index)
+        assert not _accepts(M, moved, Ratio(q.numerator, q.denominator))
