@@ -34,8 +34,9 @@ class WitnessChain(_Value):
 def classify(M: ExpMonoid) -> Classification:
     atom_verdict = classify_atomicity(M)
     if atom_verdict.kind == "iso-naturals":
-        return Classification(atom_verdict, "yes",
-                              {"rule": "iso-naturals", "instance": "d(r)=1"})
+        W = M.delta.max_exponent_index
+        instance = "d(r)=1" if M.r.den == 1 else f"n(r)=1, atoms {{r^s_{W}}} = {atom_verdict.atoms}"
+        return Classification(atom_verdict, "yes", {"rule": "iso-naturals", "instance": instance})
     if atom_verdict.kind == "antimatter":
         return Classification(atom_verdict, "n/a",
                               {"rule": "antimatter", "instance": "n(r)=1, d(r)>1"})

@@ -7,8 +7,7 @@ least-length form, bounded exact enumeration, and length sets.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, count, islice, repeat
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, StepError
@@ -69,7 +68,6 @@ class Factorization(_Value):
 
 
 _set_monoid, _set_coeffs = Factorization.monoid.__set__, Factorization.coeffs.__set__
-_coeff = itemgetter(1)
 
 
 class MaxLengthOutcome(_Value):
@@ -259,125 +257,111 @@ def max_length_sweep(z: Factorization, level_bound: int = 64) -> MaxLengthOutcom
     return MaxLengthOutcome(_checked(M, out, z, "the max-length sweep"), i)
 
 
-def _least_form(x: Ratio, M: ExpMonoid, B: int) -> Optional[Dict[int, int]]:
-    """The coefficients of the least-length factorization of x with support
-    in [0, B], B inside the window, or None when x has none there.
-
-    One walk, by the residue argument of `_leaves`: each level takes the least
-    coefficient that can complete. For r >= 1 it walks up from level 0 with
-    (a, b) = (n, d), leaving c_i < n^{delta_i} below B; for r < 1 down from
-    B with (a, b) = (d, n) over the gaps reversed, leaving c_i <
-    d^{delta_{i-1}} above 0. In units of 1/d^{s_B} a level weighs a^u
-    b^{s_B-u}, u the gaps walked before it summed, and rem, what it and the
-    levels after it make up, is kept divided by a^u: c = rem / b^{s_B-u} mod
-    a^{gap}, and the last level takes what is left.
-    """
+def _levels(x: Ratio, M: ExpMonoid, B: int, a: int) -> Iterator:
+    """Yields R, what the levels [0, B] make up for x in units of 1/d^{s_B},
+    B inside the window, then the table of a walk over them, lazily, so that
+    a walk that stops early forms no more; nothing when d(x) divides no power
+    of d(r). The walk steps by powers of a: a = n walks up from level 0, a =
+    d down from B over the gaps reversed; b is the other. A level weighs a^u
+    b^{S-u}, S = s_B and u the gaps walked before it, and rem is kept over
+    a^u. The table holds per level (a^gap, b^{S-u}, the inverse of b^{S-u}
+    mod a^gap): by the residue argument of `_leaves`, the c that can complete
+    are rem * inverse mod a^gap + j a^gap; the level after the last weighs 1."""
     n, d = M.r.num, M.r.den
     gaps = list(islice(M.delta.gaps(), B))
-    total = sum(gaps)
-    D = _ipow(d, total)
+    D = _ipow(d, sum(gaps))
     if D % x.den:
-        return None
-    rem = x.num * (D // x.den)
-    a, b, levels = n, d, range(B + 1)
-    if n < d:
-        a, b, levels, gaps = d, n, levels[::-1], gaps[::-1]
-    weight = _ipow(b, total)  # b^{s_B-u}
-    out = {}
-    for i, gap in zip(levels, gaps):
+        return
+    yield x.num * (D // x.den)
+    b, way = (d, 1) if a == n else (n, -1)
+    weight = _ipow(b, sum(gaps))
+    for gap in gaps[::way]:
         mod = a ** gap
-        c = rem * pow(weight, -1, mod) % mod
-        rem -= c * weight
+        yield mod, weight, pow(weight, -1, mod)
+        weight //= b ** gap
+
+
+def _least_form(x: Ratio, M: ExpMonoid, B: int) -> Optional[Dict[int, int]]:
+    """The coefficients of the least-length factorization of x with support
+    in [0, B], B inside the window, or None when x has none there: one walk
+    over the table of `_levels`, each level taking its least coefficient.
+    For r >= 1 it walks up with a = n, leaving c_i < n^{delta_i} below B;
+    for r < 1 down with a = d, leaving c_i < d^{delta_{i-1}} above 0."""
+    down = M.r.num < M.r.den
+    table = _levels(x, M, B, M.r.den if down else M.r.num)
+    rem = next(table, None)
+    if rem is None:
+        return None
+    levels = range(B, -1, -1) if down else range(B + 1)
+    out = {}
+    for i, (mod, weight, inv) in zip(levels, table):
+        out[i] = c = rem * inv % mod
+        rem = (rem - c * weight) // mod
         if rem < 0:  # the least c outweighs what is left
             return None
-        out[i] = c
-        rem //= mod
-        weight //= b ** gap
     out[levels[-1]] = rem
     return out
 
 
-def _leaves(x: Ratio, M: ExpMonoid,
-            max_index: int) -> Tuple[Optional[Callable[[int], tuple]], Iterator]:
-    """The factorizations of x with support in [0, B], B = max_index cut to
-    the window, as (run, leaves): leaves lazily yields a (head, R) pair per
-    node at the last free level B-1, where head holds the levels below B-1
-    and R is what levels B-1 and B must make up, and run(R) resolves its run
-    (None when there is no leaf, as d(x) divides no power of d(r)).
+def _leaves(x: Ratio, M: ExpMonoid, max_index: int) -> Tuple[int, Optional[Callable], list, int]:
+    """The search for the factorizations of x with support in [0, B], B =
+    max_index cut to the window, as (B, run, levels, R): frontiers grow from
+    the root remainder R through the table's levels below B-1 by `_steps`,
+    and run(R) resolves a leaf's run at B-1 (None when d(x) divides no power
+    of d(r)). A remainder at level i is over n^{s_i}, in units of 1/d^{s_B}.
 
     A run (B, c, q, k, m, e) stands for the k results head + (B-1, c + j*m)
     + (B, q - j*e), j < k, where m = n^{delta_{B-1}}, e = d^{delta_{B-1}};
     a zero coefficient is left out, and k = 0 when no c fits in R. It reads
-    R alone: B, m, e and the weights are fixed for the call, so leaves with
-    one R share their run, and a caller resolves it once per distinct R.
-    For x = 0 or B = 0 the one result is a run with c = 0 and k = 1.
+    R alone: B, m and e are fixed for the call, so leaves with one R share
+    their run, and a caller resolves it once per distinct R. For x = 0 or B
+    = 0 the one result is a run with c = 0 and k = 1.
 
     Residue argument. Count in units of 1/D, D = d^{s_B}: an atom at level i
     weighs w_i = n^{s_i} d^{s_B-s_i}, and the remainder R that levels i..B
     must make up is divisible by n^{s_i}. Every weight above level i is
     divisible by n^{s_{i+1}}, so a coefficient c at level i can complete only
     when n^{delta_i} | R/n^{s_i} - c d^{s_B-s_i}; d is a unit mod n, so this
-    fixes c mod n^{delta_i} (`inv`) and keeps the invariant one level up. At
-    B-1 the top level takes any multiple of w_B = n^{s_B}, so every such c
-    up to R/w_{B-1} completes with q = (R - c w_{B-1})/w_B >= 0, and since
-    m w_{B-1} = e w_B, q falls by e as c rises by m. The divisibility is
-    checked once per run and a failure raises StepError.
+    fixes c mod n^{delta_i} and keeps the invariant one level up. At B-1 the
+    top level takes any multiple of w_B = n^{s_B}, so every such c up to
+    R/w_{B-1} completes with q = (R - c w_{B-1})/w_B >= 0, and since m
+    w_{B-1} = e w_B, q falls by e as c rises by m.
 
-    The walk is depth first over one flat stack of (level i, remainder R,
-    head) nodes, with no recursion: a node below B-2 pushes its children in
-    reverse, so that they pop with the coefficient rising and zero last, and
-    a node at B-2 yields its children as leaves in that order, unstacked.
+    A node's children come with the coefficient rising and zero last, so
+    each frontier is in ascending order of its heads. `enumerate_all` grows
+    heads; `length_set` grows (head length, R) states and keeps each
+    distinct pair once, since what lies above a state depends on R alone.
     """
     if max_index < 0:
         raise DomainError("max_index must be >= 0")
     window = M.delta.max_exponent_index
     B = max_index if window is None else min(max_index, window)
-    n, d = M.r.num, M.r.den
-    s = list(accumulate(islice(M.delta.gaps(), B), initial=0))
-    D = _ipow(d, s[B])
-    if D % x.den != 0:
-        return None, iter(())
-    target = x.num * (D // x.den)
+    table = _levels(x, M, B, M.r.num)
+    root = next(table, None)
+    if root is None:
+        return B, None, [], root
     if B == 0:
-        return (lambda R: (0, 0, R, 1, 1, 1)), iter((((), target),))
-    # per level i: n^{s_i}, the weight of one atom in units of 1/D, the step
-    # n^{delta_i} between coefficients that can complete, 1/d^{s_B-s_i} mod it
-    n_pow = [_ipow(n, e) for e in s]
-    w = [n_pow[i] * _ipow(d, s[B] - s[i]) for i in range(B + 1)]
-    mod = [n_pow[i + 1] // n_pow[i] for i in range(B)]
-    inv = [pow(pow(d, s[B] - s[i], mod[i]), -1, mod[i]) for i in range(B)]
-    last = B - 1
-    m, e = mod[last], d ** (s[B] - s[last])
+        return B, (lambda R: (0, 0, R, 1, 1, 1)), [], root
+    *levels, (m, e, inv) = table
 
     def run(R: int) -> tuple:
-        # the least coefficient at B-1 that can complete, and the most that fits
-        c, top = R // n_pow[last] * inv[last] % m, R // w[last]
-        if c > top:
-            return B, c, 0, 0, m, e
-        q, leftover = divmod(R - c * w[last], w[B])
-        if leftover:
-            raise StepError(f"level {B} cannot complete the run at level {last}")
-        return B, c, q, (top - c) // m + 1, m, e
+        # the least coefficient at B-1 that can complete, and what B then takes
+        c = R * inv % m
+        q = (R - c * e) // m
+        return (B, c, q, q // e + 1, m, e) if q >= 0 else (B, c, 0, 0, m, e)
 
-    def walk() -> Iterator[Tuple[tuple, int]]:
-        stack, hand = [(0, target, ())], last - 1
-        push = stack.append
-        while stack:
-            i, rem, head = stack.pop()
-            step, weight = mod[i], w[i]
-            least, top = rem // n_pow[i] * inv[i] % step, rem // weight
-            if i == hand:
-                for c in range(least or step, top + 1, step):
-                    yield head + ((i, c),), rem - c * weight
-                if not least:
-                    yield head, rem
-                continue
-            if not least:
-                push((i + 1, rem, head))
-            for c in range(least or step, top + 1, step)[::-1]:
-                push((i + 1, rem - c * weight, head + ((i, c),)))
+    return B, run, levels, root
 
-    return run, (walk() if B > 1 else iter((((), target),)))
+
+def _steps(level: Tuple[int, int, int], R: int):
+    """(c, R') for each coefficient c that can complete at a table level from
+    R, c rising and zero last, R' what the levels above then make up."""
+    mod, weight, inv = level
+    c = R * inv % mod
+    R = (R - c * weight) // mod
+    if c:
+        return zip(count(c, mod), range(R, -1, -weight))
+    return [*zip(count(mod, mod), range(R - weight, -1, -weight)), (0, R)]
 
 
 def _expand(B: int, c: int, q: int, k: int, m: int, e: int) -> List[tuple]:
@@ -413,11 +397,16 @@ def enumerate_all(x: Ratio, M: ExpMonoid, max_index: int) -> List[Factorization]
     remainder R alone, so it is built once per distinct R, by `_expand`, and
     shared across the heads: each result is one head + tail concatenation,
     and the Factorizations are made in one pass at the end."""
-    run, leaves = _leaves(x, M, max_index)
-    tails: Dict[int, list] = {}
-    pairs: List[tuple] = []
+    _, run, levels, root = _leaves(x, M, max_index)
+    leaves = [((), root)] if run else []
+    for i, level in enumerate(levels):
+        leaves = [(head + ((i, c),) if c else head, R)
+                  for head, R0 in leaves for c, R in _steps(level, R0)]
+    tails, pairs = {}, []
     extend = pairs.extend
-    for head, R in leaves:
+    leaves.reverse()  # popped, so that each leaf and its head die when used
+    while leaves:
+        head, R = leaves.pop()
         tail = tails.get(R)
         if tail is None:
             tail = tails[R] = _expand(*run(R))
@@ -460,17 +449,14 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
     from the head's length plus c + q; runs merge as intervals per class mod
     |g| (1 at r = 1). A witness makes an empty window an empty set.
     """
-    window = M.delta.max_exponent_index
-    B = max_index if window is None else min(max_index, window)
-    run, leaves = _leaves(x, M, max_index)
-    runs: Dict[int, tuple] = {}
-    spans, g = [], 1  # (class mod |g|, least, greatest) of each run's lengths
+    B, run, levels, root = _leaves(x, M, max_index)
+    states = {(0, root): None} if run else {}  # (head length, R), each once
+    for level in levels:
+        states = dict.fromkeys((size + c, R) for size, R0 in states for c, R in _steps(level, R0))
+    runs, spans, g = {}, [], 1  # spans: (class mod |g|, least, greatest) of each run
     top = 0  # q*, the greatest coefficient at B: q falls along a run
-    for size, R in {(sum(map(_coeff, head)), R) for head, R in leaves}:
-        found = runs.get(R)
-        if found is None:
-            found = runs[R] = run(R)
-        _, c, q, k, m, e = found
+    for size, R in states:
+        _, c, q, k, m, e = runs.get(R) or runs.setdefault(R, run(R))
         if k:
             g = abs(m - e) or 1  # the same for every run; 0 only at r = 1
             top = max(top, q)
@@ -487,8 +473,8 @@ def length_set(x: Ratio, M: ExpMonoid, max_index: int,
     lengths = tuple(sorted(chain.from_iterable(range(low, high + 1, g) for _, low, high in merged)))
     if not lengths:
         return LengthSet(lengths, False, False)
+    ends = B == M.delta.max_exponent_index  # B ends a finite window
     if M.r.num >= M.r.den:
-        complete = (M.r.num == M.r.den or (window is not None and max_index >= window)
-                    or M.r ** s_index(M, max_index + 1) > x)
+        complete = M.r.num == M.r.den or ends or M.r ** s_index(M, max_index + 1) > x
         return LengthSet(lengths, complete, complete)
-    return LengthSet(lengths, True, B == window or top < M.r.num ** next(M.delta.gaps(B)))
+    return LengthSet(lengths, True, ends or top < M.r.num ** next(M.delta.gaps(B)))

@@ -538,12 +538,24 @@ def atom(M: ExpMonoid, n: int) -> Ratio:
 
 
 def classify_atomicity(M: ExpMonoid) -> AtomicityVerdict:
-    n, d = M.r.num, M.r.den
-    if d == 1:
+    """Atomicity read off n(r), d(r) and the window, W its last index. With
+    n(r), d(r) > 1 each generator is an atom, by n-adic valuation: for r < 1
+    scale by d^S, S >= s_i. A sum of two or more generators equal to r^{s_i}
+    holds only r^{s_j} with j > i, as the others are >= r^{s_i}; their scaled
+    terms n^{s_j} d^{S-s_j} are divisible by n^{s_{i+1}}, but n^{s_i}
+    d^{S-s_i} is not, as n > 1 is prime to d. For r > 1 take d for n and
+    j < i. With d(r) = 1 each generator is a multiple of r^0 = 1: M = N_0.
+    With n(r) = 1 < d(r), r^{s_i} is d^{delta_i} >= 2 copies of r^{s_{i+1}}:
+    no atom on an infinite tail; on a finite window M = <r^{s_W}> = N_0."""
+    n, d, W = M.r.num, M.r.den, M.delta.max_exponent_index
+    if d == 1 or (n == 1 and W == 0):
         return AtomicityVerdict("iso-naturals", "{1}")
     if n == 1:
-        return AtomicityVerdict("antimatter", "")
-    return AtomicityVerdict("atomic", "{r^s_n : n >= 0}")
+        if W is None:
+            return AtomicityVerdict("antimatter", "")
+        return AtomicityVerdict("iso-naturals", f"{{1/{_power(d, s_index(M, W))}}}")
+    bounds = "n >= 0" if W is None else f"0 <= n <= {W}"
+    return AtomicityVerdict("atomic", f"{{r^s_n : {bounds}}}")
 
 
 def truncate(M: ExpMonoid, i: int) -> ExpMonoid:

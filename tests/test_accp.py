@@ -50,6 +50,9 @@ class TestClassify:
     @pytest.mark.parametrize("text,accp,rule", [
         ("r=3; delta=const(1)", "yes", "iso-naturals"),
         ("r=1/2; delta=const(1)", "n/a", "antimatter"),
+        # n(r) = 1 on a finite window: M = <r^{s_W}> is N_0
+        ("r=1/2; delta=finite", "yes", "iso-naturals"),
+        ("r=1/2; delta=prefix(1,2); finite", "yes", "iso-naturals"),
         ("r=2/3; delta=prefix(1,4); finite", "yes", "finitely-generated"),
         ("r=3/2; delta=const(1)", "yes", "r-above-one"),
         ("r=2/3; delta=const(1)", "no", "bounded-delta"),

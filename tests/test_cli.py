@@ -640,6 +640,29 @@ def test_endless_carries_answer_at_once(argv, result):
     assert result.items() <= doc["result"].items()
 
 
+def test_a_deep_length_set_answers_in_time():
+    # x = 8 has 254 775 677 factorizations with support in [0, 10], but the
+    # search holds only 8 405 (head length, R) states
+    proc = _run_capped("-m", "puiseux.cli", "lengths", "--monoid", "r=2/3; delta=const(1)",
+                       "--x", "8", "--max-index", "10")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (len(result["lengths"]), result["min_exact"], result["max_exact"]) == (420, True, False)
+
+
+@pytest.mark.parametrize("spec, atoms, instance", [
+    ("r=1/2; delta=finite", "{1}", "n(r)=1, atoms {r^s_0} = {1}"),
+    ("r=1/2; delta=prefix(1,2);finite", "{1/8}", "n(r)=1, atoms {r^s_2} = {1/8}"),
+], ids=["N0", "one-eighth"])
+def test_a_finite_window_over_one_is_the_naturals(spec, atoms, instance):
+    # n(r) = 1 on a finite window: every generator is a multiple of r^{s_W}
+    proc = _run_capped("-m", "puiseux.cli", "classify", "--monoid", spec)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result == {"accp": "yes", "atomicity": "iso-naturals", "atoms": atoms, "bfp": "yes",
+                      "evidence": {"instance": instance, "rule": "iso-naturals"}, "ffp": "yes"}
+
+
 @pytest.mark.parametrize("spec, instance", [
     ("r=60/61; delta=poly(1,0,1)", "d^delta_496=61^246017 > n^delta_497=60^247010"),
     ("r=90/91; delta=poly(1,0,1)", "d^delta_815=91^664226 > n^delta_816=90^665857"),

@@ -36,7 +36,10 @@ in one except clause of each parser, and nowhere else. A gap is read by a
 readers ``min_normal_form`` and ``rewrite_down_step``; every in-order walk
 over the gaps reads ``DeltaSpec.gaps``. ``membership.py`` imports neither
 the search nor a pass that rewrites a factorization, and ``length_set``
-calls neither the carry sweep nor the least-form walk. No module imports
+calls neither the carry sweep nor the least-form walk. In
+``factorization.py`` a modular inverse, a ``pow`` with a negative exponent
+and a modulus, is taken in the level table ``_levels`` alone, and the
+least-form walk and the search both read that table. No module imports
 ``dataclasses``, whose decorators would compile code at every start, and
 ``__init__.py`` has no relative import at its top, so importing the package
 loads no module. No module binds a name by import, at its top or under a
@@ -191,6 +194,42 @@ def test_each_power_comparison_is_seen(source):
     "_rank(d, a, n, b) > 0", "x = _ipow(d, a)\nx >= y"])
 def test_a_comparison_without_a_power_is_not_flagged(source):
     assert not list(_power_comparisons(ast.parse(source)))
+
+
+def _modular_inverses(tree):
+    """(scope, line) of each three-argument pow in tree whose exponent is
+    negative, a negation or a negative literal: a modular inverse."""
+    for node, scope in _scoped(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
+                and len(node.args) == 3):
+            continue
+        e = node.args[1]
+        if (isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub)) or (
+                isinstance(e, ast.Constant) and isinstance(e.value, int) and e.value < 0):
+            yield scope, node.lineno
+
+
+def test_modular_inverses_sit_in_the_level_table_alone():
+    # the least-form walk and the search read one table of (a^gap, b^{S-u},
+    # inverse) per level; a second walk with inverses of its own would keep a
+    # second copy of the residue arithmetic on a second integer scale
+    tree = ast.parse((PACKAGE / "factorization.py").read_text())
+    found = {scope.split(".")[0] for scope, _ in _modular_inverses(tree)}
+    assert found == {"_levels"}, found
+    callers = {scope for node, scope in _scoped(tree) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_levels"}
+    assert callers == {"_least_form", "_leaves"}, callers
+
+
+@pytest.mark.parametrize("source", [
+    "pow(w, -1, m)", "x = pow(d ** s, -e, n)", "def f():\n    return pow(a, -2, b) % b"])
+def test_each_modular_inverse_is_seen(source):
+    assert list(_modular_inverses(ast.parse(source)))
+
+
+@pytest.mark.parametrize("source", ["pow(d, s, q)", "pow(2, 3)", "x ** -1", "pow(w, e - 1, m)"])
+def test_a_power_that_is_no_inverse_is_not_flagged(source):
+    assert not list(_modular_inverses(ast.parse(source)))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

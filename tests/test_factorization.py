@@ -925,17 +925,45 @@ def test_the_search_makes_no_factorization_per_result(monkeypatch):
 
 
 def _counted_walk(monkeypatch):
-    """Patch `_leaves` to record every leaf it yields and every R its run
-    resolves, with the run it resolves to; returns (leaves, resolved)."""
-    walk, leaves, resolved = fz._leaves, [], []
+    """Patch `_leaves` to record every R its run resolves, with the run it
+    resolves to, and `_steps` to record the (c, R) children it gives at the
+    last level below B-1: the leaves of `enumerate_all`'s search. Returns
+    (leaves, resolved)."""
+    walk, steps, leaves, resolved, last = fz._leaves, fz._steps, [], [], []
 
     def counted(*args):
-        run, found = walk(*args)
-        return ((lambda R: resolved.append((R, run(R))) or resolved[-1][1]),
-                (leaves.append(leaf) or leaf for leaf in found))
+        B, run, levels, root = walk(*args)
+        last[:] = levels[-1:]
+        if run is None:
+            return B, run, levels, root
+        return B, (lambda R: resolved.append((R, run(R))) or resolved[-1][1]), levels, root
+
+    def counted_steps(level, R):
+        out = list(steps(level, R))
+        if last and level is last[0]:
+            leaves.extend(out)
+        return out
 
     monkeypatch.setattr(fz, "_leaves", counted)
+    monkeypatch.setattr(fz, "_steps", counted_steps)
     return leaves, resolved
+
+
+def _counted_states(monkeypatch):
+    """Patch the `dict` that `length_set` grows its frontier of (head
+    length, R) states with, so as to record the states of each level above
+    the root; returns the list of them. `Factorization.make` then takes no
+    dict, so build the queries first."""
+    grown = []
+
+    class Recorded(dict):
+        @classmethod
+        def fromkeys(cls, keys):
+            grown.append(dict.fromkeys(keys))
+            return grown[-1]
+
+    monkeypatch.setattr(fz, "dict", Recorded, raising=False)
+    return grown
 
 
 def test_the_search_builds_each_tail_once_per_call(monkeypatch):
@@ -963,9 +991,14 @@ def test_the_search_builds_each_tail_once_per_call(monkeypatch):
 
 
 def _run_shapes(x, M, B):
-    """Which shapes of run the leaves of `_leaves` resolve to for (x, M, B)."""
+    """Which shapes of run the leaves of the search resolve to for (x, M, B),
+    the heads grown level by level from `_leaves` and `_steps`."""
     heads, shapes = {}, set()
-    run, leaves = fz._leaves(x, M, B)
+    _, run, levels, root = fz._leaves(x, M, B)
+    leaves = [((), root)]
+    for i, level in enumerate(levels):
+        leaves = [(head + ((i, c),) if c else head, R)
+                  for head, R0 in leaves for c, R in fz._steps(level, R0)]
     for head, R in leaves:
         _, c, q, k, m, e = run(R)
         heads.setdefault((c, q), set()).add(head)
@@ -1015,7 +1048,8 @@ def test_the_search_ascends_and_length_sets_match_the_expansion(query):
 def test_length_sets_read_runs_and_enumeration_needs_no_sort(monkeypatch):
     tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix
     x, witness = evaluate(tail_query), min_normal_form(tail_query)
-    leaves, resolved = _counted_walk(monkeypatch)
+    _, resolved = _counted_walk(monkeypatch)
+    grown = _counted_states(monkeypatch)
 
     def banned(*args, **kwargs):
         raise AssertionError("called")
@@ -1026,12 +1060,15 @@ def test_length_sets_read_runs_and_enumeration_needs_no_sort(monkeypatch):
     with_witness = length_set(x, CONST, 5, witness)
     assert with_witness.lengths[0] == witness.length
     runs = dict(resolved)
-    assert (len(leaves), sum(runs[R][3] for _, R in leaves)) == (307, 1712)  # leaves, results
+    # the 307 leaves of enumeration, with 1712 results, share 131 (head
+    # length, R) states, whose runs hold 962 results at one head a state
+    leaves = grown[-1]
+    assert (len(leaves), sum(runs[R][3] for _, R in leaves)) == (131, 962)
     assert len(resolved) == len(runs) == 14
-    leaves.clear()
+    grown.clear()
     resolved.clear()
     assert length_set(x, CONST, 5) == with_witness
-    assert len(leaves) == 307 and len(resolved) == 14
+    assert len(grown[-1]) == 131 and len(resolved) == 14
     monkeypatch.undo()
     monkeypatch.setattr(fz, "sorted", banned, raising=False)
     found = [z.coeffs for z in enumerate_all(x, CONST, 5)]
@@ -1048,7 +1085,10 @@ def test_a_greatest_length_past_64_levels_is_exact():
 
 
 def test_a_length_set_resolves_each_remainder_once_and_merges_progressions(monkeypatch):
-    leaves, resolved = _counted_walk(monkeypatch)
+    tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix, at B = 5
+    x, least = evaluate(tail_query), min_normal_form(tail_query).length
+    _, resolved = _counted_walk(monkeypatch)
+    grown = _counted_states(monkeypatch)
     ranges = []
     monkeypatch.setattr(fz, "range", lambda *args: ranges.append(range(*args)) or ranges[-1],
                         raising=False)
@@ -1060,17 +1100,31 @@ def test_a_length_set_resolves_each_remainder_once_and_merges_progressions(monke
     ls = length_set(Ratio(20000), CONST, 2)
     assert (len(ls.lengths), ls.lengths[0], ls.lengths[-1]) == (25001, 20000, 45000)
     assert (ls.min_exact, ls.max_exact) == (True, False)
+    leaves = grown[-1]
     assert len(leaves) == len({R for _, R in leaves}) == len(resolved) == 10001
-    # past the ranges over the three levels, the root hands over its 10 000
-    # children with c > 0 from one range, and the 10 001 runs' lengths merge
-    # into one range: no length is inserted one by one
+    # the root hands over the remainders of its 10 000 children with c > 0
+    # from one range, and the 10 001 runs' lengths merge into one range: no
+    # length is inserted one by one
     assert [len(r) for r in ranges if len(r) > 3] == [10000, 25001]
-    leaves.clear()
+    grown.clear()
     resolved.clear()
-    tail_query = F(CONST, {0: 8, 4: 1, 5: 2})  # the tail query of factor-mix, at B = 5
-    assert (length_set(evaluate(tail_query), CONST, 5).lengths[0]
-            == min_normal_form(tail_query).length)
-    assert (len(leaves), len(resolved)) == (307, 14)
+    assert length_set(x, CONST, 5).lengths[0] == least
+    assert (len(grown[-1]), len(resolved)) == (131, 14)
+
+
+def test_a_length_set_grows_one_state_per_head_length_and_remainder(monkeypatch):
+    # x = 8 on const(1) at B = 9: the 915 901 leaves of enumeration share
+    # 3 679 (head length, R) states at level 8 and 64 remainders
+    _, resolved = _counted_walk(monkeypatch)
+    grown = _counted_states(monkeypatch)
+    ls = length_set(Ratio(8), CONST, 9)
+    assert [len(states) for states in grown] == [5, 19, 52, 131, 309, 709, 1611, 3679]
+    assert len(resolved) == len({R for _, R in grown[-1]}) == 64
+    assert (len(ls.lengths), ls.lengths[0], ls.lengths[-1]) == (279, 8, 286)
+
+
+def test_a_deep_length_set_matches_the_reference():
+    assert length_set(Ratio(8), CONST, 7) == _ref_length_set(Ratio(8), CONST, 7)
 
 
 def _oracle_volume(x, M, B):

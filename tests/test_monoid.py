@@ -6,11 +6,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from puiseux import monoid
 from puiseux.errors import DomainError, IndexRangeError, ParseError
-from puiseux.monoid import (Constant, DeltaSpec, ExpMonoid, Geometric,
+from puiseux.monoid import (AtomicityVerdict, Constant, DeltaSpec, ExpMonoid, Geometric,
                             Periodic, Polynomial, Recurrence, _log2_bounds, atom,
                             classify_atomicity, descending_run, format_delta, format_monoid,
                             monoid_from_json, parse_delta, parse_monoid,
                             s_index, truncate)
+from puiseux.oracle import oracle_lengths
 from puiseux.ratio import Ratio
 
 
@@ -80,11 +81,44 @@ class TestAtomicity:
         assert classify_atomicity(M("r=2/3; delta=const(1)")).kind == "atomic"
 
     def test_depends_only_on_r(self):
+        # on an infinite tail the kind reads r alone; a finite window changes
+        # it only at n(r) = 1 < d(r), where M = <r^{s_W}> is N_0
         texts = ["delta=const(1)", "delta=geom(1,2)", "delta=poly(1,0,1)",
                  "delta=prefix(4); periodic(2,7)"]
-        for r in ("2/3", "5/1", "1/6", "9/4"):
+        windows = ["delta=finite", "delta=prefix(3); finite", "delta=prefix(1,2,1); finite"]
+        for r in ("2/3", "5/1", "1/6", "9/4", "1/1"):
             kinds = {classify_atomicity(M(f"r={r}; {t}")).kind for t in texts}
             assert len(kinds) == 1
+            windowed = {classify_atomicity(M(f"r={r}; {t}")).kind for t in windows}
+            assert windowed == ({"iso-naturals"} if r == "1/6" else kinds)
+
+    @pytest.mark.parametrize("text,kind,atoms", [
+        ("r=1/2; delta=finite", "iso-naturals", "{1}"),
+        ("r=1/2; delta=prefix(1,2); finite", "iso-naturals", "{1/8}"),
+        ("r=1/6; delta=prefix(3); finite", "iso-naturals", "{1/216}"),
+        ("r=2/3; delta=prefix(1,2); finite", "atomic", "{r^s_n : 0 <= n <= 2}"),
+        ("r=3/2; delta=finite", "atomic", "{r^s_n : 0 <= n <= 0}"),
+        ("r=3; delta=prefix(1,2); finite", "iso-naturals", "{1}"),
+    ])
+    def test_a_finite_window_names_its_atoms(self, text, kind, atoms):
+        assert classify_atomicity(M(text)) == AtomicityVerdict(kind, atoms)
+
+    @pytest.mark.parametrize("text", [
+        "r=1/2; delta=prefix(1,2); finite", "r=1/3; delta=prefix(2,1); finite",
+        "r=2/3; delta=prefix(1,2); finite", "r=3/2; delta=prefix(1,1); finite",
+        "r=2/5; delta=prefix(2); finite", "r=3; delta=prefix(1); finite"])
+    def test_the_named_atoms_are_the_generators_the_oracle_cannot_split(self, text):
+        # a generator is an atom when no sum of two or more generators makes it
+        m = M(text)
+        W = m.delta.max_exponent_index
+        unsplit = [i for i in range(W + 1)
+                   if max(oracle_lengths(atom(m, i), m, W)) == 1]
+        verdict = classify_atomicity(m)
+        named = {"atomic": list(range(W + 1)), "antimatter": []}.get(verdict.kind)
+        if named is None:  # iso-naturals: the one atom is the least generator
+            named = [min(range(W + 1), key=lambda i: atom(m, i))]
+            assert verdict.atoms == "{" + str(atom(m, named[0])).removesuffix("/1") + "}"
+        assert unsplit == named
 
 
 class TestTruncate:
